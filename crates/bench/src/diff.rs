@@ -113,8 +113,8 @@ pub fn parse_group(json: &str) -> Result<BenchGroup, String> {
 /// Loads bench records from `path`: a single `.json` file, or a directory
 /// whose `*.json` files are all loaded (sorted by file name).
 ///
-/// `target/bench/` also hosts sidecar artifacts that are not group records —
-/// the lane crossover table among them. In directory mode a `.json` file
+/// `target/bench/` may also host sidecar artifacts that are not group
+/// records (older archived snapshots carry one). In directory mode a `.json` file
 /// without a `"group"` key (every group record has one; see [`BenchGroup`])
 /// is skipped rather than rejected, so sidecars ride along in archived bench
 /// artifacts without breaking later diffs. An explicit single-file path is
@@ -398,9 +398,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let record = serde_json::to_string(&group("streams", &[("copy", 10.0)])).unwrap();
         std::fs::write(dir.join("streams.json"), record).unwrap();
-        // A crossover-table sidecar: valid JSON, but not a bench group.
+        // A sidecar: valid JSON, but not a bench group.
         std::fs::write(
-            dir.join("crossover.json"),
+            dir.join("sidecar.json"),
             r#"{"schema": 1, "accumulators": 4, "kernels": []}"#,
         )
         .unwrap();

@@ -15,37 +15,24 @@ pub mod workload;
 
 pub use config::{BabelStreamConfig, INIT_A, INIT_B, INIT_C, PAPER_VECTOR_SIZE, SCALAR};
 pub use cost::stream_cost;
-pub use portable::{lane_kernel_key, run_portable, run_portable_lane};
+pub use portable::run_portable;
 pub use reference::{expected_values, output_array};
 pub use vendor::run_vendor;
 
 use crate::common::WorkloadRun;
-use crate::simd::{self, LanePolicy};
 use gpu_sim::SimError;
 use vendor_models::kernel_class::StreamOp;
 use vendor_models::Platform;
 
 /// Runs one BabelStream operation on a platform, dispatching to the portable
-/// or vendor implementation according to the backend, under the process-wide
-/// lane policy.
+/// or vendor implementation according to the backend.
 pub fn run(
     platform: &Platform,
     op: StreamOp,
     config: &BabelStreamConfig,
 ) -> Result<WorkloadRun, SimError> {
-    run_lane(platform, op, config, simd::process_policy())
-}
-
-/// Runs one BabelStream operation under an explicit lane policy. The vendor
-/// baselines have no host fast lane and ignore the policy.
-pub fn run_lane(
-    platform: &Platform,
-    op: StreamOp,
-    config: &BabelStreamConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     if platform.backend.is_portable() {
-        run_portable_lane(platform, op, config, policy)
+        run_portable(platform, op, config)
     } else {
         run_vendor(platform, op, config)
     }

@@ -11,43 +11,17 @@ use super::reference::expected_values;
 use crate::cache;
 use crate::common::{Verification, WorkloadRun};
 use crate::real::Real;
-use crate::simd::{self, Lane, LanePolicy};
 use gpu_sim::{istr, Dim3, SimError};
 use portable_kernel::prelude::*;
 use rayon::prelude::*;
 use vendor_models::kernel_class::StreamOp;
 use vendor_models::{heuristics, KernelClass, Platform};
 
-/// The crossover-table key of one stream operation.
-pub fn lane_kernel_key(op: StreamOp) -> &'static str {
-    match op {
-        StreamOp::Copy => simd::KERNEL_COPY,
-        StreamOp::Mul => simd::KERNEL_MUL,
-        StreamOp::Add => simd::KERNEL_ADD,
-        StreamOp::Triad => simd::KERNEL_TRIAD,
-        StreamOp::Dot => simd::KERNEL_DOT,
-    }
-}
-
-/// Runs one BabelStream operation with the portable backend under the
-/// process-wide lane policy.
+/// Runs one BabelStream operation with the portable backend.
 pub fn run_portable(
     platform: &Platform,
     op: StreamOp,
     config: &BabelStreamConfig,
-) -> Result<WorkloadRun, SimError> {
-    run_portable_lane(platform, op, config, simd::process_policy())
-}
-
-/// Runs one BabelStream operation with the portable backend under an explicit
-/// lane policy. The lane only affects the host-side verification arithmetic
-/// (the Dot partial-sum reduction and the constant scans); the deterministic
-/// lane reproduces the golden bytes exactly.
-pub fn run_portable_lane(
-    platform: &Platform,
-    op: StreamOp,
-    config: &BabelStreamConfig,
-    policy: LanePolicy,
 ) -> Result<WorkloadRun, SimError> {
     let cost = stream_cost(platform, op, config);
     let class = KernelClass::Stream {
@@ -56,12 +30,11 @@ pub fn run_portable_lane(
     };
     let profile = platform.execution_profile(&class);
     let timing = cache::timing_model(platform).estimate(&cost, &profile);
-    let lane = simd::resolve(policy, lane_kernel_key(op), config.n as u64);
 
     let verification = if config.validate {
         match config.precision {
-            gpu_spec::Precision::Fp32 => execute::<f32>(platform, op, config, lane)?,
-            gpu_spec::Precision::Fp64 => execute::<f64>(platform, op, config, lane)?,
+            gpu_spec::Precision::Fp32 => execute::<f32>(platform, op, config)?,
+            gpu_spec::Precision::Fp64 => execute::<f64>(platform, op, config)?,
         }
     } else {
         Verification::Skipped {
@@ -138,7 +111,6 @@ fn execute<T: Real>(
     platform: &Platform,
     op: StreamOp,
     config: &BabelStreamConfig,
-    lane: Lane,
 ) -> Result<Verification, SimError> {
     let n = config.n;
     let ctx = DeviceContext::from_device(cache::device(platform));
@@ -163,7 +135,7 @@ fn execute<T: Real>(
                     ck.set(i, ak.get(i));
                 }
             })?;
-            verify_constant(&c, expected, n, lane)?
+            verify_constant(&c, expected, n)?
         }
         StreamOp::Mul => {
             let (bk, ck) = (b.clone(), c.clone());
@@ -173,7 +145,7 @@ fn execute<T: Real>(
                     bk.set(i, scalar * ck.get(i));
                 }
             })?;
-            verify_constant(&b, expected, n, lane)?
+            verify_constant(&b, expected, n)?
         }
         StreamOp::Add => {
             let (ak, bk, ck) = (a.clone(), b.clone(), c.clone());
@@ -183,7 +155,7 @@ fn execute<T: Real>(
                     ck.set(i, ak.get(i) + bk.get(i));
                 }
             })?;
-            verify_constant(&c, expected, n, lane)?
+            verify_constant(&c, expected, n)?
         }
         StreamOp::Triad => {
             let (ak, bk, ck) = (a.clone(), b.clone(), c.clone());
@@ -193,7 +165,7 @@ fn execute<T: Real>(
                     ak.set(i, bk.get(i) + scalar * ck.get(i));
                 }
             })?;
-            verify_constant(&a, expected, n, lane)?
+            verify_constant(&a, expected, n)?
         }
         StreamOp::Dot => {
             let dot_launch = heuristics::dot_launch(platform.backend, &platform.spec, n as u64);
@@ -210,21 +182,12 @@ fn execute<T: Real>(
             };
             ctx.enqueue_cooperative(dot_launch, &kernel)?;
             // Host-side reduction of the per-block partials, reading straight
-            // from the device buffer. Both lanes are bitwise-stable across
-            // thread counts; the SIMD lane folds each chunk with four
-            // independent accumulators (a fixed reassociation within the
-            // documented 1e-12 relative bound) before the same pairwise tree.
-            let partials = &sums;
-            let total: f64 = match lane {
-                Lane::Deterministic => (0..num_blocks)
-                    .into_par_iter()
-                    .map(|i| partials.get(i).to_f64())
-                    .sum(),
-                Lane::Simd => (0..num_blocks)
-                    .into_par_iter()
-                    .map(|i| partials.get(i).to_f64())
-                    .sum_unrolled(),
-            };
+            // from the device buffer; the fixed-chunk pairwise tree keeps the
+            // sum bitwise-stable across thread counts.
+            let total: f64 = (0..num_blocks)
+                .into_par_iter()
+                .map(|i| sums.get(i).to_f64())
+                .sum();
             (total - expected).abs() / expected.abs().max(1.0)
         }
     };
@@ -242,35 +205,20 @@ fn execute<T: Real>(
 }
 
 /// Checks that every element of `tensor` equals `expected`; returns the
-/// maximum relative error. The scan runs on the pool; the SIMD lane scans
-/// each chunk with four independent max-accumulators, which is exactly equal
-/// to the scalar scan because `max` is order-independent.
+/// maximum relative error. The scan runs on the pool; `max` is
+/// order-independent, so the result is identical at any thread count.
 fn verify_constant<T: Real>(
     tensor: &LayoutTensor<T>,
     expected: f64,
     n: usize,
-    lane: Lane,
 ) -> Result<f64, SimError> {
-    let max_rel = match lane {
-        Lane::Deterministic => (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let v = tensor.get(i).to_f64();
-                (v - expected).abs() / expected.abs().max(1.0)
-            })
-            .reduce(|| 0.0f64, f64::max),
-        Lane::Simd => {
-            let nchunks = n.div_ceil(rayon::REDUCE_CHUNK);
-            (0..nchunks)
-                .into_par_iter()
-                .map(|chunk| {
-                    let start = chunk * rayon::REDUCE_CHUNK;
-                    let end = (start + rayon::REDUCE_CHUNK).min(n);
-                    simd::max_rel_err_chunk(|i| tensor.get(i).to_f64(), start, end, expected)
-                })
-                .reduce(|| 0.0f64, f64::max)
-        }
-    };
+    let max_rel = (0..n)
+        .into_par_iter()
+        .map(|i| {
+            let v = tensor.get(i).to_f64();
+            (v - expected).abs() / expected.abs().max(1.0)
+        })
+        .reduce(|| 0.0f64, f64::max);
     Ok(max_rel)
 }
 

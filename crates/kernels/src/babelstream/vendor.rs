@@ -198,8 +198,8 @@ fn execute<T: Real>(
 }
 
 fn relative_error<T: Real>(buffer: &DeviceBuffer<T>, expected: f64) -> f64 {
-    // Pool-parallel max scan over the output array (order-independent, and
-    // the lane's fixed chunking keeps it deterministic regardless).
+    // Pool-parallel max scan over the output array (order-independent, so
+    // deterministic at any thread count).
     (0..buffer.len())
         .into_par_iter()
         .map(|i| {

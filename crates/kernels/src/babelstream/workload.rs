@@ -107,18 +107,14 @@ impl Workload for BabelStreamWorkload {
         Ok(())
     }
 
-    fn run_lane(
-        &self,
-        params: &Params,
-        policy: crate::simd::LanePolicy,
-    ) -> Result<WorkloadOutput, WorkloadError> {
+    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
         self.validate(params)?;
         let config = config(params)?;
         let ops = parse_ops(params.text("op"))?;
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
             for &op in ops {
-                let run = super::run_lane(platform, op, &config, policy)?;
+                let run = super::run(platform, op, &config)?;
                 let fom = babelstream_bandwidth_gbs(
                     metric_op(op),
                     config.n as u64,

@@ -421,9 +421,9 @@ struct JacobiRefKey {
 
 static JACOBI_REF: Memo<JacobiRefKey, crate::jacobi::JacobiSolution> = Memo::new();
 
-/// The shared deterministic-lane CPU reference solve for a Jacobi
-/// configuration: the golden grid, the residual history, and the convergence
-/// point every driver replays.
+/// The shared CPU reference solve for a Jacobi configuration: the golden
+/// grid, the residual history, and the convergence point every driver
+/// replays.
 pub fn jacobi_reference(
     config: &crate::jacobi::JacobiConfig,
 ) -> Arc<crate::jacobi::JacobiSolution> {
@@ -432,7 +432,7 @@ pub fn jacobi_reference(
             l: config.l,
             iters: config.iters,
         },
-        || crate::jacobi::reference_jacobi(config),
+        || crate::jacobi::solve_host(config),
     )
 }
 

@@ -7,8 +7,8 @@
 //! deliberately sized past anything the memo cache could hold resident —
 //! frames exist only while they are being folded — which exercises the
 //! steady-state pool reuse path rather than the memoization path. The
-//! element-wise fold has no reduction, so every lane and every thread count
-//! produces bitwise-identical accumulators; the property tests pin that the
+//! element-wise fold has no reduction, so every thread count produces
+//! bitwise-identical accumulators; the property tests pin that the
 //! result is also invariant under any partitioning of the frame range.
 
 mod config;
@@ -22,31 +22,19 @@ pub use config::{
     frame_value, FrameStreamConfig, ACC_INIT, ALPHA, BETA, FRAME_PERIOD, MAX_FUNCTIONAL_ELEMENTS,
 };
 pub use cost::framestream_cost;
-pub use portable::{run_portable, run_portable_lane};
+pub use portable::run_portable;
 pub use reference::{accumulate_frames, expected_final};
 pub use vendor::run_vendor;
 
 use crate::common::WorkloadRun;
-use crate::simd::{self, LanePolicy};
 use gpu_sim::SimError;
 use vendor_models::Platform;
 
 /// Runs the frame-stream workload on a platform, dispatching to the portable
-/// or vendor implementation according to the platform's backend, under the
-/// process-wide lane policy.
+/// or vendor implementation according to the platform's backend.
 pub fn run(platform: &Platform, config: &FrameStreamConfig) -> Result<WorkloadRun, SimError> {
-    run_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the frame-stream workload under an explicit lane policy. The vendor
-/// baselines have no host fast lane and ignore the policy.
-pub fn run_lane(
-    platform: &Platform,
-    config: &FrameStreamConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     if platform.backend.is_portable() {
-        run_portable_lane(platform, config, policy)
+        run_portable(platform, config)
     } else {
         run_vendor(platform, config)
     }

@@ -11,28 +11,15 @@ use super::cost::framestream_cost;
 use super::reference::expected_final;
 use crate::cache;
 use crate::common::{Verification, WorkloadRun};
-use crate::simd::{self, Lane, LanePolicy};
 use gpu_sim::{istr, istr_fmt, SimError};
 use portable_kernel::prelude::*;
 use rayon::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
-/// Runs the portable frame stream on `platform` under the process-wide lane
-/// policy.
+/// Runs the portable frame stream on `platform`.
 pub fn run_portable(
     platform: &Platform,
     config: &FrameStreamConfig,
-) -> Result<WorkloadRun, SimError> {
-    run_portable_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the portable frame stream under an explicit lane policy. The lane
-/// picks the host verification scan; the element-wise fold itself cannot
-/// reassociate, so every lane produces bitwise-identical accumulators.
-pub fn run_portable_lane(
-    platform: &Platform,
-    config: &FrameStreamConfig,
-    policy: LanePolicy,
 ) -> Result<WorkloadRun, SimError> {
     let cost = framestream_cost(config);
     let class = KernelClass::Stream {
@@ -41,10 +28,9 @@ pub fn run_portable_lane(
     };
     let profile = platform.execution_profile(&class);
     let timing = cache::timing_model(platform).estimate(&cost, &profile);
-    let lane = simd::resolve(policy, simd::KERNEL_FRAMESTREAM, config.n as u64);
 
     let verification = if config.should_execute() {
-        execute(platform, config, lane)?
+        execute(platform, config)?
     } else {
         Verification::Skipped {
             reason: istr_fmt(format_args!(
@@ -65,11 +51,7 @@ pub fn run_portable_lane(
     })
 }
 
-fn execute(
-    platform: &Platform,
-    config: &FrameStreamConfig,
-    lane: Lane,
-) -> Result<Verification, SimError> {
+fn execute(platform: &Platform, config: &FrameStreamConfig) -> Result<Verification, SimError> {
     let n = config.n;
     let ctx = DeviceContext::from_device(cache::device(platform));
     let layout = Layout::row_major_1d(n);
@@ -87,7 +69,7 @@ fn execute(
             let i = t.global_x() as usize;
             if i < n {
                 // The same expression, in the same association, as the host
-                // lanes: acc·BETA + ALPHA·value.
+                // fold: acc·BETA + ALPHA·value.
                 acc_k.set(i, acc_k.get(i) * BETA + ALPHA * frame_k.get(i));
             }
         })?;
@@ -97,26 +79,13 @@ fn execute(
     // Every element saw the identical frame sequence, so the whole
     // accumulator must equal the closed-form serial fold exactly.
     let expected = expected_final(config.frames);
-    let max_rel = match lane {
-        Lane::Deterministic => (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let v = acc.get(i);
-                (v - expected).abs() / expected.abs().max(1.0)
-            })
-            .reduce(|| 0.0f64, f64::max),
-        Lane::Simd => {
-            let nchunks = n.div_ceil(rayon::REDUCE_CHUNK);
-            (0..nchunks)
-                .into_par_iter()
-                .map(|chunk| {
-                    let start = chunk * rayon::REDUCE_CHUNK;
-                    let end = (start + rayon::REDUCE_CHUNK).min(n);
-                    simd::max_rel_err_chunk(|i| acc.get(i), start, end, expected)
-                })
-                .reduce(|| 0.0f64, f64::max)
-        }
-    };
+    let max_rel = (0..n)
+        .into_par_iter()
+        .map(|i| {
+            let v = acc.get(i);
+            (v - expected).abs() / expected.abs().max(1.0)
+        })
+        .reduce(|| 0.0f64, f64::max);
 
     if max_rel == 0.0 {
         Ok(Verification::Passed { max_abs_error: 0.0 })
@@ -140,14 +109,6 @@ mod tests {
             Verification::Passed { max_abs_error } => assert_eq!(max_abs_error, 0.0),
             other => panic!("expected verification, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn simd_lane_verifies_too() {
-        let config = FrameStreamConfig::validation(5000, 17);
-        let run =
-            run_portable_lane(&Platform::portable_mi300a(), &config, LanePolicy::Simd).unwrap();
-        assert!(run.verification.is_verified());
     }
 
     #[test]

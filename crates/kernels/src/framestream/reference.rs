@@ -8,32 +8,20 @@
 //! pin.
 
 use super::config::{frame_value, ACC_INIT, ALPHA, BETA};
-use crate::simd::{self, Lane};
 use rayon::prelude::*;
 use std::ops::Range;
 
 /// Folds frames `range` into `acc`, in frame order, element-wise on the
-/// worker pool. Both lanes apply the identical per-element expression
-/// (`acc·BETA + ALPHA·v`); the SIMD lane unrolls the element loop four-wide,
-/// which cannot reassociate anything because each element's chain is
-/// independent — hence the documented 0.0 lane tolerance.
-pub fn accumulate_frames(acc: &mut [f64], range: Range<usize>, lane: Lane) {
+/// worker pool, with the same per-element expression (`acc·BETA + ALPHA·v`)
+/// as the device kernels.
+pub fn accumulate_frames(acc: &mut [f64], range: Range<usize>) {
     for f in range {
         let v = frame_value(f as u64);
-        match lane {
-            Lane::Deterministic => {
-                acc.par_chunks_mut(rayon::REDUCE_CHUNK).for_each(|chunk| {
-                    for x in chunk {
-                        *x = *x * BETA + ALPHA * v;
-                    }
-                });
+        acc.par_chunks_mut(rayon::REDUCE_CHUNK).for_each(|chunk| {
+            for x in chunk {
+                *x = *x * BETA + ALPHA * v;
             }
-            Lane::Simd => {
-                acc.par_chunks_mut(rayon::REDUCE_CHUNK).for_each(|chunk| {
-                    simd::frame_accumulate(chunk, v, ALPHA, BETA);
-                });
-            }
-        }
+        });
     }
 }
 
@@ -61,33 +49,22 @@ mod tests {
 
     #[test]
     fn host_fold_matches_the_closed_form_bitwise() {
-        for lane in [Lane::Deterministic, Lane::Simd] {
-            let mut acc = fresh(4096);
-            accumulate_frames(acc.as_mut_slice(), 0..48, lane);
-            let expected = expected_final(48);
-            for &x in acc.iter() {
-                assert_eq!(x.to_bits(), expected.to_bits(), "{lane:?}");
-            }
+        let mut acc = fresh(4096);
+        accumulate_frames(acc.as_mut_slice(), 0..48);
+        let expected = expected_final(48);
+        for &x in acc.iter() {
+            assert_eq!(x.to_bits(), expected.to_bits());
         }
-    }
-
-    #[test]
-    fn lanes_agree_bitwise() {
-        let mut det = fresh(1 << 14);
-        let mut simd = fresh(1 << 14);
-        accumulate_frames(det.as_mut_slice(), 0..33, Lane::Deterministic);
-        accumulate_frames(simd.as_mut_slice(), 0..33, Lane::Simd);
-        assert_eq!(det.as_slice(), simd.as_slice());
     }
 
     #[test]
     fn partitioned_accumulation_is_bitwise_identical_to_one_batch() {
         let mut whole = fresh(1000);
-        accumulate_frames(whole.as_mut_slice(), 0..40, Lane::Deterministic);
+        accumulate_frames(whole.as_mut_slice(), 0..40);
         let mut split = fresh(1000);
-        accumulate_frames(split.as_mut_slice(), 0..7, Lane::Deterministic);
-        accumulate_frames(split.as_mut_slice(), 7..29, Lane::Deterministic);
-        accumulate_frames(split.as_mut_slice(), 29..40, Lane::Deterministic);
+        accumulate_frames(split.as_mut_slice(), 0..7);
+        accumulate_frames(split.as_mut_slice(), 7..29);
+        accumulate_frames(split.as_mut_slice(), 29..40);
         assert_eq!(whole.as_slice(), split.as_slice());
     }
 

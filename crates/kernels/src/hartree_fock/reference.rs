@@ -76,8 +76,8 @@ const REFERENCE_CHUNK: u64 = 8192;
 ///
 /// The quartet range is split into `REFERENCE_CHUNK`-wide chunks, each
 /// chunk scatters into its own partial Fock matrix on the pool, and the
-/// partials are summed element-wise through the deterministic reduction
-/// lane — parallel, without atomics, and bitwise-identical to a serial run.
+/// partials are summed element-wise through the fixed-chunk reduction tree —
+/// parallel, without atomics, and bitwise-identical to a serial run.
 pub fn reference_fock(system: &HeliumSystem, screening_tol: f64) -> Vec<f64> {
     let natoms = system.natoms;
     let npairs = pair_count(natoms as u64);
@@ -104,10 +104,9 @@ pub fn reference_fock(system: &HeliumSystem, screening_tol: f64) -> Vec<f64> {
         .reduce(
             || vec![0.0f64; natoms * natoms],
             |mut acc, partial| {
-                // Unrolled element-wise combine: bitwise-identical to the
-                // scalar loop (each index accumulates in the same order), so
-                // the golden bytes are unaffected.
-                crate::simd::add_assign_unrolled(&mut acc, &partial);
+                for (a, p) in acc.iter_mut().zip(&partial) {
+                    *a += p;
+                }
                 acc
             },
         )

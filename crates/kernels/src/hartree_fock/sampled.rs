@@ -168,9 +168,8 @@ pub struct SampledPlan {
 }
 
 impl SampledPlan {
-    /// Generates the plan: stratified sampling, reference ERIs through the
-    /// deterministic lane, and a serial scatter of the expected Fock
-    /// contributions.
+    /// Generates the plan: stratified sampling, reference ERIs, and a serial
+    /// scatter of the expected Fock contributions.
     pub(crate) fn generate(
         system: &HeliumSystem,
         screening_tol: f64,

@@ -83,16 +83,12 @@ impl Workload for HartreeFockWorkload {
         validate_shared(params)
     }
 
-    fn run_lane(
-        &self,
-        params: &Params,
-        policy: crate::simd::LanePolicy,
-    ) -> Result<WorkloadOutput, WorkloadError> {
+    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
         self.validate(params)?;
         let config = config(params)?;
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
-            let run = super::run_lane(platform, &config, policy)?;
+            let run = super::run(platform, &config)?;
             let fom = run.millis();
             measurements.push(Measurement::from_run(&run, fom));
         }
@@ -152,14 +148,7 @@ impl Workload for HartreeFockSampledWorkload {
         Ok(())
     }
 
-    fn run_lane(
-        &self,
-        params: &Params,
-        _policy: crate::simd::LanePolicy,
-    ) -> Result<WorkloadOutput, WorkloadError> {
-        // The sampled scenario validates numerics through the shared ERI
-        // arithmetic; it has no host reduction hot loop, so the lane policy
-        // does not change its behaviour.
+    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
         self.validate(params)?;
         let config = config(params)?;
         // The portable H100 platform, shared with the timing workloads.

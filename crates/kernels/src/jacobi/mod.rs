@@ -6,10 +6,10 @@
 //! deterministic RMS iterate-difference reduction, stopping at a documented
 //! residual reduction or a typed iteration cap. It composes the two primitive
 //! patterns the paper benchmarks in isolation — the bandwidth-bound stencil
-//! and the tree reduction — into one convergence-driven pipeline, which is
-//! what stresses the lane machinery: the reduction's value feeds back into
-//! control flow (how many sweeps run), so lane divergence would change the
-//! *shape* of the run, not just its last few bits.
+//! and the tree reduction — into one convergence-driven pipeline. The
+//! reduction's value feeds back into control flow (how many sweeps run), so
+//! a thread-count-dependent sum would change the *shape* of the run, not just
+//! its last few bits.
 
 mod config;
 mod cost;
@@ -22,13 +22,12 @@ pub use config::{
     JacobiConfig, MAX_FUNCTIONAL_L_JACOBI, MAX_JACOBI_ITERS, RESIDUAL_REDUCTION, SIXTH,
 };
 pub use cost::jacobi_cost;
-pub use portable::{run_portable, run_portable_lane};
-pub use reference::{reference_jacobi, residual_rms, seed_config, solve_host, JacobiSolution};
+pub use portable::run_portable;
+pub use reference::{residual_rms, seed_config, solve_host, JacobiSolution};
 pub use vendor::run_vendor;
 
 use crate::cache;
 use crate::common::WorkloadRun;
-use crate::simd::{self, LanePolicy};
 use gpu_sim::SimError;
 use vendor_models::Platform;
 
@@ -45,21 +44,10 @@ pub fn planned_iters(config: &JacobiConfig) -> usize {
 }
 
 /// Runs the Jacobi workload on a platform, dispatching to the portable or
-/// vendor implementation according to the platform's backend, under the
-/// process-wide lane policy.
+/// vendor implementation according to the platform's backend.
 pub fn run(platform: &Platform, config: &JacobiConfig) -> Result<WorkloadRun, SimError> {
-    run_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the Jacobi workload under an explicit lane policy. The vendor
-/// baselines have no host fast lane and ignore the policy.
-pub fn run_lane(
-    platform: &Platform,
-    config: &JacobiConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     if platform.backend.is_portable() {
-        run_portable_lane(platform, config, policy)
+        run_portable(platform, config)
     } else {
         run_vendor(platform, config)
     }

@@ -11,7 +11,6 @@ use super::cost::jacobi_cost;
 use super::reference::residual_rms;
 use crate::cache;
 use crate::common::{compare_with_reference, Verification, WorkloadRun};
-use crate::simd::Lane;
 use gpu_sim::{istr, istr_fmt, launch_flat, PooledVec, SimError};
 use vendor_models::{heuristics, KernelClass, Platform};
 
@@ -90,12 +89,7 @@ fn execute(platform: &Platform, config: &JacobiConfig) -> Result<Verification, S
             SimError::InvalidParameter(format!("vendor jacobi verification failed: {msg}"))
         })?;
 
-    let residual = residual_rms(
-        &actual,
-        &previous,
-        config.interior_cells() as f64,
-        Lane::Deterministic,
-    );
+    let residual = residual_rms(&actual, &previous, config.interior_cells() as f64);
     let golden = reference.residuals[reference.iters_run - 1];
     let rel = (residual - golden).abs() / golden.abs().max(1e-300);
     if rel > 1e-12 {

@@ -59,17 +59,13 @@ impl Workload for JacobiWorkload {
         Ok(())
     }
 
-    fn run_lane(
-        &self,
-        params: &Params,
-        policy: crate::simd::LanePolicy,
-    ) -> Result<WorkloadOutput, WorkloadError> {
+    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
         self.validate(params)?;
         let config = config(params)?;
         let iters = planned_iters(&config);
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
-            let run = super::run_lane(platform, &config, policy)?;
+            let run = super::run(platform, &config)?;
             let fom = jacobi_bandwidth_gbs(config.l as u64, iters as u64, run.seconds());
             measurements.push(Measurement::from_run(&run, fom));
         }

@@ -26,7 +26,6 @@
 //!   `mojo-hpc sweep` engine and the bench presets share.
 
 #![warn(missing_docs)]
-#![cfg_attr(feature = "nightly-simd", feature(portable_simd))]
 
 pub mod babelstream;
 pub mod cache;
@@ -37,11 +36,9 @@ pub mod jacobi;
 pub mod minibude;
 pub mod prelude;
 pub mod real;
-pub mod simd;
 pub mod stencil7;
 pub mod workload;
 
 pub use common::{Verification, WorkloadRun};
 pub use real::Real;
-pub use simd::{Lane, LanePolicy};
 pub use workload::{Measurement, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput};

@@ -25,30 +25,18 @@ pub mod workload;
 pub use config::MiniBudeConfig;
 pub use cost::fasten_cost;
 pub use deck::{Atom, Deck, ForceFieldParam};
-pub use portable::{run_portable, run_portable_lane};
+pub use portable::run_portable;
 pub use reference::{pair_energy, pose_energy, reference_energies, transform_point, HALF};
 pub use vendor::run_vendor;
 
 use crate::common::WorkloadRun;
-use crate::simd::{self, LanePolicy};
 use gpu_sim::SimError;
 use vendor_models::Platform;
 
-/// Runs the fasten workload on a platform, dispatching on the backend, under
-/// the process-wide lane policy.
+/// Runs the fasten workload on a platform, dispatching on the backend.
 pub fn run(platform: &Platform, config: &MiniBudeConfig) -> Result<WorkloadRun, SimError> {
-    run_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the fasten workload under an explicit lane policy. The vendor
-/// baselines have no host fast lane and ignore the policy.
-pub fn run_lane(
-    platform: &Platform,
-    config: &MiniBudeConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     if platform.backend.is_portable() {
-        run_portable_lane(platform, config, policy)
+        run_portable(platform, config)
     } else {
         run_vendor(platform, config)
     }

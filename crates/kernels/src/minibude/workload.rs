@@ -81,11 +81,7 @@ impl Workload for MiniBudeWorkload {
         Ok(())
     }
 
-    fn run_lane(
-        &self,
-        params: &Params,
-        policy: crate::simd::LanePolicy,
-    ) -> Result<WorkloadOutput, WorkloadError> {
+    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
         self.validate(params)?;
         let config = config(params)?;
         let sizes = MiniBudeSizes {
@@ -96,7 +92,7 @@ impl Workload for MiniBudeWorkload {
         };
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
-            let run = super::run_lane(platform, &config, policy)?;
+            let run = super::run(platform, &config)?;
             let fom = minibude_gflops(&sizes, run.seconds());
             measurements.push(Measurement::from_run(&run, fom));
         }

@@ -15,31 +15,19 @@ pub mod workload;
 
 pub use config::{functional_limit, StencilConfig, MAX_FUNCTIONAL_L, MAX_FUNCTIONAL_L_FP32};
 pub use cost::stencil_cost;
-pub use portable::{run_portable, run_portable_lane};
+pub use portable::run_portable;
 pub use reference::{initialize_grid, reference_laplacian};
 pub use vendor::run_vendor;
 
 use crate::common::WorkloadRun;
-use crate::simd::{self, LanePolicy};
 use gpu_sim::SimError;
 use vendor_models::Platform;
 
 /// Runs the stencil workload on a platform, dispatching to the portable or
-/// vendor implementation according to the platform's backend, under the
-/// process-wide lane policy.
+/// vendor implementation according to the platform's backend.
 pub fn run(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, SimError> {
-    run_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the stencil workload under an explicit lane policy. The vendor
-/// baselines have no host fast lane and ignore the policy.
-pub fn run_lane(
-    platform: &Platform,
-    config: &StencilConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     if platform.backend.is_portable() {
-        run_portable_lane(platform, config, policy)
+        run_portable(platform, config)
     } else {
         run_vendor(platform, config)
     }

@@ -78,16 +78,12 @@ impl Workload for StencilWorkload {
         Ok(())
     }
 
-    fn run_lane(
-        &self,
-        params: &Params,
-        policy: crate::simd::LanePolicy,
-    ) -> Result<WorkloadOutput, WorkloadError> {
+    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
         self.validate(params)?;
         let config = config(params)?;
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
-            let run = super::run_lane(platform, &config, policy)?;
+            let run = super::run(platform, &config)?;
             let fom = stencil_bandwidth_gbs(config.l as u64, config.precision, run.seconds());
             measurements.push(Measurement::from_run(&run, fom));
         }

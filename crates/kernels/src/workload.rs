@@ -317,21 +317,8 @@ pub trait Workload: Sync {
     /// constraints, functional limits).
     fn validate(&self, params: &Params) -> Result<(), WorkloadError>;
 
-    /// Runs the workload at `params` under an explicit lane policy (see
-    /// [`crate::simd`]): `Deterministic` reproduces the golden bytes,
-    /// `Simd` forces the fast lane, `Auto` consults the crossover table per
-    /// kernel per size.
-    fn run_lane(
-        &self,
-        params: &Params,
-        policy: crate::simd::LanePolicy,
-    ) -> Result<WorkloadOutput, WorkloadError>;
-
-    /// Runs the workload at `params` under the process-wide lane policy
-    /// (deterministic unless the CLI selected `--lane simd|auto`).
-    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        self.run_lane(params, crate::simd::process_policy())
-    }
+    /// Runs the workload at `params`.
+    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError>;
 
     /// The default parameter assignment.
     fn default_params(&self) -> Params {

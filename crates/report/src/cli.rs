@@ -44,7 +44,6 @@ use hpc_metrics::output::{self, CsvTable};
 use science_kernels::hartree_fock::{
     run_sampled, HartreeFockConfig, SampledValidation, DEFAULT_SAMPLES, DEFAULT_SHARDS,
 };
-use science_kernels::simd::{self, LanePolicy};
 use science_kernels::workload;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -132,8 +131,6 @@ pub struct RunArgs {
     /// Worker mode: regenerate only this shard of the id list and print a
     /// shard document instead of reports (DESIGN.md §10).
     pub shard: Option<ShardSpec>,
-    /// Kernel-lane policy (`--lane auto|deterministic|simd`, DESIGN.md §14).
-    pub lane: LanePolicy,
 }
 
 /// Arguments of `sweep`.
@@ -159,8 +156,6 @@ pub struct SweepArgs {
     pub preset: Option<PathBuf>,
     /// File to save the resolved sweep configuration to.
     pub preset_out: Option<PathBuf>,
-    /// Kernel-lane policy (`--lane auto|deterministic|simd`, DESIGN.md §14).
-    pub lane: LanePolicy,
 }
 
 /// How the `shard` coordinator places workers (DESIGN.md §12).
@@ -241,15 +236,13 @@ USAGE:
   mojo-hpc list
   mojo-hpc run (--all | <experiment>...) [--out DIR] [--threads N]
                             [--format csv|json] [--shard I/N]
-                            [--lane auto|deterministic|simd]
   mojo-hpc run hartree-fock --atoms N [--ngauss G] [--sample N] [--shards N]
                             [--out DIR] [--threads N]
   mojo-hpc sweep <workload> --sizes A,B,C [key=value ...] [--out DIR]
                             [--threads N] [--format csv|json] [--shard I/N]
                             [--preset-out FILE]
-                            [--lane auto|deterministic|simd]
   mojo-hpc sweep --preset FILE [--out DIR] [--threads N] [--format csv|json]
-                            [--shard I/N] [--lane auto|deterministic|simd]
+                            [--shard I/N]
   mojo-hpc shard (run|sweep) <run/sweep arguments> --workers N
                             [--launcher local|template|slurm] [--hosts FILE]
                             [--timeout SECS] [--max-attempts N] [--speculate]
@@ -276,14 +269,6 @@ snapshots (CI's bench-trajectory-<sha> artifacts) and renders each
 benchmark's mean-time trend across them (`--csv FILE` also writes the trend
 table as CSV). `run` and `sweep` report the buffer-pool's hit rate and
 traffic on stderr after each invocation.
-
-LANES (DESIGN.md \u{a7}14): `--lane` picks the host compute lane:
-`deterministic` (default — fixed-tree reductions, byte-identical goldens),
-`simd` (hand-unrolled multi-accumulator fast lane, verified against the
-same references within documented tolerances), or `auto` (per kernel per
-size, whichever the measured crossover table says is fastest; override the
-builtin table with MOJO_HPC_CROSSOVER=FILE). `cargo bench --bench crossover`
-regenerates the table from measurements on this machine.
 
 SCALE-OUT (DESIGN.md \u{a7}10): `mojo-hpc shard run|sweep ... --workers N`
 spawns N worker subprocesses of this binary, partitions the command's work
@@ -488,16 +473,6 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Stri
         .map_err(|_| format!("{flag}: invalid value '{value}'"))
 }
 
-/// Parses a `--lane` value (`auto`, `deterministic` or `simd`), rejecting a
-/// repeated flag — two `--lane` flags would make the selected policy
-/// order-dependent.
-fn parse_lane_flag(current: &Option<LanePolicy>, value: &str) -> Result<LanePolicy, String> {
-    if current.is_some() {
-        return Err("--lane given more than once".to_string());
-    }
-    value.parse().map_err(|e| format!("--lane: {e}"))
-}
-
 /// Parses a `--threads` value, rejecting 0 like the other count flags.
 fn parse_threads(value: &str) -> Result<usize, String> {
     let threads: usize = parse_number("--threads", value)?;
@@ -543,7 +518,6 @@ fn parse_run(rest: &[&str]) -> Result<Command, String> {
     let mut threads = None;
     let mut format = None;
     let mut shard = None;
-    let mut lane = None;
     let mut args = rest.iter().copied();
     while let Some(arg) = args.next() {
         match arg {
@@ -552,7 +526,6 @@ fn parse_run(rest: &[&str]) -> Result<Command, String> {
             "--threads" => threads = Some(parse_threads(flag_value("--threads", &mut args)?)?),
             "--format" => format = Some(OutputFormat::parse(flag_value("--format", &mut args)?)?),
             "--shard" => shard = Some(parse_shard_flag(&shard, flag_value("--shard", &mut args)?)?),
-            "--lane" => lane = Some(parse_lane_flag(&lane, flag_value("--lane", &mut args)?)?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             id => ids.push(
                 id.parse::<ExperimentId>()
@@ -575,7 +548,6 @@ fn parse_run(rest: &[&str]) -> Result<Command, String> {
         threads,
         format,
         shard,
-        lane: lane.unwrap_or_default(),
     }))
 }
 
@@ -611,7 +583,6 @@ fn parse_sweep(rest: &[&str]) -> Result<Command, String> {
     let mut shard = None;
     let mut preset = None;
     let mut preset_out = None;
-    let mut lane = None;
     let mut args = rest.iter().copied();
     while let Some(arg) = args.next() {
         match arg {
@@ -620,7 +591,6 @@ fn parse_sweep(rest: &[&str]) -> Result<Command, String> {
             "--threads" => threads = Some(parse_threads(flag_value("--threads", &mut args)?)?),
             "--format" => format = Some(OutputFormat::parse(flag_value("--format", &mut args)?)?),
             "--shard" => shard = Some(parse_shard_flag(&shard, flag_value("--shard", &mut args)?)?),
-            "--lane" => lane = Some(parse_lane_flag(&lane, flag_value("--lane", &mut args)?)?),
             "--preset" => preset = Some(PathBuf::from(flag_value("--preset", &mut args)?)),
             "--preset-out" => {
                 preset_out = Some(PathBuf::from(flag_value("--preset-out", &mut args)?))
@@ -671,7 +641,6 @@ fn parse_sweep(rest: &[&str]) -> Result<Command, String> {
         shard,
         preset,
         preset_out,
-        lane: lane.unwrap_or_default(),
     }))
 }
 
@@ -818,13 +787,6 @@ fn apply_threads(threads: Option<usize>) {
     }
 }
 
-/// Applies a `--lane` policy process-wide. Like [`apply_threads`], must run
-/// before the first kernel call of the process — the paper-experiment
-/// builders read the process policy when they run (DESIGN.md §14).
-fn apply_lane(lane: LanePolicy) {
-    simd::set_process_policy(lane);
-}
-
 /// Reports the buffer-pool activity since `before` on stderr — stdout stays
 /// byte-identical to the golden renderings (DESIGN.md §11 telemetry).
 fn report_pool_telemetry(before: &gpu_sim::PoolStats) {
@@ -959,7 +921,6 @@ fn emit_run_reports(reports: &[ExperimentReport], format: OutputFormat, out_dir:
 
 fn execute_run(args: &RunArgs) -> i32 {
     apply_threads(args.threads);
-    apply_lane(args.lane);
     if let Some(spec) = &args.shard {
         return execute_run_shard_worker(args, spec);
     }
@@ -1054,7 +1015,6 @@ fn emit_sweep_report(report: &ExperimentReport, format: OutputFormat, out_dir: &
 
 fn execute_sweep(args: &SweepArgs) -> i32 {
     apply_threads(args.threads);
-    apply_lane(args.lane);
     let spec = match resolve_sweep_spec(args) {
         Ok(spec) => spec,
         Err(err) => {
@@ -1271,10 +1231,6 @@ fn execute_shard_run(shard_args: &ShardArgs, args: &RunArgs) -> i32 {
         base.push("--threads".to_string());
         base.push(threads.to_string());
     }
-    if args.lane != LanePolicy::default() {
-        base.push("--lane".to_string());
-        base.push(args.lane.label().to_string());
-    }
     if shard_args.launcher == LauncherKind::Slurm {
         return emit_slurm_script(shard_args, &base, &out_dir);
     }
@@ -1357,10 +1313,6 @@ fn execute_shard_sweep(shard_args: &ShardArgs, args: &SweepArgs) -> i32 {
             base.push("--threads".to_string());
             base.push(threads.to_string());
         }
-        if args.lane != LanePolicy::default() {
-            base.push("--lane".to_string());
-            base.push(args.lane.label().to_string());
-        }
         return emit_slurm_script(shard_args, &base, &out_dir);
     }
     let preset_path = out_dir.join(format!(
@@ -1386,10 +1338,6 @@ fn execute_shard_sweep(shard_args: &ShardArgs, args: &SweepArgs) -> i32 {
             if let Some(threads) = args.threads {
                 argv.push("--threads".to_string());
                 argv.push(threads.to_string());
-            }
-            if args.lane != LanePolicy::default() {
-                argv.push("--lane".to_string());
-                argv.push(args.lane.label().to_string());
             }
             argv
         })
@@ -1654,38 +1602,6 @@ mod tests {
         assert!(parse_line("bench-diff a b c").is_err());
         assert!(parse_line("bench-diff a").is_err());
         assert!(parse_line("bench-diff a b --frobnicate").is_err());
-    }
-
-    #[test]
-    fn parses_lane_flags() {
-        match parse_line("run --all --lane simd").unwrap() {
-            Command::Run(args) => assert_eq!(args.lane, LanePolicy::Simd),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_line("run --all").unwrap() {
-            Command::Run(args) => assert_eq!(args.lane, LanePolicy::Deterministic),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_line("sweep stencil --sizes 16 --lane auto").unwrap() {
-            Command::Sweep(args) => assert_eq!(args.lane, LanePolicy::Auto),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_line("sweep stencil --sizes 16 --lane deterministic").unwrap() {
-            Command::Sweep(args) => assert_eq!(args.lane, LanePolicy::Deterministic),
-            other => panic!("unexpected {other:?}"),
-        }
-        // The shard coordinator forwards the policy to its workers.
-        match parse_line("shard run --all --workers 2 --lane simd").unwrap() {
-            Command::Shard(args) => match args.inner.as_ref() {
-                Command::Run(run) => assert_eq!(run.lane, LanePolicy::Simd),
-                other => panic!("unexpected inner {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse_line("run --all --lane warp").is_err());
-        assert!(parse_line("run --all --lane").is_err());
-        assert!(parse_line("run --all --lane simd --lane auto").is_err());
-        assert!(parse_line("sweep stencil --sizes 16 --lane nope").is_err());
     }
 
     #[test]

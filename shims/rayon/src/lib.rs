@@ -287,75 +287,6 @@ fn combine_pairwise<R, OP: Fn(R, R) -> R>(mut partials: Vec<R>, op: &OP) -> R {
     partials.pop().expect("non-empty reduction lost its result")
 }
 
-/// Independent accumulators of the SIMD-friendly inner fold
-/// ([`IndexedParallelIterator::sum_unrolled`]). Four accumulators break the
-/// floating-point add dependency chain far enough to keep one FMA port busy
-/// per cycle without spilling registers on any mainstream x86-64/aarch64
-/// core.
-pub const SUM_LANES: usize = 4;
-
-/// The multi-accumulator inner fold of one [`REDUCE_CHUNK`]-sized chunk:
-/// element `start + t` lands in accumulator `t % SUM_LANES`, the tail (fewer
-/// than [`SUM_LANES`] elements) folds into accumulator 0, and the lane
-/// partials combine as `(a0 + a1) + (a2 + a3)`. The association is a pure
-/// function of `(start, end)` — deterministic, just *different* from the
-/// scalar left-to-right fold of the golden lane.
-fn chunk_sum_unrolled<S, M>(start: usize, end: usize, map: &M) -> S
-where
-    S: ParallelSum,
-    M: Fn(usize) -> S,
-{
-    let (mut a0, mut a1, mut a2, mut a3) = (S::zero(), S::zero(), S::zero(), S::zero());
-    let mut i = start;
-    while i + SUM_LANES <= end {
-        a0 = S::add(a0, map(i));
-        a1 = S::add(a1, map(i + 1));
-        a2 = S::add(a2, map(i + 2));
-        a3 = S::add(a3, map(i + 3));
-        i += SUM_LANES;
-    }
-    while i < end {
-        a0 = S::add(a0, map(i));
-        i += 1;
-    }
-    S::add(S::add(a0, a1), S::add(a2, a3))
-}
-
-/// The SIMD fast-lane sum: [`REDUCE_CHUNK`]-sized chunk partials are computed
-/// with the [`chunk_sum_unrolled`] multi-accumulator fold and combined through
-/// the *same* fixed pairwise tree as the deterministic lane. Chunking, lane
-/// assignment and the combine tree are all pure functions of `len`, so this
-/// lane is also bitwise-stable across thread counts — it simply commits to a
-/// different (ILP-friendly) association than [`parallel_reduce`].
-fn parallel_sum_unrolled<S, M>(len: usize, map: &M) -> S
-where
-    S: ParallelSum,
-    M: Fn(usize) -> S + Sync,
-{
-    if len == 0 {
-        return S::zero();
-    }
-    if current_num_threads() == 1 {
-        let mut combiner = TreeCombiner::new();
-        let mut start = 0;
-        while start < len {
-            let end = (start + REDUCE_CHUNK).min(len);
-            combiner.push(chunk_sum_unrolled(start, end, map), &S::add);
-            start = end;
-        }
-        return combiner
-            .finish(&S::add)
-            .expect("non-empty reduction lost its result");
-    }
-    let nchunks = len.div_ceil(REDUCE_CHUNK);
-    let partials = parallel_collect(nchunks, move |chunk| {
-        let start = chunk * REDUCE_CHUNK;
-        let end = (start + REDUCE_CHUNK).min(len);
-        chunk_sum_unrolled(start, end, map)
-    });
-    combine_pairwise(partials, &S::add)
-}
-
 /// Types the deterministic [`sum`](Map::sum) lane can accumulate.
 pub trait ParallelSum: Send {
     /// The additive identity.
@@ -506,22 +437,6 @@ pub trait IndexedParallelIterator: ParallelIterator + Sync {
         Self: IndexedParallelIterator<Item = S>,
     {
         self.reduce(S::zero, S::add)
-    }
-
-    /// Sums the elements through the SIMD fast lane: each
-    /// [`REDUCE_CHUNK`]-sized chunk folds into [`SUM_LANES`] independent
-    /// accumulators (breaking the floating-point dependency chain), and the
-    /// chunk partials combine through the same fixed pairwise tree as
-    /// [`Self::sum`]. Bitwise-stable across thread counts like the
-    /// deterministic lane, but committed to a different association — callers
-    /// that promise byte-identical golden output must stay on [`Self::sum`].
-    fn sum_unrolled<S>(self) -> S
-    where
-        S: ParallelSum,
-        Self: IndexedParallelIterator<Item = S>,
-    {
-        let this = &self;
-        parallel_sum_unrolled(self.len(), &move |i| this.get(i))
     }
 
     /// Folds the elements into accumulators seeded with `identity()`, one per
@@ -859,39 +774,6 @@ mod tests {
             .map(|i| ((i * 7919) % 10_007) as f64)
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(max, expected);
-    }
-
-    #[test]
-    fn sum_unrolled_matches_sum_exactly_for_integers() {
-        let n = 100_003u64;
-        let unrolled: u64 = (0..n).into_par_iter().map(|i| i).sum_unrolled();
-        assert_eq!(unrolled, n * (n - 1) / 2);
-        let empty: u64 = (0..0u64).into_par_iter().map(|i| i).sum_unrolled();
-        assert_eq!(empty, 0);
-    }
-
-    #[test]
-    fn sum_unrolled_is_bitwise_stable_across_thread_counts() {
-        let serial_pool = crate::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let f = |i: u64| 1.0f64 / (i as f64 + 1.0);
-        for &n in &[1u64, 2, 3, 4, 5, 1023, 1024, 1025, 5 * 1024 + 17] {
-            let pooled: f64 = (0..n).into_par_iter().map(f).sum_unrolled();
-            let serial: f64 = serial_pool.install(|| (0..n).into_par_iter().map(f).sum_unrolled());
-            assert_eq!(pooled.to_bits(), serial.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn sum_unrolled_stays_close_to_the_deterministic_lane() {
-        // The fast lane commits to a different association, so the float
-        // results may differ — but only by reassociation error.
-        let f = |i: u64| 1.0f64 / (i as f64 + 1.0);
-        let golden: f64 = (0..50_000u64).into_par_iter().map(f).sum();
-        let fast: f64 = (0..50_000u64).into_par_iter().map(f).sum_unrolled();
-        assert!((golden - fast).abs() / golden.abs() < 1e-12);
     }
 
     #[test]

@@ -9,35 +9,55 @@
 //! `alloc`/`realloc` calls across the steady-state launches.
 //!
 //! The test pins `RAYON_NUM_THREADS=1` before the first parallel call so the
-//! worker pool's serial lane executes in the caller (spawning workers — a
-//! one-time, warm-up-phase cost in production — would otherwise count
-//! against whichever launch happened to trigger it).
+//! worker pool's serial lane executes every kernel in the caller — the one
+//! thread whose allocations are counted — and no launch pays for spawning
+//! workers (a one-time, warm-up-phase cost in production).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocator entry point that can hand out new memory.
-/// Deallocation is free to happen in steady state (returning a block to the
-/// pool's shelves never touches the global allocator, but dropping a
-/// same-sized replacement is harmless either way), so `dealloc` is not
-/// counted.
+/// Counts every allocator entry point that can hand out new memory, on the
+/// threads that switched counting on (see [`count_allocations`]). Only the
+/// test's own thread does: libtest's harness allocates on other threads
+/// (e.g. its "has been running for over 60 seconds" notice) whenever it
+/// likes, and those allocations are not the workload's. Deallocation is free
+/// to happen in steady state (returning a block to the pool's shelves never
+/// touches the global allocator, but dropping a same-sized replacement is
+/// harmless either way), so `dealloc` is not counted.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. `const`-initialised
+    /// and drop-free, so reading it from inside the allocator never
+    /// allocates and stays valid during thread teardown.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn record() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; `record` only reads a drop-free
+// thread-local and bumps an atomic, so it neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -49,8 +69,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` with counting switched on for the calling thread and returns its
+/// result with the number of allocations `f` made on this thread. The gate
+/// pins the pool to one thread, so every kernel runs here.
+fn count_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|counting| counting.set(true));
+    let result = f();
+    COUNTING.with(|counting| counting.set(false));
+    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
 /// Warm-up launches per workload before counting starts. Two would do (the
@@ -67,7 +94,6 @@ fn steady_state_launches_do_not_allocate() {
     // reads the variable once, when first used.
     std::env::set_var("RAYON_NUM_THREADS", "1");
 
-    use science_kernels::simd::LanePolicy;
     use science_kernels::workload::{self, ParamValue};
 
     let engines = workload::all();
@@ -91,77 +117,22 @@ fn steady_state_launches_do_not_allocate() {
             engine.run(&params).expect("warm-up run succeeds");
         }
 
-        let before = allocations();
         for launch in 0..STEADY_RUNS {
-            let output = engine.run(&params).expect("steady-state run succeeds");
+            let (output, allocated) = count_allocations(|| engine.run(&params));
+            let output = output.expect("steady-state run succeeds");
             assert!(
                 !output.measurements.is_empty(),
                 "{}: steady-state run produced no measurements",
                 engine.name()
             );
-            drop(output);
-            let after = allocations();
             assert_eq!(
-                after - before,
+                allocated,
                 0,
                 "{}: steady-state launch {} performed {} global allocation(s); \
                  every hot-path buffer must come from the pool or a memo cache",
                 engine.name(),
-                launch + 2 + WARMUP_RUNS,
-                after - before
-            );
-        }
-
-        // The SIMD fast lane holds the same contract (DESIGN.md §14): its
-        // scratch is pooled or on the stack, and the lane's one-time caches
-        // fill during warm-up like every other memo.
-        for _ in 0..WARMUP_RUNS {
-            engine
-                .run_lane(&params, LanePolicy::Simd)
-                .expect("SIMD warm-up run succeeds");
-        }
-        let before = allocations();
-        for launch in 0..STEADY_RUNS {
-            let output = engine
-                .run_lane(&params, LanePolicy::Simd)
-                .expect("SIMD steady-state run succeeds");
-            drop(output);
-            let after = allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "{}: SIMD-lane steady-state launch {} performed {} global \
-                 allocation(s); the fast lane must not trade determinism for \
-                 allocation churn",
-                engine.name(),
-                launch + 2 + WARMUP_RUNS,
-                after - before
-            );
-        }
-    }
-
-    // The standalone lane kernels (what the crossover bench times and the
-    // parity suite compares) obey the contract too, on both lanes, at their
-    // smallest ladder size.
-    use science_kernels::simd::{lane_kernels, Lane};
-    for kernel in lane_kernels() {
-        let size = kernel.sizes[0];
-        for lane in [Lane::Deterministic, Lane::Simd] {
-            for _ in 0..WARMUP_RUNS {
-                (kernel.run)(lane, size);
-            }
-            let before = allocations();
-            for _ in 0..STEADY_RUNS {
-                (kernel.run)(lane, size);
-            }
-            let after = allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "lane kernel {} ({lane}, size {size}) performed {} steady-state \
-                 global allocation(s)",
-                kernel.name,
-                after - before
+                launch + 1 + WARMUP_RUNS,
+                allocated
             );
         }
     }

@@ -408,3 +408,73 @@ fn help_prints_usage_and_unknown_subcommands_fail() {
     let none = mojo_hpc(&[]);
     assert_eq!(none.status.code(), Some(2));
 }
+
+/// Every `--flag` token in `text`, in order of appearance.
+fn flag_tokens(text: &str) -> Vec<String> {
+    let mut flags = Vec::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("--") {
+        let tail = &rest[at + 2..];
+        let len = tail
+            .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+            .unwrap_or(tail.len());
+        if tail.starts_with(|c: char| c.is_ascii_lowercase()) {
+            flags.push(format!("--{}", &tail[..len]));
+        }
+        rest = &tail[len..];
+    }
+    flags
+}
+
+#[test]
+fn documented_flags_match_the_usage_text() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("read README.md");
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let usage = mojo_hpc::report::cli::usage();
+
+    // README's flag tables, and the CLI-facing DESIGN sections §8–§13.
+    let tables: String = readme
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let start = design.find("## §8 ").expect("DESIGN.md has §8");
+    let end = design.find("## §14 ").expect("DESIGN.md has §14");
+    // Flags of other tools the docs quote (sbatch's, in generated scripts).
+    let foreign = ["--nodelist"];
+    for (doc, text) in [
+        ("README.md tables", tables.as_str()),
+        ("DESIGN.md §8–§13", &design[start..end]),
+    ] {
+        for flag in flag_tokens(text) {
+            assert!(
+                usage.contains(&flag) || foreign.contains(&flag.as_str()),
+                "{doc} documents {flag}, which `mojo-hpc help` does not know"
+            );
+        }
+    }
+
+    // Removed options must not linger in the docs, and the binary rejects
+    // the flag like any other unknown one. Spelled in pieces so the removed
+    // names appear nowhere in the tree.
+    let removed_flag = concat!("--", "lane");
+    let removed_env = concat!("MOJO_HPC_", "CROSSOVER");
+    for (doc, text) in [("README.md", &readme), ("DESIGN.md", &design)] {
+        assert!(
+            !text.contains(removed_flag),
+            "{doc} still mentions {removed_flag}"
+        );
+        assert!(
+            !text.contains(removed_env),
+            "{doc} still mentions {removed_env}"
+        );
+    }
+    let output = mojo_hpc(&["run", "--all", removed_flag, "simd"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(
+        stderr(&output).contains("unknown flag"),
+        "{}",
+        stderr(&output)
+    );
+}

@@ -4,7 +4,8 @@
 //! `tests/golden/json/` the JSON documents of `run --all --format json`.
 //! These tests regenerate the full report through the real binary and assert
 //! the output is **byte-identical** to the committed files — at the default
-//! thread count and with `RAYON_NUM_THREADS=1` — so any change to the
+//! thread count, with `RAYON_NUM_THREADS=1` and with an over-subscribed
+//! `RAYON_NUM_THREADS=4` — so any change to the
 //! timing model, the kernels, the executor or the CSV/JSON rendering that
 //! moves a single byte of the paper's tables fails loudly. Regenerate the
 //! goldens with `mojo-hpc run --all --out tests/golden` (CSV) and
@@ -102,20 +103,26 @@ fn run_all_matches_the_committed_goldens_at_default_threads() {
     std::fs::remove_dir_all(&out).ok();
 }
 
+/// Explicit pool widths every determinism test checks besides the default:
+/// the serial lane and an over-subscribed pool.
+const THREAD_COUNTS: [&str; 2] = ["1", "4"];
+
 #[test]
 fn run_all_is_byte_identical_at_one_thread() {
-    let out = scratch_dir("serial");
-    let serial_stdout = run_all(&out, Some("1"));
-    assert_matches_golden(&out);
     // The console rendering is part of the determinism contract too.
-    let out2 = scratch_dir("wide");
-    let wide_stdout = run_all(&out2, None);
-    assert_eq!(
-        serial_stdout, wide_stdout,
-        "stdout differs between 1 thread and the default pool"
-    );
-    std::fs::remove_dir_all(&out).ok();
-    std::fs::remove_dir_all(&out2).ok();
+    let wide = scratch_dir("wide");
+    let wide_stdout = run_all(&wide, None);
+    for threads in THREAD_COUNTS {
+        let out = scratch_dir(&format!("threads-{threads}"));
+        let stdout = run_all(&out, Some(threads));
+        assert_matches_golden(&out);
+        assert_eq!(
+            stdout, wide_stdout,
+            "stdout differs between {threads} thread(s) and the default pool"
+        );
+        std::fs::remove_dir_all(&out).ok();
+    }
+    std::fs::remove_dir_all(&wide).ok();
 }
 
 /// Asserts every committed golden JSON document exists in `generated` with
@@ -168,16 +175,18 @@ fn run_all_json_is_byte_identical_across_thread_counts_and_matches_goldens() {
     }
     assert_matches_json_golden(&out);
 
-    let out_serial = scratch_dir("json-serial");
-    let serial_stdout = run_all_with(&out_serial, Some("1"), &["--format", "json"]);
-    assert_eq!(
-        stdout, serial_stdout,
-        "json stdout differs between 1 thread and the default pool"
-    );
-    assert_matches_json_golden(&out_serial);
+    for threads in THREAD_COUNTS {
+        let out_threads = scratch_dir(&format!("json-threads-{threads}"));
+        let threads_stdout = run_all_with(&out_threads, Some(threads), &["--format", "json"]);
+        assert_eq!(
+            stdout, threads_stdout,
+            "json stdout differs between {threads} thread(s) and the default pool"
+        );
+        assert_matches_json_golden(&out_threads);
+        std::fs::remove_dir_all(&out_threads).ok();
+    }
 
     std::fs::remove_dir_all(&out).ok();
-    std::fs::remove_dir_all(&out_serial).ok();
 }
 
 /// The committed sweep goldens for the §15 composite workloads: the exact
@@ -238,7 +247,14 @@ fn composite_sweeps_match_the_committed_goldens_at_default_threads() {
 #[test]
 fn composite_sweeps_are_byte_identical_at_one_thread() {
     for (id, args) in SWEEP_GOLDENS {
-        assert_sweep_matches_golden(&format!("{id}-serial"), id, args, Some("1"));
+        for threads in THREAD_COUNTS {
+            assert_sweep_matches_golden(
+                &format!("{id}-threads-{threads}"),
+                id,
+                args,
+                Some(threads),
+            );
+        }
     }
 }
 
