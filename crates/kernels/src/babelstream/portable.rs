@@ -1,9 +1,14 @@
-//! Portable (Mojo-style) BabelStream implementation — paper Listing 3.
+//! The BabelStream body, written against the portable model — paper
+//! Listing 3.
 //!
 //! Copy, Mul, Add and Triad are one-line flat kernels over `LayoutTensor`s;
 //! Dot accumulates grid-strided partial products into block shared memory and
 //! tree-reduces them with barriers (expressed through the bulk-synchronous
-//! [`CoopKernel`] phases), then the host sums the per-block partials.
+//! [`CoopKernel`] phases), then the host sums the per-block partials. The
+//! same body runs on every backend; only the Dot grid differs, because
+//! [`heuristics::dot_launch`] sizes it per backend (the vendor codes launch
+//! four blocks per SM/CU, the portable port a grid-stride loop over a capped
+//! grid).
 
 use super::config::{BabelStreamConfig, INIT_A, INIT_B, INIT_C, SCALAR};
 use super::cost::stream_cost;
@@ -17,8 +22,8 @@ use rayon::prelude::*;
 use vendor_models::kernel_class::StreamOp;
 use vendor_models::{heuristics, KernelClass, Platform};
 
-/// Runs one BabelStream operation with the portable backend.
-pub fn run_portable(
+/// Runs one BabelStream operation on `platform`.
+pub fn run(
     platform: &Platform,
     op: StreamOp,
     config: &BabelStreamConfig,
@@ -232,7 +237,7 @@ mod tests {
         for precision in [Precision::Fp32, Precision::Fp64] {
             let config = BabelStreamConfig::validation(1 << 13, precision);
             for op in StreamOp::ALL {
-                let run = run_portable(&Platform::portable_h100(), op, &config).unwrap();
+                let run = run(&Platform::portable_h100(), op, &config).unwrap();
                 assert!(run.verification.is_verified(), "{op} {precision}");
             }
         }
@@ -241,7 +246,7 @@ mod tests {
     #[test]
     fn dot_reduction_is_numerically_exact_for_uniform_data() {
         let config = BabelStreamConfig::validation(10_000, Precision::Fp64);
-        let run = run_portable(&Platform::portable_mi300a(), StreamOp::Dot, &config).unwrap();
+        let run = run(&Platform::portable_mi300a(), StreamOp::Dot, &config).unwrap();
         match run.verification {
             Verification::Passed { max_abs_error } => assert!(max_abs_error < 1e-10),
             other => panic!("expected pass, got {other:?}"),
@@ -251,7 +256,7 @@ mod tests {
     #[test]
     fn skipping_validation_still_times_the_kernel() {
         let config = BabelStreamConfig::paper(Precision::Fp64);
-        let run = run_portable(&Platform::portable_h100(), StreamOp::Triad, &config).unwrap();
+        let run = run(&Platform::portable_h100(), StreamOp::Triad, &config).unwrap();
         assert!(!run.verification.is_verified());
         assert!(run.millis() > 0.1 && run.millis() < 1.0);
     }

@@ -15,34 +15,21 @@ mod config;
 mod cost;
 mod portable;
 mod reference;
-mod vendor;
 pub mod workload;
 
 pub use config::{
     frame_value, FrameStreamConfig, ACC_INIT, ALPHA, BETA, FRAME_PERIOD, MAX_FUNCTIONAL_ELEMENTS,
 };
 pub use cost::framestream_cost;
-pub use portable::run_portable;
+/// One body runs on every backend; `run_portable` and `run_vendor` are
+/// aliases of `run` for callers that name the backend.
+pub use portable::{run, run as run_portable, run as run_vendor};
 pub use reference::{accumulate_frames, expected_final};
-pub use vendor::run_vendor;
-
-use crate::common::WorkloadRun;
-use gpu_sim::SimError;
-use vendor_models::Platform;
-
-/// Runs the frame-stream workload on a platform, dispatching to the portable
-/// or vendor implementation according to the platform's backend.
-pub fn run(platform: &Platform, config: &FrameStreamConfig) -> Result<WorkloadRun, SimError> {
-    if platform.backend.is_portable() {
-        run_portable(platform, config)
-    } else {
-        run_vendor(platform, config)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vendor_models::Platform;
 
     #[test]
     fn all_four_paper_platforms_run_and_verify() {
@@ -80,5 +67,30 @@ mod tests {
             (ratio - 10.0).abs() < 0.5,
             "10× the frames should cost ≈10× the time, got {ratio}"
         );
+    }
+}
+
+/// The paper's CUDA/HIP baselines: the same body on the vendor platforms.
+#[cfg(test)]
+mod vendor {
+    mod tests {
+        use super::super::*;
+        use vendor_models::Platform;
+
+        #[test]
+        fn cuda_framestream_matches_the_closed_form() {
+            let config = FrameStreamConfig::validation(2048, 32);
+            let run = run(&Platform::cuda_h100(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "CUDA");
+        }
+
+        #[test]
+        fn hip_framestream_matches_the_closed_form() {
+            let config = FrameStreamConfig::validation(3000, 19);
+            let run = run(&Platform::hip_mi300a(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "HIP");
+        }
     }
 }

@@ -1,10 +1,11 @@
-//! Portable (Mojo-style) streaming-dataset engine.
+//! The streaming-dataset engine body, written against the portable model.
 //!
-//! One launch per frame: the accumulator tensor stays resident on the device
-//! while a single frame buffer is refilled with each arriving frame's data
-//! and folded in — the frames are streamed, never resident, which is what
-//! makes the batch deliberately larger than any cache could memoize. Both
-//! buffers come from the §11 pool, so a steady-state run allocates nothing.
+//! The accumulator tensor stays resident on the device while a single frame
+//! buffer is refilled by a device launch with each arriving frame's data and
+//! folded in by a second launch — the frames are streamed, never resident,
+//! which is what makes the batch deliberately larger than any cache could
+//! memoize. Both buffers come from the §11 pool, so a steady-state run
+//! allocates nothing. The same body runs on every backend.
 
 use super::config::{frame_value, FrameStreamConfig, ACC_INIT, ALPHA, BETA};
 use super::cost::framestream_cost;
@@ -16,11 +17,8 @@ use portable_kernel::prelude::*;
 use rayon::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
-/// Runs the portable frame stream on `platform`.
-pub fn run_portable(
-    platform: &Platform,
-    config: &FrameStreamConfig,
-) -> Result<WorkloadRun, SimError> {
+/// Runs the frame stream on `platform`.
+pub fn run(platform: &Platform, config: &FrameStreamConfig) -> Result<WorkloadRun, SimError> {
     let cost = framestream_cost(config);
     let class = KernelClass::Stream {
         op: vendor_models::kernel_class::StreamOp::Triad,
@@ -57,13 +55,22 @@ fn execute(platform: &Platform, config: &FrameStreamConfig) -> Result<Verificati
     let layout = Layout::row_major_1d(n);
     let acc = LayoutTensor::new(ctx.enqueue_create_buffer::<f64>(n)?, layout)?;
     let frame = LayoutTensor::new(ctx.enqueue_create_buffer::<f64>(n)?, layout)?;
-    acc.fill(ACC_INIT);
 
     let launch = heuristics::stream_launch(n as u64);
+    let fill = |tensor: &LayoutTensor<f64>, value: f64| {
+        let tensor = tensor.clone();
+        ctx.enqueue_function(launch, move |t| {
+            let i = t.global_x() as usize;
+            if i < n {
+                tensor.set(i, value);
+            }
+        })
+    };
+    fill(&acc, ACC_INIT)?;
     for f in 0..config.frames {
-        // The frame buffer is REUSED: refill stands in for the next frame of
-        // a dataset arriving from storage.
-        frame.fill(frame_value(f as u64));
+        // The frame buffer is REUSED: the device-side refill stands in for
+        // the next frame of a dataset arriving from storage.
+        fill(&frame, frame_value(f as u64))?;
         let (acc_k, frame_k) = (acc.clone(), frame.clone());
         ctx.enqueue_function(launch, move |t| {
             let i = t.global_x() as usize;
@@ -104,7 +111,7 @@ mod tests {
     #[test]
     fn portable_stream_matches_the_closed_form_bitwise() {
         let config = FrameStreamConfig::validation(4096, 48);
-        let run = run_portable(&Platform::portable_h100(), &config).unwrap();
+        let run = run(&Platform::portable_h100(), &config).unwrap();
         match run.verification {
             Verification::Passed { max_abs_error } => assert_eq!(max_abs_error, 0.0),
             other => panic!("expected verification, got {other:?}"),
@@ -114,7 +121,7 @@ mod tests {
     #[test]
     fn oversized_batches_skip_functional_execution_but_still_time() {
         let config = FrameStreamConfig::paper(1 << 22, 1 << 10);
-        let run = run_portable(&Platform::portable_h100(), &config).unwrap();
+        let run = run(&Platform::portable_h100(), &config).unwrap();
         assert!(!run.verification.is_verified());
         assert!(run.seconds() > 0.0);
     }

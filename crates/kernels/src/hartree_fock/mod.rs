@@ -20,37 +20,25 @@ mod portable;
 mod reference;
 mod sampled;
 mod triangular;
-mod vendor;
 pub mod workload;
 
 pub use config::{HartreeFockConfig, DEFAULT_SCREENING_TOL, MAX_FUNCTIONAL_NATOMS};
 pub use cost::{hartree_fock_cost, surviving_quartets};
 pub use geometry::HeliumSystem;
-pub use portable::run_portable;
+/// One body runs on every backend; `run_portable` and `run_vendor` are
+/// aliases of `run` for callers that name the backend.
+pub use portable::{run, run as run_portable, run as run_vendor};
 pub use reference::{quartet_eri, reference_fock};
 pub use sampled::{
     run_sampled, run_sampled_weighted, shard_ranges, SampleWeighting, SampledPlan,
     SampledValidation, ShardStats, DEFAULT_SAMPLES, DEFAULT_SHARDS,
 };
 pub use triangular::{pair_count, pair_decode, pair_encode, quartet_decode};
-pub use vendor::run_vendor;
-
-use crate::common::WorkloadRun;
-use gpu_sim::SimError;
-use vendor_models::Platform;
-
-/// Runs the Hartree–Fock workload on a platform, dispatching on the backend.
-pub fn run(platform: &Platform, config: &HartreeFockConfig) -> Result<WorkloadRun, SimError> {
-    if platform.backend.is_portable() {
-        run_portable(platform, config)
-    } else {
-        run_vendor(platform, config)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vendor_models::Platform;
 
     #[test]
     fn portable_and_vendor_verify_against_the_reference() {
@@ -109,6 +97,53 @@ mod tests {
             let cuda = run(&Platform::cuda_h100(false), &config).unwrap();
             let hip = run(&Platform::hip_mi300a(false), &config).unwrap();
             assert!(hip.seconds() < cuda.seconds(), "natoms = {natoms}");
+        }
+    }
+}
+
+/// The paper's CUDA/HIP baselines: the same body on the vendor platforms.
+#[cfg(test)]
+mod vendor {
+    mod tests {
+        use super::super::*;
+        use vendor_models::Platform;
+
+        #[test]
+        fn cuda_fock_matches_the_reference() {
+            let config = HartreeFockConfig::validation(10);
+            let run = run(&Platform::cuda_h100(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "CUDA");
+        }
+
+        #[test]
+        fn hip_fock_matches_the_reference() {
+            let config = HartreeFockConfig::validation(12);
+            let run = run(&Platform::hip_mi300a(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "HIP");
+        }
+
+        #[test]
+        fn cuda_duration_is_in_the_table4_ballpark_at_256_atoms() {
+            // Table 4: CUDA takes 472 ms for the 256-atom, ngauss = 3 system.
+            // Our survivor count depends on the synthetic lattice geometry, so
+            // only the order of magnitude is asserted here; the exact paper-vs-
+            // measured comparison lives in EXPERIMENTS.md.
+            let config = HartreeFockConfig::paper(256, 3);
+            let run = run(&Platform::cuda_h100(false), &config).unwrap();
+            assert!(
+                run.millis() > 40.0 && run.millis() < 5_000.0,
+                "CUDA 256-atom duration {:.1} ms out of expected range",
+                run.millis()
+            );
+        }
+
+        #[test]
+        fn portable_collapse_does_not_affect_the_vendor_baseline() {
+            let config = HartreeFockConfig::paper(1024, 6);
+            let run = run(&Platform::cuda_h100(false), &config).unwrap();
+            assert!((run.profile.atomic_throughput_factor - 1.0).abs() < 1e-12);
         }
     }
 }

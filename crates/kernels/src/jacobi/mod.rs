@@ -15,21 +15,18 @@ mod config;
 mod cost;
 mod portable;
 mod reference;
-mod vendor;
 pub mod workload;
 
 pub use config::{
     JacobiConfig, MAX_FUNCTIONAL_L_JACOBI, MAX_JACOBI_ITERS, RESIDUAL_REDUCTION, SIXTH,
 };
 pub use cost::jacobi_cost;
-pub use portable::run_portable;
+/// One body runs on every backend; `run_portable` and `run_vendor` are
+/// aliases of `run` for callers that name the backend.
+pub use portable::{run, run as run_portable, run as run_vendor};
 pub use reference::{residual_rms, seed_config, solve_host, JacobiSolution};
-pub use vendor::run_vendor;
 
 use crate::cache;
-use crate::common::WorkloadRun;
-use gpu_sim::SimError;
-use vendor_models::Platform;
 
 /// How many sweeps a run of `config` will execute: the memoized reference
 /// solve's convergence point when the solve runs functionally, the iteration
@@ -43,19 +40,10 @@ pub fn planned_iters(config: &JacobiConfig) -> usize {
     }
 }
 
-/// Runs the Jacobi workload on a platform, dispatching to the portable or
-/// vendor implementation according to the platform's backend.
-pub fn run(platform: &Platform, config: &JacobiConfig) -> Result<WorkloadRun, SimError> {
-    if platform.backend.is_portable() {
-        run_portable(platform, config)
-    } else {
-        run_vendor(platform, config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vendor_models::Platform;
 
     #[test]
     fn all_four_paper_platforms_run_and_verify() {
@@ -96,5 +84,52 @@ mod tests {
             (ratio - 10.0).abs() < 0.5,
             "10× the sweeps should cost ≈10× the time, got {ratio}"
         );
+    }
+}
+
+/// The paper's CUDA/HIP baselines: the same body on the vendor platforms.
+#[cfg(test)]
+mod vendor {
+    mod tests {
+        use super::super::*;
+        use vendor_models::Platform;
+
+        #[test]
+        fn cuda_jacobi_matches_the_reference() {
+            let config = JacobiConfig::validation(12, 200);
+            let run = run(&Platform::cuda_h100(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "CUDA");
+        }
+
+        #[test]
+        fn hip_jacobi_matches_the_reference() {
+            let config = JacobiConfig::validation(10, 150);
+            let run = run(&Platform::hip_mi300a(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "HIP");
+        }
+
+        #[test]
+        fn portable_and_vendor_solves_are_numerically_identical() {
+            // One body on all four paper platforms: the verification records,
+            // error included, must be equal, not merely all passing.
+            let config = JacobiConfig::validation(8, 100);
+            let mojo = run(&Platform::portable_h100(), &config).unwrap();
+            assert!(mojo.verification.is_verified());
+            for platform in [
+                Platform::cuda_h100(false),
+                Platform::portable_mi300a(),
+                Platform::hip_mi300a(false),
+            ] {
+                let other = run(&platform, &config).unwrap();
+                assert_eq!(
+                    other.verification,
+                    mojo.verification,
+                    "{}",
+                    platform.label()
+                );
+            }
+        }
     }
 }

@@ -1,11 +1,11 @@
-//! Portable (Mojo-style) Jacobi solver implementation.
+//! The Jacobi solver body, written against the portable model.
 //!
 //! The multi-pass composite pattern of DESIGN.md §15: the device relaxes the
 //! grid sweep by sweep through ping-ponged `LayoutTensor`s — one launch per
 //! iteration, exactly as a real single-source port would — and the host runs
 //! the convergence-norm reduction between launches. The number of sweeps is
-//! fixed by the memoized reference solve, so every thread count executes the
-//! same launch sequence.
+//! fixed by the memoized reference solve, so every thread count and every
+//! backend executes the same launch sequence.
 
 use super::config::{JacobiConfig, SIXTH};
 use super::cost::jacobi_cost;
@@ -40,8 +40,8 @@ fn jacobi_kernel(
     }
 }
 
-/// Runs the portable Jacobi solve on `platform`.
-pub fn run_portable(platform: &Platform, config: &JacobiConfig) -> Result<WorkloadRun, SimError> {
+/// Runs the Jacobi solve on `platform`.
+pub fn run(platform: &Platform, config: &JacobiConfig) -> Result<WorkloadRun, SimError> {
     let iters = super::planned_iters(config);
     let cost = jacobi_cost(config, iters);
     let class = KernelClass::Stencil7 {
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn portable_jacobi_matches_the_reference_bitwise() {
         let config = JacobiConfig::validation(12, 200);
-        let run = run_portable(&Platform::portable_h100(), &config).unwrap();
+        let run = run(&Platform::portable_h100(), &config).unwrap();
         match run.verification {
             Verification::Passed { max_abs_error } => assert_eq!(max_abs_error, 0.0),
             other => panic!("expected verification, got {other:?}"),
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn large_problems_skip_functional_execution_but_still_time() {
         let config = JacobiConfig::paper(128, 500);
-        let run = run_portable(&Platform::portable_h100(), &config).unwrap();
+        let run = run(&Platform::portable_h100(), &config).unwrap();
         assert!(!run.verification.is_verified());
         assert!(run.seconds() > 0.0);
     }

@@ -12,10 +12,11 @@
 //!
 //! Each workload module provides:
 //!
-//! * a **portable** implementation written against the `portable-kernel` API
-//!   (the paper's Mojo port — one source for every simulated device),
-//! * **CUDA-style** and **HIP-style** baselines that bypass the portable layer
-//!   and use vendor launch heuristics, mirroring the paper's baseline codes,
+//! * **one kernel body** written against the `portable-kernel` API (the
+//!   paper's Mojo port — one source for every simulated device). The
+//!   CUDA and HIP baselines run the same body; they differ only in their
+//!   launch heuristics and execution profile (`vendor_models`), which is
+//!   where the paper locates the measured gaps,
 //! * a **CPU reference** used to validate every simulated result,
 //! * an analytic **cost model** (bytes, FLOPs, atomics) that the unit tests
 //!   cross-check against instrumented counts on small problems,

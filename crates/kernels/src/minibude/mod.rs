@@ -19,32 +19,20 @@ mod cost;
 mod deck;
 mod portable;
 mod reference;
-mod vendor;
 pub mod workload;
 
 pub use config::MiniBudeConfig;
 pub use cost::fasten_cost;
 pub use deck::{Atom, Deck, ForceFieldParam};
-pub use portable::run_portable;
+/// One body runs on every backend; `run_portable` and `run_vendor` are
+/// aliases of `run` for callers that name the backend.
+pub use portable::{run, run as run_portable, run as run_vendor};
 pub use reference::{pair_energy, pose_energy, reference_energies, transform_point, HALF};
-pub use vendor::run_vendor;
-
-use crate::common::WorkloadRun;
-use gpu_sim::SimError;
-use vendor_models::Platform;
-
-/// Runs the fasten workload on a platform, dispatching on the backend.
-pub fn run(platform: &Platform, config: &MiniBudeConfig) -> Result<WorkloadRun, SimError> {
-    if platform.backend.is_portable() {
-        run_portable(platform, config)
-    } else {
-        run_vendor(platform, config)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vendor_models::Platform;
 
     #[test]
     fn portable_and_vendor_verify_against_the_reference() {
@@ -107,5 +95,62 @@ mod tests {
             eff_small > eff_large,
             "portable efficiency should be higher at wg=8 ({eff_small:.2} vs {eff_large:.2})"
         );
+    }
+}
+
+/// The paper's CUDA/HIP baselines: the same body on the vendor platforms.
+#[cfg(test)]
+mod vendor {
+    mod tests {
+        use super::super::*;
+        use vendor_models::Platform;
+
+        #[test]
+        fn cuda_fasten_matches_the_reference() {
+            let config = MiniBudeConfig::validation(4, 8);
+            let run = run(&Platform::cuda_h100(true), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "CUDA fast-math");
+        }
+
+        #[test]
+        fn hip_fasten_matches_the_reference_at_wg64() {
+            let config = MiniBudeConfig::validation(8, 64);
+            let run = run(&Platform::hip_mi300a(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "HIP");
+        }
+
+        #[test]
+        fn fast_math_changes_speed_but_not_results() {
+            let config = MiniBudeConfig::validation(4, 8);
+            let plain = run(&Platform::cuda_h100(false), &config).unwrap();
+            let ff = run(&Platform::cuda_h100(true), &config).unwrap();
+            assert!(plain.verification.is_verified());
+            assert_eq!(ff.verification, plain.verification);
+            assert!(ff.seconds() < plain.seconds());
+        }
+
+        #[test]
+        fn portable_and_vendor_agree_bitwise_on_the_same_deck() {
+            // One body on all four paper platforms: the verification records,
+            // error included, must be equal, not merely all passing.
+            let config = MiniBudeConfig::validation(2, 8);
+            let mojo = run(&Platform::portable_h100(), &config).unwrap();
+            assert!(mojo.verification.is_verified());
+            for platform in [
+                Platform::cuda_h100(false),
+                Platform::portable_mi300a(),
+                Platform::hip_mi300a(false),
+            ] {
+                let other = run(&platform, &config).unwrap();
+                assert_eq!(
+                    other.verification,
+                    mojo.verification,
+                    "{}",
+                    platform.label()
+                );
+            }
+        }
     }
 }

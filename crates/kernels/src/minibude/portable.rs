@@ -1,4 +1,4 @@
-//! Portable (Mojo-style) fasten implementation — paper Listing 4.
+//! The fasten body, written against the portable model — paper Listing 4.
 //!
 //! Poses-per-work-item (PPWI) is a compile-time parameter in the Mojo port
 //! (`fn fasten_kernel[PPWI: Int](…)`); the Rust analogue is a const-generic
@@ -6,7 +6,8 @@
 //! accumulate in a [`Simd`] register vector, mirroring `SIMD[dtype, PPWI]`,
 //! and the ligand/protein molecules are read from flattened 4-float-per-atom
 //! buffers — the exact workaround the paper describes for Mojo's missing
-//! plain-old-data GPU allocations.
+//! plain-old-data GPU allocations. The same body runs on every backend; the
+//! fast-math and register differences live in the execution profiles.
 
 use super::config::MiniBudeConfig;
 use super::cost::fasten_cost;
@@ -17,8 +18,8 @@ use gpu_sim::{istr, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
-/// Runs the portable fasten kernel on `platform`.
-pub fn run_portable(platform: &Platform, config: &MiniBudeConfig) -> Result<WorkloadRun, SimError> {
+/// Runs the fasten kernel on `platform`.
+pub fn run(platform: &Platform, config: &MiniBudeConfig) -> Result<WorkloadRun, SimError> {
     let cost = fasten_cost(config);
     let class = KernelClass::BudeFasten {
         ppwi: config.ppwi,
@@ -209,7 +210,7 @@ mod tests {
     #[test]
     fn portable_fasten_matches_the_reference() {
         let config = MiniBudeConfig::validation(4, 8);
-        let run = run_portable(&Platform::portable_h100(), &config).unwrap();
+        let run = run(&Platform::portable_h100(), &config).unwrap();
         match run.verification {
             Verification::Passed { max_abs_error } => {
                 assert!(max_abs_error < 1e-2, "max error {max_abs_error}")
@@ -224,7 +225,7 @@ mod tests {
             let mut config = MiniBudeConfig::validation(ppwi, 8);
             config.executed_poses = 128;
             let config = config.normalised();
-            let run = run_portable(&Platform::portable_mi300a(), &config).unwrap();
+            let run = run(&Platform::portable_mi300a(), &config).unwrap();
             assert!(run.verification.is_verified(), "ppwi {ppwi}");
         }
     }
@@ -232,6 +233,6 @@ mod tests {
     #[test]
     fn unsupported_ppwi_is_rejected() {
         let config = MiniBudeConfig::validation(3, 8);
-        assert!(run_portable(&Platform::portable_h100(), &config).is_err());
+        assert!(run(&Platform::portable_h100(), &config).is_err());
     }
 }

@@ -53,7 +53,11 @@ impl Workload for MiniBudeWorkload {
 
     fn params(&self) -> Vec<ParamSpec> {
         vec![
-            ParamSpec::int("ppwi", 8, "poses per work-item (the paper sweeps 1..128)"),
+            ParamSpec::int(
+                "ppwi",
+                8,
+                "poses per work-item (a power of two in 1..128, the paper's sweep)",
+            ),
             ParamSpec::int("wg", 64, "work-group (thread block) size"),
             ParamSpec::int("poses", 65_536, "total pose count"),
             ParamSpec::int("natlig", 26, "ligand atom count"),
@@ -69,8 +73,18 @@ impl Workload for MiniBudeWorkload {
         // Raw u64 bounds *before* the decoder's u32/usize casts, so
         // out-of-range values are rejected instead of truncated; the
         // ceilings keep the FLOP product (poses × natlig × natpro × …)
-        // far inside u64.
-        check_int_range(params, "ppwi", 1, 1024)?;
+        // far inside u64. The kernel body is instantiated only for the
+        // paper's PPWI values, so any other value is a parameter error here
+        // rather than a launch failure later.
+        let ppwi = params.int("ppwi");
+        if !MiniBudeConfig::paper_ppwi_sweep()
+            .into_iter()
+            .any(|p| u64::from(p) == ppwi)
+        {
+            return Err(WorkloadError::new(format!(
+                "PPWI {ppwi} is not in the paper's sweep (1..128 powers of two)"
+            )));
+        }
         check_int_range(params, "wg", 1, 1024)?;
         check_int_range(params, "poses", 1, 1 << 30)?;
         check_int_range(params, "natlig", 1, 1 << 16)?;
@@ -116,7 +130,15 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_decks() {
-        for bad in ["ppwi=0", "wg=0", "wg=2048", "natlig=0", "poses=4,ppwi=8"] {
+        for bad in [
+            "ppwi=0",
+            "ppwi=3",
+            "ppwi=256",
+            "wg=0",
+            "wg=2048",
+            "natlig=0",
+            "poses=4,ppwi=8",
+        ] {
             let mut params = MiniBudeWorkload.default_params();
             params.apply_encoding(bad).unwrap();
             assert!(MiniBudeWorkload.validate(&params).is_err(), "{bad}");

@@ -10,34 +10,20 @@ mod config;
 mod cost;
 mod portable;
 mod reference;
-mod vendor;
 pub mod workload;
 
 pub use config::{functional_limit, StencilConfig, MAX_FUNCTIONAL_L, MAX_FUNCTIONAL_L_FP32};
 pub use cost::stencil_cost;
-pub use portable::run_portable;
+/// One body runs on every backend; `run_portable` and `run_vendor` are
+/// aliases of `run` for callers that name the backend.
+pub use portable::{run, run as run_portable, run as run_vendor};
 pub use reference::{initialize_grid, reference_laplacian};
-pub use vendor::run_vendor;
-
-use crate::common::WorkloadRun;
-use gpu_sim::SimError;
-use vendor_models::Platform;
-
-/// Runs the stencil workload on a platform, dispatching to the portable or
-/// vendor implementation according to the platform's backend.
-pub fn run(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, SimError> {
-    if platform.backend.is_portable() {
-        run_portable(platform, config)
-    } else {
-        run_vendor(platform, config)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_spec::Precision;
-    use vendor_models::Backend;
+    use vendor_models::{Backend, Platform};
 
     #[test]
     fn portable_and_vendor_paths_both_run_and_verify() {
@@ -98,5 +84,78 @@ mod tests {
         .unwrap();
         assert_eq!(run.backend, "HIP");
         assert!(run.device.contains("MI300A"));
+    }
+}
+
+/// The paper's CUDA/HIP baselines: the same body on the vendor platforms.
+#[cfg(test)]
+mod vendor {
+    mod tests {
+        use super::super::*;
+        use gpu_spec::Precision;
+        use vendor_models::Platform;
+
+        #[test]
+        fn cuda_stencil_matches_reference() {
+            let config = StencilConfig::validation(32, Precision::Fp64);
+            let run = run(&Platform::cuda_h100(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "CUDA");
+        }
+
+        #[test]
+        fn hip_stencil_matches_reference_fp32() {
+            let config = StencilConfig::validation(24, Precision::Fp32);
+            let run = run(&Platform::hip_mi300a(false), &config).unwrap();
+            assert!(run.verification.is_verified());
+            assert_eq!(run.backend, "HIP");
+        }
+
+        #[test]
+        fn cuda_duration_is_close_to_table2() {
+            // Table 2: CUDA FP64 L=512 duration 0.96 ms; FP32 L=1024 7.21 ms.
+            let run64 = run(
+                &Platform::cuda_h100(false),
+                &StencilConfig::paper(512, Precision::Fp64),
+            )
+            .unwrap();
+            assert!(
+                (run64.millis() - 0.96).abs() < 0.2,
+                "expected ≈0.96 ms, got {:.3}",
+                run64.millis()
+            );
+            let run32 = run(
+                &Platform::cuda_h100(false),
+                &StencilConfig::paper(1024, Precision::Fp32),
+            )
+            .unwrap();
+            assert!(
+                (run32.millis() - 7.21).abs() < 1.0,
+                "expected ≈7.21 ms, got {:.3}",
+                run32.millis()
+            );
+        }
+
+        #[test]
+        fn portable_and_vendor_produce_identical_numerics() {
+            // One body on all four paper platforms: the verification records,
+            // error included, must be equal, not merely all passing.
+            let config = StencilConfig::validation(20, Precision::Fp64);
+            let mojo = run(&Platform::portable_h100(), &config).unwrap();
+            assert!(mojo.verification.is_verified());
+            for platform in [
+                Platform::cuda_h100(false),
+                Platform::portable_mi300a(),
+                Platform::hip_mi300a(false),
+            ] {
+                let other = run(&platform, &config).unwrap();
+                assert_eq!(
+                    other.verification,
+                    mojo.verification,
+                    "{}",
+                    platform.label()
+                );
+            }
+        }
     }
 }

@@ -1,10 +1,11 @@
-//! Portable (Mojo-style) seven-point stencil implementation.
+//! The seven-point stencil body, written against the portable model.
 //!
 //! A direct transcription of the paper's Listing 2: the kernel receives two
 //! `LayoutTensor`s (`f` mutable, `u` read-only) and the inverse-square
 //! coefficients, computes its `(i, j, k)` cell from the thread/block indices
 //! and updates interior cells only. The same source runs on every simulated
-//! device — that single-source property is exactly what the paper evaluates.
+//! device and backend — that single-source property is exactly what the
+//! paper evaluates; the backends differ only in their execution profile.
 
 use super::config::StencilConfig;
 use super::cost::stencil_cost;
@@ -43,8 +44,8 @@ fn laplacian_kernel<T: Real>(
     }
 }
 
-/// Runs the portable stencil on `platform`, returning the full run record.
-pub fn run_portable(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, SimError> {
+/// Runs the stencil on `platform`, returning the full run record.
+pub fn run(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, SimError> {
     let cost = stencil_cost(config);
     let class = KernelClass::Stencil7 {
         precision: config.precision,
@@ -127,7 +128,7 @@ mod tests {
     #[test]
     fn portable_stencil_matches_reference_fp64() {
         let config = StencilConfig::validation(32, Precision::Fp64);
-        let run = run_portable(&Platform::portable_h100(), &config).unwrap();
+        let run = run(&Platform::portable_h100(), &config).unwrap();
         match run.verification {
             Verification::Passed { max_abs_error } => assert!(max_abs_error < 1e-6),
             other => panic!("expected verification, got {other:?}"),
@@ -137,14 +138,14 @@ mod tests {
     #[test]
     fn portable_stencil_matches_reference_fp32() {
         let config = StencilConfig::validation(24, Precision::Fp32);
-        let run = run_portable(&Platform::portable_mi300a(), &config).unwrap();
+        let run = run(&Platform::portable_mi300a(), &config).unwrap();
         assert!(run.verification.is_verified());
     }
 
     #[test]
     fn large_problems_skip_functional_execution() {
         let config = StencilConfig::paper(512, Precision::Fp64);
-        let run = run_portable(&Platform::portable_h100(), &config).unwrap();
+        let run = run(&Platform::portable_h100(), &config).unwrap();
         assert!(!run.verification.is_verified());
         assert!(run.millis() > 0.1, "512³ stencil should take ~1 ms");
     }
@@ -153,7 +154,7 @@ mod tests {
     fn duration_is_close_to_table2_for_fp64_l512() {
         // Table 2: Mojo FP64 L=512 duration 1.10 ms on the H100.
         let config = StencilConfig::paper(512, Precision::Fp64);
-        let run = run_portable(&Platform::portable_h100(), &config).unwrap();
+        let run = run(&Platform::portable_h100(), &config).unwrap();
         assert!(
             (run.millis() - 1.10).abs() < 0.2,
             "expected ≈1.10 ms, got {:.3} ms",

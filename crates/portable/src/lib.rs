@@ -6,9 +6,10 @@
 //! builtins, shared memory, barriers and atomics, compiles for both NVIDIA and
 //! AMD GPUs. This crate reproduces that programming model as an embedded Rust
 //! DSL over the [`gpu_sim`] simulator: kernels written against these types run
-//! unchanged on every simulated architecture (H100, MI300A, test devices), and
-//! the vendor baselines in `science-kernels` deliberately *bypass* this layer
-//! the way CUDA/HIP code bypasses Mojo's portable layer.
+//! unchanged on every simulated architecture (H100, MI300A, test devices).
+//! The CUDA/HIP baselines in `science-kernels` run the same kernel bodies;
+//! what separates them from the portable backend is their launch heuristics
+//! and execution profiles in `vendor_models`, not a second implementation.
 //!
 //! A minimal program mirroring the paper's Listing 1:
 //!

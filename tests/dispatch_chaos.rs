@@ -102,6 +102,10 @@ fn crashed_worker_is_retried_to_byte_identical_goldens() {
 fn hung_worker_is_timeout_reaped_and_retried() {
     // 10 s: generous enough for a debug-profile worker's real work on a
     // loaded machine, while still reaping the infinite hang promptly.
+    // Margin: the whole unsharded `run --all` takes ~3.7 s in a debug build
+    // on 2 vCPU and each shard does less, so the timeout only fires on a
+    // real worker if the machine is ~2.7× slower than that; the test takes
+    // ~10.3 s there (one 10 s reap plus the fast retry).
     let output = assert_recovers("hang", "hang:0", &["--timeout", "10"]);
     let diag = stderr(&output);
     assert!(diag.contains("1 timed out"), "{diag}");
@@ -148,6 +152,11 @@ fn slow_straggler_is_speculated_and_the_loser_reaped() {
     assert!(diag.contains("speculative"), "{diag}");
     assert!(!diag.contains("0 speculative"), "{diag}");
     assert!(!diag.contains("0 reaped"), "{diag}");
+    // Margin: the duplicate launches once the straggler has run twice the
+    // median sibling duration, then does shard 1's real work; the whole
+    // dispatch took ~5 s in a debug build on 2 vCPU, so 25 s allows a 5×
+    // slower machine and still sits 5 s under the 30 s the straggler
+    // sleeps. Only a dispatch that never speculated can reach 30 s.
     assert!(
         elapsed.as_secs() < 25,
         "speculation should beat the 30 s straggler, took {elapsed:?}"
@@ -368,6 +377,13 @@ fn repeated_timeout_kills_leak_no_zombies_or_drain_threads() {
     // Six timeout kills happened since the baseline; leaking the two
     // pipe-drain threads per kill would add 12 threads. The slack only
     // absorbs unrelated harness threads scheduling other tests.
+    // Margin: the count is process-wide, but this is the only test in the
+    // binary that dispatches in-process; the others run the CLI through
+    // `Command::output`, which starts no threads here. The noise is
+    // therefore libtest's own per-test threads, at most
+    // `RUST_TEST_THREADS - 1` others (1 on 2 vCPU), so the 4-thread slack
+    // holds up to 5 concurrent test threads and a one-kill leak (+2 per
+    // kill, +12 in all) still trips it with 8 threads to spare.
     assert!(
         threads_after <= threads_before + 4,
         "drain threads leaked: {threads_before} -> {threads_after}"

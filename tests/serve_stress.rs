@@ -119,6 +119,11 @@ struct ServeClient {
 impl ServeClient {
     fn connect(addr: SocketAddr) -> ServeClient {
         let stream = TcpStream::connect(addr).expect("connect to serve");
+        // A deadlock guard, not a latency bound. Margin: the slowest single
+        // response here is a cold full report, ~4 s in a debug build on
+        // 2 vCPU (the slowest test, `responses_match_cli_bytes_in_both_formats`,
+        // takes ~8 s in all), so 120 s is a ~30× margin; a hang fails the
+        // test in 2 minutes instead of stalling the suite.
         stream
             .set_read_timeout(Some(Duration::from_secs(120)))
             .expect("set read timeout");
@@ -481,6 +486,11 @@ fn shutdown_verb_stops_the_server() {
     server.shutdown();
     // The port is closed: a fresh connection is refused (allow the OS a
     // moment to tear the listener down).
+    // Margin: `shutdown()` has already reaped the server process, so the
+    // listener is gone and the first connect normally fails at once; the
+    // 50 × 100 ms poll gives the kernel 5 s. The one process-global risk is
+    // another test's server binding the same ephemeral port within that
+    // window, which the kernel's ephemeral-port rotation makes unlikely.
     for _ in 0..50 {
         if TcpStream::connect(addr).is_err() {
             return;
