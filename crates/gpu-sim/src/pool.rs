@@ -15,8 +15,8 @@
 //! Telemetry is first-class: every checkout is counted as a hit (served from
 //! a shelf) or a miss (fresh `alloc`), with recycled vs fresh byte totals, the
 //! current outstanding footprint, and its high-water mark. [`stats`] snapshots
-//! the counters for the profiler, the bench JSON, and `mojo-hpc run
-//! --verbose`.
+//! the counters for the `pool: …` stderr line of `mojo-hpc run`/`sweep` and
+//! for `serve`'s `stats` response.
 //!
 //! Panic safety: a [`PooledVec`] dropped during unwinding *frees* its block
 //! instead of recycling it, so a panicking kernel cannot shelve storage whose

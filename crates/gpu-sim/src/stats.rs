@@ -12,7 +12,7 @@
 //! Host-side memory behaviour is part of the cost story too: [`PoolStats`]
 //! (re-exported from [`crate::pool`]) snapshots the buffer-pool counters —
 //! checkouts, hits/misses, recycled vs fresh bytes, high-water mark — so
-//! reports and benches can attribute allocator traffic per launch.
+//! reports and the benchmark's tracer can attribute allocator traffic.
 
 use crate::dim::LaunchConfig;
 use crate::intern::IStr;

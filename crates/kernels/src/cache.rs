@@ -1,6 +1,6 @@
 //! Keyed memo caches for expensive workload-input generation.
 //!
-//! Every experiment, test and bench target that touches a workload used to
+//! Every experiment, sweep and test that touches a workload used to
 //! regenerate its inputs from scratch — the 1024-atom [`HeliumSystem`] alone
 //! costs ~19 million `exp()` calls for its Schwarz factors, and the full
 //! report rebuilt it eight times (four platforms × Table 4 and Table 5). The
@@ -204,7 +204,7 @@ static HELIUM: Memo<HeliumKey, HeliumSystem> = Memo::new();
 
 /// The shared [`HeliumSystem`] for a configuration — geometry, basis, density
 /// and Schwarz factors are generated once per distinct
-/// (natoms, ngauss, spacing) and reused by the report, tests and benches.
+/// (natoms, ngauss, spacing) and reused by the report, sweeps and tests.
 pub fn helium_system(config: &HartreeFockConfig) -> Arc<HeliumSystem> {
     HELIUM.get_or_generate(helium_key(config), || HeliumSystem::generate(config))
 }

@@ -20,11 +20,11 @@
 //! * a **CPU reference** used to validate every simulated result,
 //! * an analytic **cost model** (bytes, FLOPs, atomics) that the unit tests
 //!   cross-check against instrumented counts on small problems,
-//! * a host driver returning a [`common::WorkloadRun`] that the report and
-//!   bench crates turn into the paper's tables and figures,
+//! * a host driver returning a [`common::WorkloadRun`] that the report
+//!   crate turns into the paper's tables and figures,
 //! * a [`workload`] adapter exposing the drivers as a named, parameterizable
 //!   [`workload::Workload`] — the layer the experiment registry, the
-//!   `mojo-hpc sweep` engine and the bench presets share.
+//!   `mojo-hpc sweep` engine and the `serve` daemon share.
 
 #![warn(missing_docs)]
 

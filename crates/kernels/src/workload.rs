@@ -6,7 +6,7 @@
 //! assignment ([`Params`]), and runs the underlying kernel drivers across the
 //! paper's portable/vendor platform pairs, returning uniform
 //! [`Measurement`] rows. The report crate's registry, the `mojo-hpc sweep`
-//! command and the bench targets all drive kernels through this layer, so a
+//! command and the `serve` daemon all drive kernels through this layer, so a
 //! paper figure is just a preset parameter assignment and a new scenario is a
 //! parameter choice rather than a new driver.
 //!
@@ -308,9 +308,10 @@ pub trait Workload: Sync {
     /// The tunable parameters and their defaults.
     fn params(&self) -> Vec<ParamSpec>;
 
-    /// Sizes (values of [`Workload::size_param`]) the bench targets exercise
-    /// for functional host-side measurement; small enough to execute
-    /// functionally in every case.
+    /// Representative sizes (values of [`Workload::size_param`]) for
+    /// functional host-side runs — the steady-state allocation gate runs
+    /// them and the benchmark seeds its sweeps near them; small enough to
+    /// execute functionally in every case.
     fn bench_sizes(&self) -> &'static [u64];
 
     /// Validates a complete assignment beyond per-value typing (cross-field

@@ -2,7 +2,7 @@
 //!
 //! The paper collects at least 100 runs per configuration and either plots
 //! the raw scatter (Figs. 3–4) or reports averages (Figs. 6–7, Table 4).
-//! [`RunStats`] provides the summaries the reports and benches need.
+//! [`RunStats`] provides the summaries the reports need.
 
 use serde::{Deserialize, Serialize};
 

@@ -23,10 +23,7 @@
 //!   concurrent requests single-flight, and spills big sweeps through the
 //!   launcher layer (protocol: DESIGN.md §13);
 //! * `diff <dir-a> <dir-b>` — byte-compare the `.csv` and `.json` report
-//!   files of two directories;
-//! * `bench-diff <a> <b> [--max-regression PCT]` — compare bench JSON
-//!   records, optionally failing on mean-time regressions beyond PCT percent
-//!   (dispatched by the binary to the bench crate; only parsed here).
+//!   files of two directories.
 //!
 //! Exit codes: `0` success, `1` difference found or validation failed, `2`
 //! usage error. All diagnostics go to stderr; stdout carries only the
@@ -91,27 +88,6 @@ pub enum Command {
         dir_a: PathBuf,
         /// Compared directory.
         dir_b: PathBuf,
-    },
-    /// `bench-diff`: compare two bench JSON records (file or directory each).
-    BenchDiff {
-        /// Baseline record or directory.
-        baseline: PathBuf,
-        /// Compared record or directory.
-        current: PathBuf,
-        /// Fail (exit 1) when any benchmark's mean slowed down by more than
-        /// this fraction (`--max-regression 10` = +10%); `None` keeps the
-        /// comparison informational.
-        max_regression: Option<f64>,
-    },
-    /// `bench-trajectory`: render the per-benchmark mean-time trend across a
-    /// directory of archived per-SHA bench snapshots (dispatched by the
-    /// binary to the bench crate; only parsed here).
-    BenchTrajectory {
-        /// Directory whose subdirectories are the archived snapshots
-        /// (`bench-trajectory-<sha>` in CI), each holding bench JSON records.
-        root: PathBuf,
-        /// Optional CSV output path for the trend table.
-        csv: Option<PathBuf>,
     },
     /// `help` / `--help`.
     Help,
@@ -251,9 +227,6 @@ USAGE:
                             [--spill-workers N] [--spill-timeout SECS]
                             [--scratch DIR]
   mojo-hpc diff <dir-a> <dir-b>
-  mojo-hpc bench-diff <baseline.json|dir> <current.json|dir>
-                            [--max-regression PCT]
-  mojo-hpc bench-trajectory <snapshot-dir> [--csv FILE]
   mojo-hpc help
 
 Experiment and sweep renderings go to stdout (byte-identical at every
@@ -262,13 +235,8 @@ Experiment and sweep renderings go to stdout (byte-identical at every
 names every workload with its tunable parameters and defaults; `--sizes`
 sweeps the workload's size parameter and `key=value` pins any other.
 `--preset-out` saves a resolved sweep configuration to a file; `--preset`
-replays it. `bench-diff --max-regression PCT` turns the comparison into a
-gate: exit 1 when any benchmark's mean slowed down by more than PCT percent.
-`bench-trajectory DIR` walks a directory of archived per-commit bench
-snapshots (CI's bench-trajectory-<sha> artifacts) and renders each
-benchmark's mean-time trend across them (`--csv FILE` also writes the trend
-table as CSV). `run` and `sweep` report the buffer-pool's hit rate and
-traffic on stderr after each invocation.
+replays it. `run` and `sweep` report the buffer-pool's hit rate and traffic
+on stderr after each invocation.
 
 SCALE-OUT (DESIGN.md \u{a7}10): `mojo-hpc shard run|sweep ... --workers N`
 spawns N worker subprocesses of this binary, partitions the command's work
@@ -327,8 +295,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let [a, b] = two_paths("diff", &rest)?;
             Ok(Command::Diff { dir_a: a, dir_b: b })
         }
-        "bench-diff" => parse_bench_diff(&rest),
-        "bench-trajectory" => parse_bench_trajectory(&rest),
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(format!("unknown subcommand '{other}'")),
     }
@@ -347,63 +313,6 @@ fn two_paths(subcommand: &str, rest: &[&str]) -> Result<[PathBuf; 2], String> {
         [a, b] => Ok([PathBuf::from(a), PathBuf::from(b)]),
         _ => Err(format!("'{subcommand}' takes exactly two paths")),
     }
-}
-
-/// Parses `bench-diff <a> <b> [--max-regression PCT]`. The percentage is
-/// stored as a fraction (10 → 0.10) and must be non-negative.
-fn parse_bench_diff(rest: &[&str]) -> Result<Command, String> {
-    let mut paths = Vec::new();
-    let mut max_regression = None;
-    let mut args = rest.iter().copied();
-    while let Some(arg) = args.next() {
-        match arg {
-            "--max-regression" => {
-                let value = flag_value("--max-regression", &mut args)?;
-                let pct: f64 = parse_number("--max-regression", value)?;
-                if !pct.is_finite() || pct < 0.0 {
-                    return Err(format!(
-                        "--max-regression: expected a non-negative percentage, got '{value}'"
-                    ));
-                }
-                max_regression = Some(pct / 100.0);
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown 'bench-diff' argument '{flag}'"))
-            }
-            path => paths.push(PathBuf::from(path)),
-        }
-    }
-    let [baseline, current]: [PathBuf; 2] = paths
-        .try_into()
-        .map_err(|_| "'bench-diff' takes exactly two paths".to_string())?;
-    Ok(Command::BenchDiff {
-        baseline,
-        current,
-        max_regression,
-    })
-}
-
-/// Parses `bench-trajectory <dir> [--csv FILE]`.
-fn parse_bench_trajectory(rest: &[&str]) -> Result<Command, String> {
-    let mut root = None;
-    let mut csv = None;
-    let mut args = rest.iter().copied();
-    while let Some(arg) = args.next() {
-        match arg {
-            "--csv" => csv = Some(PathBuf::from(flag_value("--csv", &mut args)?)),
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown 'bench-trajectory' argument '{flag}'"))
-            }
-            path => {
-                if root.is_some() {
-                    return Err("'bench-trajectory' takes exactly one directory".to_string());
-                }
-                root = Some(PathBuf::from(path));
-            }
-        }
-    }
-    let root = root.ok_or_else(|| "'bench-trajectory' needs a snapshot directory".to_string())?;
-    Ok(Command::BenchTrajectory { root, csv })
 }
 
 /// Parses `serve --listen ADDR [--threads N] [--cache-entries N]
@@ -805,9 +714,6 @@ fn report_pool_telemetry(before: &gpu_sim::PoolStats) {
 }
 
 /// Executes a parsed command, returning the process exit code.
-///
-/// `BenchDiff` is not handled here — the bench crate sits above this one, so
-/// the binary dispatches it; passing it in is a programming error.
 pub fn execute(command: &Command) -> i32 {
     match command {
         Command::List => {
@@ -820,9 +726,6 @@ pub fn execute(command: &Command) -> i32 {
         Command::Shard(args) => execute_shard(args),
         Command::Serve(config) => execute_serve(config),
         Command::Diff { dir_a, dir_b } => execute_diff(dir_a, dir_b),
-        Command::BenchDiff { .. } | Command::BenchTrajectory { .. } => {
-            unreachable!("bench-diff and bench-trajectory are dispatched by the binary")
-        }
         Command::Help => {
             println!("{}", usage());
             0
@@ -1575,54 +1478,6 @@ mod tests {
             parse_line("diff a b").unwrap(),
             Command::Diff { .. }
         ));
-        match parse_line("bench-diff a.json b.json").unwrap() {
-            Command::BenchDiff { max_regression, .. } => assert_eq!(max_regression, None),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_bench_diff_regression_gate() {
-        match parse_line("bench-diff a.json b.json --max-regression 10").unwrap() {
-            Command::BenchDiff { max_regression, .. } => {
-                assert!((max_regression.unwrap() - 0.10).abs() < 1e-12);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // The flag may appear anywhere; fractional percentages are fine.
-        match parse_line("bench-diff --max-regression 2.5 a b").unwrap() {
-            Command::BenchDiff { max_regression, .. } => {
-                assert!((max_regression.unwrap() - 0.025).abs() < 1e-12);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse_line("bench-diff a b --max-regression").is_err());
-        assert!(parse_line("bench-diff a b --max-regression -5").is_err());
-        assert!(parse_line("bench-diff a b --max-regression nope").is_err());
-        assert!(parse_line("bench-diff a b c").is_err());
-        assert!(parse_line("bench-diff a").is_err());
-        assert!(parse_line("bench-diff a b --frobnicate").is_err());
-    }
-
-    #[test]
-    fn parses_bench_trajectory() {
-        match parse_line("bench-trajectory snaps").unwrap() {
-            Command::BenchTrajectory { root, csv } => {
-                assert_eq!(root, PathBuf::from("snaps"));
-                assert_eq!(csv, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_line("bench-trajectory snaps --csv trend.csv").unwrap() {
-            Command::BenchTrajectory { csv, .. } => {
-                assert_eq!(csv, Some(PathBuf::from("trend.csv")));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse_line("bench-trajectory").is_err());
-        assert!(parse_line("bench-trajectory a b").is_err());
-        assert!(parse_line("bench-trajectory a --csv").is_err());
-        assert!(parse_line("bench-trajectory a --frobnicate").is_err());
     }
 
     #[test]

@@ -441,8 +441,8 @@ impl Default for DispatchPolicy {
 }
 
 impl DispatchPolicy {
-    /// A single attempt per shard, no timeout, no speculation — the policy
-    /// [`crate::shard::run_workers`] keeps for backward compatibility.
+    /// A single attempt per shard, no timeout, no speculation: any worker
+    /// failure fails the whole fan-out.
     pub fn no_retry() -> DispatchPolicy {
         DispatchPolicy {
             max_attempts: 1,

@@ -1,4 +1,4 @@
-//! Convenience prelude for experiment drivers (examples and benches).
+//! Convenience prelude for experiment drivers (the examples).
 
 pub use crate::registry::{all_experiments, run_experiment, run_experiments, ExperimentId};
 pub use crate::render::{AsciiTable, Series};

@@ -59,7 +59,7 @@ use crate::sweep::{render_sweep, SweepSpec};
 use science_kernels::workload::{self, Measurement, WorkloadOutput};
 use serde::value::Value;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -81,6 +81,11 @@ pub const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Default worker count of the spill lane.
 pub const DEFAULT_SPILL_WORKERS: u64 = 4;
+
+/// Longest request line the server reads (1 MiB, not counting the
+/// newline). A longer line is answered with an error and its connection is
+/// closed, so a client that never sends `\n` cannot grow the daemon's memory.
+pub const MAX_REQUEST_BYTES: u64 = 1024 * 1024;
 
 /// Configuration of one `mojo-hpc serve` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -775,7 +780,8 @@ fn handle_request(state: &ServeState, line: &str) -> Reply {
 }
 
 /// Serves one connection: read request lines, write header + payload per
-/// request, until the peer hangs up (or asks for shutdown).
+/// request, until the peer hangs up, asks for shutdown, or sends a line
+/// longer than [`MAX_REQUEST_BYTES`].
 fn handle_connection(state: &ServeState, stream: TcpStream) {
     let reader = match stream.try_clone() {
         Ok(clone) => clone,
@@ -786,10 +792,13 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
     };
     let mut reader = BufReader::new(reader);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader)
+            .take(MAX_REQUEST_BYTES + 1)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) => break,
             Ok(_) => {}
             Err(e) => {
@@ -797,10 +806,21 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
                 break;
             }
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = handle_request(state, line.trim());
+        let oversized = !line.ends_with(b"\n") && line.len() as u64 > MAX_REQUEST_BYTES;
+        let reply = if oversized {
+            state.requests.fetch_add(1, Ordering::SeqCst);
+            state.errors.fetch_add(1, Ordering::SeqCst);
+            Reply::error(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"))
+        } else {
+            let Ok(request) = std::str::from_utf8(&line) else {
+                eprintln!("serve: read failed: request line is not valid UTF-8");
+                break;
+            };
+            if request.trim().is_empty() {
+                continue;
+            }
+            handle_request(state, request.trim())
+        };
         let mut header = serde_json::to_string(&reply.header).expect("header serialises");
         header.push('\n');
         let write = writer
@@ -811,6 +831,13 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
             });
         if let Err(e) = write.and_then(|_| writer.flush()) {
             eprintln!("serve: write failed: {e}");
+            break;
+        }
+        if oversized {
+            // The rest of the line is never read. Shut the socket down
+            // explicitly: the acceptor holds a clone, so dropping ours
+            // would leave the connection open.
+            writer.shutdown(Shutdown::Both).ok();
             break;
         }
         if reply.shutdown {

@@ -15,12 +15,7 @@
 //! * [`merge_run`] / [`merge_sweep`] — reassemble worker documents into
 //!   output **byte-identical** to a single-process `run` / `sweep`, after
 //!   validating that the manifests form a complete, non-overlapping tiling
-//!   of the work;
-//! * [`run_workers`] — the coordinator's process fan-out: one worker
-//!   subprocess of the current binary per shard, supervised by the
-//!   [`crate::dispatch`] engine (which also provides retries, timeouts,
-//!   remote launchers and speculation when the CLI asks for them), with any
-//!   failure named per shard alongside the worker's captured stderr tail.
+//!   of the work.
 //!
 //! Byte-identity holds because the report JSON schema carries only strings
 //! (every table cell is exactly the bytes the CSV lane prints), the JSON
@@ -28,7 +23,7 @@
 //! contiguous and order-preserving — so concatenating the partial reports in
 //! shard order reproduces the single-process traversal exactly.
 
-use crate::dispatch::{dispatch, DispatchPolicy, Launcher, LocalLauncher, WorkerTask};
+use crate::dispatch::WorkerTask;
 use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, ExperimentReport};
 use crate::sweep::{self, SweepSpec};
 use serde::value::Value;
@@ -518,40 +513,6 @@ pub fn worker_tasks(args_per_worker: &[Vec<String>]) -> Vec<WorkerTask> {
             args: args.clone(),
         })
         .collect()
-}
-
-/// Spawns one worker subprocess of the current binary per argument list,
-/// runs them concurrently under the [`crate::dispatch`] engine, and parses
-/// each worker's stdout as a [`ShardDocument`].
-///
-/// This compatibility wrapper keeps the PR 5 contract — single attempt per
-/// shard, no timeout, no speculation — while capturing worker stderr: a
-/// worker that exits nonzero, prints non-UTF-8, or prints an unparseable
-/// document fails the whole fan-out with an error naming the shard, its
-/// attempt count, and the last lines of its stderr. The caller reports the
-/// error and exits nonzero without writing partial output. The CLI's
-/// retry/timeout/speculation lanes call [`dispatch`] directly with a richer
-/// [`DispatchPolicy`].
-pub fn run_workers(args_per_worker: &[Vec<String>]) -> Result<Vec<ShardDocument>, String> {
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("cannot locate the current executable: {e}"))?;
-    run_workers_with_exe(&exe, args_per_worker)
-}
-
-/// As [`run_workers`], but spawning an explicit worker executable — the
-/// seam the failure-handling tests use to simulate crashed and garbled
-/// workers without patching the real binary.
-pub fn run_workers_with_exe(
-    exe: &std::path::Path,
-    args_per_worker: &[Vec<String>],
-) -> Result<Vec<ShardDocument>, String> {
-    let launchers: Vec<Box<dyn Launcher>> = vec![Box::new(LocalLauncher::new(
-        exe,
-        args_per_worker.len().max(1),
-    ))];
-    let tasks = worker_tasks(args_per_worker);
-    let (docs, _summary) = dispatch(&launchers, &tasks, &DispatchPolicy::no_retry())?;
-    Ok(docs)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! to the console and exported as CSV under `target/experiments/`.
 //!
 //! This example predates the `mojo-hpc` binary, which is now the primary
-//! entry point (`mojo-hpc run --all`, plus `list`/`diff`/`bench-diff` and a
+//! entry point (`mojo-hpc run --all`, plus `list`/`sweep`/`diff` and a
 //! sampled Hartree–Fock validation mode — see README.md); it remains as a
 //! minimal library-level driver. Run with
 //! `cargo run --release --example portability_report`.

@@ -1,8 +1,6 @@
 //! The `mojo-hpc` binary: scenario-addressable entry point to the
 //! reproduction. `mojo-hpc help` prints the subcommand reference; parsing
-//! and execution live in [`experiment_report::cli`], except `bench-diff`,
-//! which is dispatched here because the bench crate sits above the report
-//! crate in the dependency graph.
+//! and execution live in [`experiment_report::cli`].
 //!
 //! The `shard` coordinator re-invokes *this* binary (via
 //! `std::env::current_exe`) as its worker subprocesses, so the worker-facing
@@ -22,18 +20,11 @@
 //! dispatcher — the serve process re-invokes this binary as its spill
 //! workers exactly like the `shard` coordinator does.
 
-use experiment_report::cli::{self, Command};
-use std::path::Path;
+use experiment_report::cli;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match cli::parse(&args) {
-        Ok(Command::BenchDiff {
-            baseline,
-            current,
-            max_regression,
-        }) => bench_diff(&baseline, &current, max_regression),
-        Ok(Command::BenchTrajectory { root, csv }) => bench_trajectory(&root, csv.as_deref()),
         Ok(command) => cli::execute(&command),
         Err(message) => {
             eprintln!("error: {message}");
@@ -42,65 +33,4 @@ fn main() {
         }
     };
     std::process::exit(code);
-}
-
-/// Renders the per-benchmark mean-time trend across a directory of archived
-/// bench snapshots (`bench-trajectory-<sha>` subdirectories, oldest first by
-/// modification time). `--csv FILE` additionally writes the trend table as
-/// CSV.
-fn bench_trajectory(root: &Path, csv: Option<&Path>) -> i32 {
-    let snapshots = match bench::trajectory::load_snapshots(root) {
-        Ok(snapshots) => snapshots,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return 2;
-        }
-    };
-    let trajectory = bench::trajectory::trajectory(snapshots);
-    print!("{}", bench::trajectory::render(&trajectory));
-    if let Some(path) = csv {
-        if let Err(err) = std::fs::write(path, bench::trajectory::to_csv(&trajectory)) {
-            eprintln!("failed to write {}: {err}", path.display());
-            return 1;
-        }
-        eprintln!("  [csv] {}", path.display());
-    }
-    0
-}
-
-/// Compares two bench JSON records (each a file or a directory of records),
-/// tolerating groups present on only one side. With `max_regression` set
-/// (a fraction, from `--max-regression PCT`), the comparison becomes a gate:
-/// exit 1 when any benchmark's mean slowed down beyond the tolerance.
-fn bench_diff(baseline: &Path, current: &Path, max_regression: Option<f64>) -> i32 {
-    let load = |path: &Path| match bench::diff::load_records(path) {
-        Ok(records) => Some(records),
-        Err(message) => {
-            eprintln!("error: {message}");
-            None
-        }
-    };
-    let (Some(baseline), Some(current)) = (load(baseline), load(current)) else {
-        return 2;
-    };
-    let comparison = bench::diff::diff(&baseline, &current);
-    print!("{}", bench::diff::render(&comparison));
-    let Some(tolerance) = max_regression else {
-        return 0;
-    };
-    let flagged = bench::diff::regressions_beyond(&comparison, tolerance);
-    if flagged.is_empty() {
-        eprintln!("bench-diff: no regression beyond {:.1}%", tolerance * 100.0);
-        return 0;
-    }
-    for r in &flagged {
-        eprintln!(
-            "bench-diff: {}/{} regressed {:+.1}% (tolerance {:.1}%)",
-            r.group,
-            r.id,
-            r.change * 100.0,
-            tolerance * 100.0
-        );
-    }
-    1
 }

@@ -332,49 +332,6 @@ fn diff_on_a_missing_directory_is_a_usage_error() {
 }
 
 #[test]
-fn bench_diff_tolerates_a_missing_group() {
-    let dir = scratch("bench-diff");
-    let record = |group: &str, mean: f64| {
-        format!(
-            r#"{{"group": "{group}", "benchmarks": [{{"id": "x", "samples": 1, "mean_ns": {mean}, "min_ns": 1, "max_ns": 2, "throughput": null}}]}}"#
-        )
-    };
-    std::fs::write(dir.join("a.json"), record("shared", 100.0)).unwrap();
-    std::fs::write(dir.join("b.json"), record("shared", 150.0)).unwrap();
-    let a_dir = dir.join("a-set");
-    let b_dir = dir.join("b-set");
-    std::fs::create_dir_all(&a_dir).unwrap();
-    std::fs::create_dir_all(&b_dir).unwrap();
-    std::fs::write(a_dir.join("shared.json"), record("shared", 100.0)).unwrap();
-    std::fs::write(a_dir.join("gone.json"), record("gone", 50.0)).unwrap();
-    std::fs::write(b_dir.join("shared.json"), record("shared", 150.0)).unwrap();
-    std::fs::write(b_dir.join("fresh.json"), record("fresh", 25.0)).unwrap();
-
-    let files = mojo_hpc(&[
-        "bench-diff",
-        dir.join("a.json").to_str().unwrap(),
-        dir.join("b.json").to_str().unwrap(),
-    ]);
-    assert_eq!(files.status.code(), Some(0));
-    assert!(stdout(&files).contains("+50.0%"), "{}", stdout(&files));
-
-    let dirs = mojo_hpc(&[
-        "bench-diff",
-        a_dir.to_str().unwrap(),
-        b_dir.to_str().unwrap(),
-    ]);
-    assert_eq!(dirs.status.code(), Some(0));
-    let text = stdout(&dirs);
-    assert!(text.contains("gone: removed"), "{text}");
-    assert!(text.contains("fresh: added"), "{text}");
-
-    let bad = mojo_hpc(&["bench-diff", "/nonexistent.json", "/nonexistent.json"]);
-    assert_eq!(bad.status.code(), Some(2));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn sampled_hartree_fock_runs_beyond_the_full_validation_limit() {
     let out = scratch("hf-sampled");
     let output = mojo_hpc(&[
@@ -460,15 +417,15 @@ fn documented_flags_match_the_usage_text() {
     // names appear nowhere in the tree.
     let removed_flag = concat!("--", "lane");
     let removed_env = concat!("MOJO_HPC_", "CROSSOVER");
+    let removed_subcommands = [concat!("bench", "-diff"), concat!("bench", "-trajectory")];
+    let removed_command = concat!("cargo ", "bench");
     for (doc, text) in [("README.md", &readme), ("DESIGN.md", &design)] {
-        assert!(
-            !text.contains(removed_flag),
-            "{doc} still mentions {removed_flag}"
-        );
-        assert!(
-            !text.contains(removed_env),
-            "{doc} still mentions {removed_env}"
-        );
+        for removed in [removed_flag, removed_env, removed_command]
+            .into_iter()
+            .chain(removed_subcommands)
+        {
+            assert!(!text.contains(removed), "{doc} still mentions {removed}");
+        }
     }
     let output = mojo_hpc(&["run", "--all", removed_flag, "simd"]);
     assert_eq!(output.status.code(), Some(2));
@@ -477,4 +434,14 @@ fn documented_flags_match_the_usage_text() {
         "{}",
         stderr(&output)
     );
+    for subcommand in removed_subcommands {
+        let output = mojo_hpc(&[subcommand, "a", "b"]);
+        assert_eq!(output.status.code(), Some(2), "{subcommand}");
+        let text = stderr(&output);
+        assert!(
+            text.contains(&format!("unknown subcommand '{subcommand}'")),
+            "{text}"
+        );
+        assert!(text.contains("USAGE:"), "{text}");
+    }
 }

@@ -4,9 +4,11 @@
 //! requests must be served out of the Params-keyed cache (hit counter up,
 //! compute counter flat), identical concurrent requests must coalesce onto
 //! exactly one computation (pinned via the `MOJO_HPC_SERVE_SLOW_MS` chaos
-//! seam), and oversized sweeps must spill through the launcher layer while
-//! keeping the same bytes.
+//! seam), oversized sweeps must spill through the launcher layer while
+//! keeping the same bytes, and an over-long request line must be refused
+//! without growing the daemon.
 
+use mojo_hpc::report::serve::MAX_REQUEST_BYTES;
 use serde::value::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -476,6 +478,36 @@ fn protocol_errors_answer_without_dropping_the_connection() {
     assert_eq!(str_field(&header, "status"), "ok");
     let stats = client.stats();
     assert_eq!(as_u64(field(&stats, "errors")), 6);
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_request_line_is_refused_and_its_connection_closed() {
+    let server = Server::start("oversized", &[], &[]);
+    let errors_before = as_u64(field(&server.connect().stats(), "errors"));
+    // One byte over the limit and no newline: the server must answer
+    // without waiting for the line to end.
+    let mut client = server.connect();
+    let line = vec![b'x'; MAX_REQUEST_BYTES as usize + 1];
+    client
+        .writer
+        .write_all(&line)
+        .expect("write oversized line");
+    client.writer.flush().expect("flush oversized line");
+    let mut header = String::new();
+    client.reader.read_line(&mut header).expect("read header");
+    let header: Value = serde_json::from_str(header.trim()).expect("header is JSON");
+    assert_eq!(str_field(&header, "status"), "error");
+    assert_eq!(
+        str_field(&header, "error"),
+        format!("request line exceeds {MAX_REQUEST_BYTES} bytes")
+    );
+    let mut rest = Vec::new();
+    let n = client.reader.read_to_end(&mut rest).expect("read to EOF");
+    assert_eq!(n, 0, "the connection must close after the error");
+    // The daemon still serves a fresh connection and counted one error.
+    let stats = server.connect().stats();
+    assert_eq!(as_u64(field(&stats, "errors")), errors_before + 1);
     server.shutdown();
 }
 

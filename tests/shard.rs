@@ -334,14 +334,26 @@ fn presets_round_trip_through_the_cli_and_feed_shard_workers() {
 
 #[test]
 fn a_crashed_worker_fails_the_fan_out_naming_its_shard() {
-    use mojo_hpc::report::shard::run_workers_with_exe;
+    use mojo_hpc::report::dispatch::dispatch;
+    use mojo_hpc::report::shard::worker_tasks;
+    use mojo_hpc::report::{DispatchPolicy, Launcher, LocalLauncher};
+    let fan_out = |exe: &str, args_per_worker: &[Vec<String>]| {
+        let launchers: Vec<Box<dyn Launcher>> =
+            vec![Box::new(LocalLauncher::new(exe, args_per_worker.len()))];
+        dispatch(
+            &launchers,
+            &worker_tasks(args_per_worker),
+            &DispatchPolicy::no_retry(),
+        )
+        .map(|(docs, _summary)| docs)
+    };
     // Workers that exit nonzero: every failing shard is named.
-    let err = run_workers_with_exe(Path::new("/bin/false"), &[vec![], vec![]])
+    let err = fan_out("/bin/false", &[vec![], vec![]])
         .expect_err("nonzero workers must fail the fan-out");
     assert!(err.contains("shard 0/2"), "{err}");
     assert!(err.contains("shard 1/2"), "{err}");
     // A worker that exits 0 but prints garbage is equally fatal.
-    let err = run_workers_with_exe(Path::new("/bin/echo"), &[vec!["not-json".to_string()]])
+    let err = fan_out("/bin/echo", &[vec!["not-json".to_string()]])
         .expect_err("garbled worker stdout must fail the fan-out");
     assert!(err.contains("shard 0/1"), "{err}");
     assert!(err.contains("JSON"), "{err}");
