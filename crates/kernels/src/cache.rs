@@ -2,7 +2,7 @@
 //!
 //! Every experiment, sweep and test that touches a workload used to
 //! regenerate its inputs from scratch — the 1024-atom [`HeliumSystem`] alone
-//! costs ~19 million `exp()` calls for its Schwarz factors, and the full
+//! fills 524,800 Schwarz factors and a million density entries, and the full
 //! report rebuilt it eight times (four platforms × Table 4 and Table 5). The
 //! caches here memoise generation behind the *parameters that actually shape
 //! the output*: callers with equal keys share one immutable `Arc`'d instance.
@@ -515,6 +515,7 @@ mod tests {
         assert_eq!(cached.geometry, fresh.geometry);
         assert_eq!(cached.dens, fresh.dens);
         assert_eq!(cached.schwarz, fresh.schwarz);
+        assert_eq!(cached.schwarz_levels, fresh.schwarz_levels);
     }
 
     #[test]

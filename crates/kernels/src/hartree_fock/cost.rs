@@ -4,48 +4,94 @@
 use super::config::HartreeFockConfig;
 use super::geometry::HeliumSystem;
 use gpu_sim::stats::{AccessPattern, FlopCounts};
-use gpu_sim::{KernelCost, PooledVec};
+use gpu_sim::KernelCost;
 use gpu_spec::Precision;
 use vendor_models::heuristics;
 
-/// Counts the quartets `(ij ≤ kl)` with `schwarz[ij] · schwarz[kl] > tol`
-/// without enumerating all `O(npairs²)` combinations: the factors are sorted
-/// and a two-pointer sweep counts, for every `ij`, how many `kl` pass the
-/// product threshold. Runs in `O(npairs log npairs)`, which keeps the 1024-atom
-/// case (524,800 pairs, ~1.4 × 10¹¹ quartets) instantaneous.
-pub fn surviving_quartets(schwarz: &[f64], tol: f64) -> u64 {
-    let n = schwarz.len();
-    if n == 0 {
-        return 0;
-    }
-    let mut sorted: PooledVec<f64> = PooledVec::new();
-    sorted.extend_from_slice(schwarz);
-    // Unstable sort: no scratch allocation, and the sweep below only depends
-    // on the sorted multiset, so stability buys nothing.
-    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("schwarz factors must not be NaN"));
+/// One distinct Schwarz factor and the pairs that carry it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SchwarzLevel {
+    /// The factor value.
+    pub value: f64,
+    /// Pairs whose factor equals `value`.
+    pub count: u64,
+    /// Pairs whose factor is `value` or larger.
+    pub at_or_above: u64,
+}
 
-    // ordered_pairs = #{(u, v) in any order : s_u * s_v > tol}
-    let mut ordered_pairs: u64 = 0;
-    let mut diagonal: u64 = 0;
-    let mut hi = n; // index into `sorted`: elements [hi..] satisfy the product test
-    for (lo, &s) in sorted.iter().enumerate() {
-        if s <= 0.0 {
-            continue;
+/// The distinct Schwarz factors of a pair set in strictly ascending order,
+/// each with its multiplicity. A lattice system has a few hundred distinct
+/// factors across its hundreds of thousands of pairs, so the screening count
+/// runs over the levels instead of the pairs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SchwarzLevels(Vec<SchwarzLevel>);
+
+impl SchwarzLevels {
+    /// Builds the levels from `(factor, pairs)` entries in any order; equal
+    /// factors merge into one level.
+    pub fn from_weighted(factors: impl IntoIterator<Item = (f64, u64)>) -> Self {
+        let mut factors: Vec<(f64, u64)> = factors.into_iter().collect();
+        factors.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("schwarz factors must not be NaN")
+        });
+        let mut levels: Vec<SchwarzLevel> = Vec::with_capacity(factors.len());
+        for (value, count) in factors {
+            match levels.last_mut() {
+                Some(last) if last.value == value => last.count += count,
+                _ => levels.push(SchwarzLevel {
+                    value,
+                    count,
+                    at_or_above: 0,
+                }),
+            }
         }
-        // Move `hi` left while sorted[hi - 1] * s > tol.
-        while hi > 0 && sorted[hi - 1] * s > tol {
-            hi -= 1;
+        let mut at_or_above = 0;
+        for level in levels.iter_mut().rev() {
+            at_or_above += level.count;
+            level.at_or_above = at_or_above;
         }
-        ordered_pairs += (n - hi.max(lo + 1)) as u64 * 2;
-        if s * s > tol {
-            diagonal += 1;
-            ordered_pairs += 0; // the (lo, lo) term is handled via `diagonal`
-        }
-        // Reset hi for the next iteration is unnecessary: as s grows, the
-        // threshold index only moves left, so `hi` is monotone.
+        SchwarzLevels(levels)
     }
-    // unordered (ij <= kl) count = (strictly-ordered pairs) / 2 + diagonal.
-    ordered_pairs / 2 + diagonal
+
+    /// The levels, lowest factor first.
+    pub fn as_slice(&self) -> &[SchwarzLevel] {
+        &self.0
+    }
+
+    /// Counts the quartets `(ij ≤ kl)` with `schwarz[ij] · schwarz[kl] > tol`
+    /// without enumerating the `O(npairs²)` combinations. For non-negative
+    /// factors the product test is monotone in either factor, so one pointer
+    /// sweeping down the levels finds, for every level `d`, the lowest level
+    /// that still passes with it. Two different levels contribute
+    /// `count_d · count_e` quartets and a level with itself
+    /// `count_d · (count_d + 1) / 2`. Every comparison is the same f64
+    /// product a per-quartet test makes, so the count is exact. Runs in
+    /// `O(levels)` and does not allocate.
+    pub fn survivors(&self, tol: f64) -> u64 {
+        let levels = &self.0;
+        let at_or_above = |e: usize| levels.get(e).map_or(0, |level| level.at_or_above);
+        let mut survivors = 0;
+        // levels[hi..] pass the product test with the current level.
+        let mut hi = levels.len();
+        for (d, level) in levels.iter().enumerate() {
+            while hi > 0 && levels[hi - 1].value * level.value > tol {
+                hi -= 1;
+            }
+            survivors += level.count * at_or_above(hi.max(d + 1));
+            if level.value * level.value > tol {
+                survivors += level.count * (level.count + 1) / 2;
+            }
+        }
+        survivors
+    }
+}
+
+/// Counts the quartets `(ij ≤ kl)` with `schwarz[ij] · schwarz[kl] > tol`
+/// over an arbitrary slice of non-negative factors: the slice is reduced to
+/// its [`SchwarzLevels`] and counted there.
+pub fn surviving_quartets(schwarz: &[f64], tol: f64) -> u64 {
+    SchwarzLevels::from_weighted(schwarz.iter().map(|&s| (s, 1))).survivors(tol)
 }
 
 /// FLOPs of one innermost Gaussian-quartet iteration of Listing 5.
@@ -64,7 +110,7 @@ pub fn gauss_iteration_flops() -> FlopCounts {
 /// using `system` for the exact screening survivor count.
 pub fn hartree_fock_cost(config: &HartreeFockConfig, system: &HeliumSystem) -> KernelCost {
     let nquartets = config.nquartets();
-    let survivors = surviving_quartets(&system.schwarz, config.screening_tol);
+    let survivors = system.schwarz_levels.survivors(config.screening_tol);
     let gauss_iters = survivors * u64::from(config.ngauss).pow(4);
 
     let launch = heuristics::hartree_fock_launch(nquartets);
@@ -99,10 +145,11 @@ pub fn hartree_fock_cost(config: &HartreeFockConfig, system: &HeliumSystem) -> K
 
 #[cfg(test)]
 mod tests {
+    use super::super::config::DEFAULT_SCREENING_TOL;
     use super::super::triangular::pair_count;
     use super::*;
 
-    /// Brute-force survivor count used to validate the two-pointer sweep.
+    /// Brute-force survivor count used to validate the level count.
     fn brute_force(schwarz: &[f64], tol: f64) -> u64 {
         let mut count = 0;
         for ij in 0..schwarz.len() {
@@ -121,13 +168,43 @@ mod tests {
             let config = HartreeFockConfig::validation(natoms);
             let system = HeliumSystem::generate(&config);
             for tol in [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1] {
+                let expected = brute_force(&system.schwarz, tol);
                 assert_eq!(
                     surviving_quartets(&system.schwarz, tol),
-                    brute_force(&system.schwarz, tol),
+                    expected,
+                    "natoms {natoms}, tol {tol}"
+                );
+                assert_eq!(
+                    system.schwarz_levels.survivors(tol),
+                    expected,
                     "natoms {natoms}, tol {tol}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn level_count_matches_slice_count_on_paper_systems() {
+        for natoms in [64u32, 128, 256] {
+            let config = HartreeFockConfig::paper(natoms, 3);
+            let system = HeliumSystem::generate(&config);
+            assert_eq!(
+                system.schwarz_levels.survivors(DEFAULT_SCREENING_TOL),
+                surviving_quartets(&system.schwarz, DEFAULT_SCREENING_TOL),
+                "natoms {natoms}"
+            );
+        }
+    }
+
+    #[test]
+    fn levels_merge_equal_factors_and_count_from_the_top() {
+        let levels = SchwarzLevels::from_weighted([(0.5, 2), (0.0, 1), (0.5, 1), (1.0, 4)]);
+        let values: Vec<(f64, u64, u64)> = levels
+            .as_slice()
+            .iter()
+            .map(|l| (l.value, l.count, l.at_or_above))
+            .collect();
+        assert_eq!(values, [(0.0, 1, 8), (0.5, 3, 7), (1.0, 4, 4)]);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! `ngauss = 3` and an extended even-tempered set for `ngauss = 6`.
 
 use super::config::HartreeFockConfig;
+use super::cost::SchwarzLevels;
 use super::triangular::{pair_count, pair_decode};
+use std::collections::HashMap;
 
 /// STO-3G exponents for helium.
 const HE_STO3G_EXPONENTS: [f64; 3] = [6.362_421_39, 1.158_923_0, 0.313_649_79];
@@ -33,6 +35,9 @@ pub struct HeliumSystem {
     pub dens: Vec<f64>,
     /// Schwarz screening factors per unique atom pair (length `npairs`).
     pub schwarz: Vec<f64>,
+    /// The distinct values of `schwarz` with their multiplicities, from
+    /// which the screening survivor count is taken.
+    pub schwarz_levels: SchwarzLevels,
 }
 
 impl HeliumSystem {
@@ -60,12 +65,13 @@ impl HeliumSystem {
         let (xpnt, coef) = basis(ngauss);
 
         // A plausible closed-shell density: strong on the diagonal, decaying
-        // off-diagonal (deterministic, so every implementation agrees).
-        let mut dens = vec![0.0; natoms * natoms];
+        // off-diagonal (deterministic, so every implementation agrees). An
+        // entry depends only on |i - j|, so each distinct value is divided
+        // out once.
+        let decay: Vec<f64> = (0..natoms).map(|k| 1.0 / (1.0 + k as f64)).collect();
+        let mut dens = Vec::with_capacity(natoms * natoms);
         for i in 0..natoms {
-            for j in 0..natoms {
-                dens[i * natoms + j] = 1.0 / (1.0 + (i as f64 - j as f64).abs());
-            }
+            dens.extend((0..natoms).map(|j| decay[i.abs_diff(j)]));
         }
 
         let mut system = HeliumSystem {
@@ -76,8 +82,9 @@ impl HeliumSystem {
             coef,
             dens,
             schwarz: Vec::new(),
+            schwarz_levels: SchwarzLevels::default(),
         };
-        system.schwarz = system.compute_schwarz();
+        (system.schwarz, system.schwarz_levels) = system.compute_schwarz();
         system
     }
 
@@ -118,7 +125,11 @@ impl HeliumSystem {
     /// integral involving that pair can reach, decaying with the pair's
     /// separation.
     pub fn schwarz_factor(&self, i: usize, j: usize) -> f64 {
-        let r2 = self.distance2(i, j);
+        self.schwarz_at(self.distance2(i, j))
+    }
+
+    /// Schwarz factor of a pair at squared distance `r2`.
+    fn schwarz_at(&self, r2: f64) -> f64 {
         let mut s = 0.0;
         for a in 0..self.ngauss {
             for b in 0..self.ngauss {
@@ -130,14 +141,30 @@ impl HeliumSystem {
         s.sqrt()
     }
 
-    fn compute_schwarz(&self) -> Vec<f64> {
-        let npairs = pair_count(self.natoms as u64) as usize;
-        let mut schwarz = vec![0.0; npairs];
-        for (index, value) in schwarz.iter_mut().enumerate() {
-            let (i, j) = pair_decode(index as u64);
-            *value = self.schwarz_factor(i as usize, j as usize);
+    /// Fills the Schwarz factor of every pair in `pair_encode` order and
+    /// collects the distinct values. A factor depends on its pair only
+    /// through the squared distance, and a lattice has few distinct
+    /// distances, so the factor is evaluated once per distinct `r2` bit
+    /// pattern and copied to every other pair at that distance: the same
+    /// function of the same bits, hence bitwise the per-pair result.
+    fn compute_schwarz(&self) -> (Vec<f64>, SchwarzLevels) {
+        let mut schwarz = Vec::with_capacity(pair_count(self.natoms as u64) as usize);
+        // r2 bits -> (factor, pairs at that distance).
+        let mut by_distance: HashMap<u64, (f64, u64)> = HashMap::new();
+        for j in 0..self.natoms {
+            for i in 0..=j {
+                let r2 = self.distance2(i, j);
+                let (factor, pairs) = by_distance
+                    .entry(r2.to_bits())
+                    .or_insert_with(|| (self.schwarz_at(r2), 0));
+                *pairs += 1;
+                schwarz.push(*factor);
+            }
         }
-        schwarz
+        (
+            schwarz,
+            SchwarzLevels::from_weighted(by_distance.into_values()),
+        )
     }
 }
 

@@ -23,7 +23,7 @@ mod triangular;
 pub mod workload;
 
 pub use config::{HartreeFockConfig, DEFAULT_SCREENING_TOL, MAX_FUNCTIONAL_NATOMS};
-pub use cost::{hartree_fock_cost, surviving_quartets};
+pub use cost::{hartree_fock_cost, surviving_quartets, SchwarzLevel, SchwarzLevels};
 pub use geometry::HeliumSystem;
 /// One body runs on every backend; `run_portable` and `run_vendor` are
 /// aliases of `run` for callers that name the backend.

@@ -14,14 +14,13 @@
 //!    Fock updates of Listing 5 — and compared against the CPU reference for
 //!    exactly those quartets;
 //! 4. the per-shard survivor fractions extrapolate to a whole-space survivor
-//!    estimate that is cross-checked against the exact
-//!    [`super::surviving_quartets`] two-pointer count.
+//!    estimate that is cross-checked against the exact survivor count taken
+//!    from the system's [`super::SchwarzLevels`].
 //!
 //! The work scales with the *sample* count, not the quartet count, so a
 //! 1024-atom functional validation finishes in seconds on the host.
 
 use super::config::HartreeFockConfig;
-use super::cost::surviving_quartets;
 use super::geometry::HeliumSystem;
 use super::reference::{quartet_eri, scatter_fock};
 use super::triangular::pair_decode;
@@ -112,7 +111,7 @@ pub struct SampledValidation {
     /// Survivor estimate for the whole quartet space, extrapolated from the
     /// per-shard sampled fractions.
     pub estimated_survivors: u64,
-    /// Exact survivor count from the two-pointer sweep.
+    /// Exact survivor count from the system's Schwarz levels.
     pub exact_survivors: u64,
     /// Maximum absolute device-vs-reference error over the sampled Fock
     /// contributions (the atomic-scatter path).
@@ -437,7 +436,7 @@ pub fn run_sampled_weighted(
         probed,
         executed: nsamples as u64,
         estimated_survivors,
-        exact_survivors: surviving_quartets(&system.schwarz, config.screening_tol),
+        exact_survivors: system.schwarz_levels.survivors(config.screening_tol),
         fock_max_abs_error,
         eri_max_abs_error,
     })

@@ -4,12 +4,14 @@
 use gpu_spec::Precision;
 use proptest::prelude::*;
 use science_kernels::framestream::{accumulate_frames, ACC_INIT};
-use science_kernels::hartree_fock::{pair_count, pair_decode, pair_encode, surviving_quartets};
+use science_kernels::hartree_fock::{
+    pair_count, pair_decode, pair_encode, surviving_quartets, HartreeFockConfig, HeliumSystem,
+};
 use science_kernels::jacobi::{solve_host, JacobiConfig};
 use science_kernels::minibude::{Atom, Deck, ForceFieldParam, MiniBudeConfig};
 use science_kernels::stencil7::{reference_laplacian, StencilConfig};
 
-/// Brute-force counterpart of the two-pointer screening count.
+/// Brute-force counterpart of the level-based screening count.
 fn brute_force_survivors(schwarz: &[f64], tol: f64) -> u64 {
     let mut count = 0;
     for ij in 0..schwarz.len() {
@@ -20,6 +22,17 @@ fn brute_force_survivors(schwarz: &[f64], tol: f64) -> u64 {
         }
     }
     count
+}
+
+/// A helium lattice configuration with arbitrary shape parameters.
+fn helium_config(natoms: u32, ngauss: u32, spacing: f64, screening_tol: f64) -> HartreeFockConfig {
+    HartreeFockConfig {
+        natoms,
+        ngauss,
+        spacing,
+        screening_tol,
+        validate: false,
+    }
 }
 
 proptest! {
@@ -35,7 +48,7 @@ proptest! {
         prop_assert_eq!(pair_decode(index), (i, j));
     }
 
-    /// The O(n log n) Schwarz survivor count equals the brute-force count for
+    /// The level-based Schwarz survivor count equals the brute-force count for
     /// arbitrary non-negative factor sets and thresholds.
     fn screening_count_matches_brute_force(
         factors in proptest::collection::vec(0.0f64..2.0, 1..80),
@@ -44,6 +57,56 @@ proptest! {
         prop_assert_eq!(
             surviving_quartets(&factors, tol),
             brute_force_survivors(&factors, tol)
+        );
+    }
+
+    /// A generated helium system equals the direct per-pair and per-entry
+    /// formulas bit for bit, although it evaluates each Schwarz factor once
+    /// per distinct distance and each density value once per |i - j|.
+    fn helium_system_matches_direct_formulas_bitwise(
+        natoms in 1u32..81,
+        ngauss in 1u32..7,
+        spacing in 0.5f64..4.0,
+    ) {
+        let system = HeliumSystem::generate(&helium_config(natoms, ngauss, spacing, 0.0));
+        let n = natoms as usize;
+        for j in 0..n {
+            for i in 0..=j {
+                prop_assert_eq!(
+                    system.schwarz[pair_encode(i as u64, j as u64) as usize].to_bits(),
+                    system.schwarz_factor(i, j).to_bits()
+                );
+            }
+        }
+        for i in 0..n {
+            for j in 0..n {
+                prop_assert_eq!(
+                    system.dens[i * n + j].to_bits(),
+                    (1.0 / (1.0 + (i as f64 - j as f64).abs())).to_bits()
+                );
+            }
+        }
+    }
+
+    /// A helium system's Schwarz levels are strictly ascending, cover every
+    /// pair once, and give the brute-force survivor count.
+    fn helium_schwarz_levels_count_like_brute_force(
+        natoms in 1u32..81,
+        ngauss in 1u32..7,
+        spacing in 0.5f64..4.0,
+        log_tol in -14.0f64..0.0,
+    ) {
+        let tol = 10f64.powf(log_tol);
+        let system = HeliumSystem::generate(&helium_config(natoms, ngauss, spacing, tol));
+        let levels = system.schwarz_levels.as_slice();
+        prop_assert!(levels.windows(2).all(|pair| pair[0].value < pair[1].value));
+        prop_assert_eq!(
+            levels.iter().map(|level| level.count).sum::<u64>(),
+            pair_count(u64::from(natoms))
+        );
+        prop_assert_eq!(
+            system.schwarz_levels.survivors(tol),
+            brute_force_survivors(&system.schwarz, tol)
         );
     }
 

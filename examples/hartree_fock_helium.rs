@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example hartree_fock_helium`.
 
-use mojo_hpc::kernels::hartree_fock::{self, surviving_quartets, HartreeFockConfig, HeliumSystem};
+use mojo_hpc::kernels::hartree_fock::{self, HartreeFockConfig, HeliumSystem};
 use mojo_hpc::vendor::Platform;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     for (natoms, ngauss) in HartreeFockConfig::paper_cases() {
         let config = HartreeFockConfig::paper(natoms, ngauss);
         let system = HeliumSystem::generate(&config);
-        let survivors = surviving_quartets(&system.schwarz, config.screening_tol);
+        let survivors = system.schwarz_levels.survivors(config.screening_tol);
         println!(
             "  a={natoms:>5}: {survivors:>16} of {:>16} quartets survive ({:.1}%)",
             config.nquartets(),
