@@ -8,6 +8,18 @@ use crate::workload::{
 };
 use gpu_sim::{istr, istr_fmt, PooledVec};
 
+/// Largest `atoms` either Hartree–Fock workload accepts. One point holds
+/// about `atoms²/2` Schwarz factors and an `atoms²` density matrix: 4096
+/// atoms peaks near 640 MiB resident and takes about a second, so a single
+/// sweep or `serve` request cannot exhaust the host. It also keeps the
+/// quartet count (≈ atoms⁴/8) far inside `u64`.
+pub const MAX_ATOMS: u64 = 4096;
+
+/// Largest `samples` the sampled workload accepts. A probe costs about
+/// 28 µs on the host, so 2²⁰ probes bound one point near 30 s. `shards` may
+/// not exceed `samples`, which also bounds the per-shard tables.
+pub const MAX_SAMPLES: u64 = 1 << 20;
+
 /// Resolves the `ngauss` parameter: `0` (the default) selects the paper's
 /// pairing of 6 Gaussians at 1024+ atoms and 3 below.
 pub fn resolve_ngauss(atoms: u64, ngauss: u64) -> u32 {
@@ -41,10 +53,10 @@ fn shared_params(default_atoms: u64) -> Vec<ParamSpec> {
 }
 
 fn validate_shared(params: &Params) -> Result<(), WorkloadError> {
-    // The atom ceiling keeps nquartets ≈ atoms⁴/8 inside u64; the ngauss
-    // bound is checked before the decoder's u32 cast so oversized values
-    // are rejected, not truncated (ngauss=0 means the paper pairing).
-    check_int_range(params, "atoms", 1, 1 << 16)?;
+    // The ngauss bound is checked before the decoder's u32 cast so
+    // oversized values are rejected, not truncated (ngauss=0 means the
+    // paper pairing).
+    check_int_range(params, "atoms", 1, MAX_ATOMS)?;
     check_int_range(params, "ngauss", 0, 64)?;
     Ok(())
 }
@@ -143,8 +155,8 @@ impl Workload for HartreeFockSampledWorkload {
 
     fn validate(&self, params: &Params) -> Result<(), WorkloadError> {
         validate_shared(params)?;
-        check_int_range(params, "samples", 1, 1 << 32)?;
-        check_int_range(params, "shards", 1, 1 << 32)?;
+        check_int_range(params, "samples", 1, MAX_SAMPLES)?;
+        check_int_range(params, "shards", 1, params.int("samples"))?;
         Ok(())
     }
 
@@ -225,10 +237,21 @@ mod tests {
 
     #[test]
     fn sampled_validation_rejects_zero_counts() {
-        for bad in ["samples=0", "shards=0"] {
+        // Zero counts, and counts large enough to exhaust the host.
+        for bad in [
+            "samples=0",
+            "shards=0",
+            "atoms=4097",
+            "samples=1048577",
+            "samples=64,shards=65",
+            "shards=4294967296",
+        ] {
             let mut params = HartreeFockSampledWorkload.default_params();
             params.apply_encoding(bad).unwrap();
-            assert!(HartreeFockSampledWorkload.validate(&params).is_err());
+            assert!(
+                HartreeFockSampledWorkload.validate(&params).is_err(),
+                "{bad}"
+            );
         }
     }
 
@@ -236,8 +259,13 @@ mod tests {
     fn out_of_range_counts_are_rejected_before_any_truncating_cast() {
         // ngauss = 2^32 would truncate to 0 (and 2^32 + 3 to 3) in the u32
         // cast, silently running a different basis than the label claims;
-        // atoms beyond the ceiling would overflow the quartet count.
-        for bad in ["ngauss=4294967296", "ngauss=4294967299", "atoms=100000"] {
+        // atoms beyond the ceiling would exhaust the host's memory.
+        for bad in [
+            "ngauss=4294967296",
+            "ngauss=4294967299",
+            "atoms=100000",
+            "atoms=4097",
+        ] {
             let mut params = HartreeFockWorkload.default_params();
             params.apply_encoding(bad).unwrap();
             assert!(HartreeFockWorkload.validate(&params).is_err(), "{bad}");

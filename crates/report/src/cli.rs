@@ -6,12 +6,11 @@
 //!   registered workload with its tunable parameters and defaults;
 //! * `run --all | <experiment>…` — regenerate experiments (renders to
 //!   stdout, CSV or JSON files under `--out DIR`, `--format csv|json`);
-//! * `run hartree-fock --atoms N` — sharded/sampled functional validation of
-//!   the Hartree–Fock kernel at any system size;
 //! * `sweep <workload> --sizes a,b,c` — run any registered workload at
 //!   custom problem sizes (with optional `key=value` parameter overrides);
 //!   `--preset-out FILE` saves the resolved configuration, `--preset FILE`
-//!   replays one;
+//!   replays one (`sweep hartree-fock-sampled` is the sharded, sampled
+//!   functional validation of the Hartree–Fock kernel up to 4096 atoms);
 //! * `shard (run|sweep) … --workers N` — coordinator: spawn `N` worker
 //!   subprocesses of this binary, one shard each, and merge their partial
 //!   JSON documents into output byte-identical to a single-process run
@@ -20,8 +19,8 @@
 //!   command's work items and print a partial-report shard document;
 //! * `serve --listen HOST:PORT` — the always-on TCP report service: caches
 //!   results under the stable `Params` encoding, coalesces identical
-//!   concurrent requests single-flight, and spills big sweeps through the
-//!   launcher layer (protocol: DESIGN.md §13);
+//!   concurrent requests single-flight, and runs a request's missing points
+//!   on the pool like `sweep` does (protocol: DESIGN.md §13);
 //! * `diff <dir-a> <dir-b>` — byte-compare the `.csv` and `.json` report
 //!   files of two directories.
 //!
@@ -37,14 +36,10 @@ use crate::report::ExperimentReport;
 use crate::serve::{self, ServeConfig};
 use crate::shard::{self, ShardDocument, ShardManifest, ShardPoolCounters, ShardSpec};
 use crate::sweep::{run_sweep, SweepSpec};
-use hpc_metrics::output::{self, CsvTable};
-use science_kernels::hartree_fock::{
-    run_sampled, HartreeFockConfig, SampledValidation, DEFAULT_SAMPLES, DEFAULT_SHARDS,
-};
+use hpc_metrics::output;
 use science_kernels::workload;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use vendor_models::Platform;
 
 /// Output rendering of `run` and `sweep`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,8 +69,6 @@ pub enum Command {
     List,
     /// `run`: regenerate experiments.
     Run(RunArgs),
-    /// `run hartree-fock`: sampled functional validation.
-    RunHartreeFock(HartreeFockArgs),
     /// `sweep`: run a workload at custom sizes.
     Sweep(SweepArgs),
     /// `shard`: spawn worker subprocesses and merge their shard documents.
@@ -186,24 +179,6 @@ pub struct ShardArgs {
     pub inner: Box<Command>,
 }
 
-/// Arguments of `run hartree-fock`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HartreeFockArgs {
-    /// Helium atom count.
-    pub atoms: u32,
-    /// Gaussian primitives per atom (paper pairing by default: 6 at 1024
-    /// atoms, 3 otherwise).
-    pub ngauss: Option<u32>,
-    /// Total sampled probes across the quartet space.
-    pub samples: u64,
-    /// Shard count of the quartet space.
-    pub shards: u64,
-    /// CSV output directory (`target/experiments` when absent).
-    pub out: Option<PathBuf>,
-    /// Worker-thread override applied before the pool starts.
-    pub threads: Option<usize>,
-}
-
 /// The usage text printed on `help` and usage errors.
 pub fn usage() -> &'static str {
     "mojo-hpc — regenerate the paper's experiments and validate the kernels
@@ -212,8 +187,6 @@ USAGE:
   mojo-hpc list
   mojo-hpc run (--all | <experiment>...) [--out DIR] [--threads N]
                             [--format csv|json] [--shard I/N]
-  mojo-hpc run hartree-fock --atoms N [--ngauss G] [--sample N] [--shards N]
-                            [--out DIR] [--threads N]
   mojo-hpc sweep <workload> --sizes A,B,C [key=value ...] [--out DIR]
                             [--threads N] [--format csv|json] [--shard I/N]
                             [--preset-out FILE]
@@ -223,9 +196,7 @@ USAGE:
                             [--launcher local|template|slurm] [--hosts FILE]
                             [--timeout SECS] [--max-attempts N] [--speculate]
   mojo-hpc serve --listen HOST:PORT [--threads N] [--cache-entries N]
-                            [--cache-bytes N] [--spill-threshold N]
-                            [--spill-workers N] [--spill-timeout SECS]
-                            [--scratch DIR]
+                            [--cache-bytes N] [--scratch DIR]
   mojo-hpc diff <dir-a> <dir-b>
   mojo-hpc help
 
@@ -235,8 +206,10 @@ Experiment and sweep renderings go to stdout (byte-identical at every
 names every workload with its tunable parameters and defaults; `--sizes`
 sweeps the workload's size parameter and `key=value` pins any other.
 `--preset-out` saves a resolved sweep configuration to a file; `--preset`
-replays it. `run` and `sweep` report the buffer-pool's hit rate and traffic
-on stderr after each invocation.
+replays it. `sweep hartree-fock-sampled` validates the Hartree-Fock kernel
+functionally up to 4096 atoms by sharded, sampled quartet probes. `run`
+and `sweep` report the buffer-pool's hit rate and traffic on stderr after
+each invocation.
 
 SCALE-OUT (DESIGN.md \u{a7}10): `mojo-hpc shard run|sweep ... --workers N`
 spawns N worker subprocesses of this binary, partitions the command's work
@@ -263,11 +236,10 @@ always-on TCP service speaking line-delimited JSON: one request per line
 line per response, followed (for run/sweep) by a payload byte-identical to
 that subcommand's stdout. Results are cached in an LRU keyed on the stable
 Params encoding (bounded by --cache-entries / --cache-bytes); identical
-concurrent requests coalesce onto a single computation; sweeps with at
-least --spill-threshold points dispatch through the launcher layer
-(--spill-workers subprocesses, optional --spill-timeout). The bound address
-is announced on stderr; `stats` reports cache, single-flight and
-buffer-pool counters.
+concurrent requests coalesce onto a single computation; the points a sweep
+still needs run in parallel on the worker pool, as `sweep` runs them.
+`--scratch DIR` is accepted and ignored. The bound address is announced on
+stderr; `stats` reports cache, single-flight and buffer-pool counters.
 
 EXIT CODES:
   0  success / directories identical
@@ -316,8 +288,8 @@ fn two_paths(subcommand: &str, rest: &[&str]) -> Result<[PathBuf; 2], String> {
 }
 
 /// Parses `serve --listen ADDR [--threads N] [--cache-entries N]
-/// [--cache-bytes N] [--spill-threshold N] [--spill-workers N]
-/// [--spill-timeout SECS] [--scratch DIR]`.
+/// [--cache-bytes N] [--scratch DIR]`. `--scratch` takes a value and has no
+/// effect: serve writes no files, and existing scripts still pass the flag.
 fn parse_serve(rest: &[&str]) -> Result<Command, String> {
     let mut listen = None;
     let mut config = ServeConfig::new("");
@@ -336,30 +308,8 @@ fn parse_serve(rest: &[&str]) -> Result<Command, String> {
                 config.cache_bytes =
                     parse_number("--cache-bytes", flag_value("--cache-bytes", &mut args)?)?
             }
-            "--spill-threshold" => {
-                config.spill_threshold = parse_number(
-                    "--spill-threshold",
-                    flag_value("--spill-threshold", &mut args)?,
-                )?
-            }
-            "--spill-workers" => {
-                let workers: u64 =
-                    parse_number("--spill-workers", flag_value("--spill-workers", &mut args)?)?;
-                if workers == 0 {
-                    return Err("--spill-workers must be at least 1".to_string());
-                }
-                config.spill_workers = workers;
-            }
-            "--spill-timeout" => {
-                let secs: f64 =
-                    parse_number("--spill-timeout", flag_value("--spill-timeout", &mut args)?)?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--spill-timeout must be a positive number of seconds".to_string());
-                }
-                config.spill_timeout = Some(secs);
-            }
             "--scratch" => {
-                config.scratch = Some(PathBuf::from(flag_value("--scratch", &mut args)?))
+                flag_value("--scratch", &mut args)?;
             }
             other => return Err(format!("unknown 'serve' argument '{other}'")),
         }
@@ -418,9 +368,6 @@ fn check_shard_format(
 }
 
 fn parse_run(rest: &[&str]) -> Result<Command, String> {
-    if rest.first() == Some(&"hartree-fock") {
-        return parse_run_hartree_fock(&rest[1..]);
-    }
     let mut ids = Vec::new();
     let mut all = false;
     let mut out = None;
@@ -637,54 +584,8 @@ fn parse_shard(rest: &[&str]) -> Result<Command, String> {
             speculate,
             inner: Box::new(inner),
         })),
-        _ => Err("'shard' wraps 'run' or 'sweep' (run hartree-fock shards internally)".to_string()),
+        _ => Err("'shard' wraps 'run' or 'sweep'".to_string()),
     }
-}
-
-fn parse_run_hartree_fock(rest: &[&str]) -> Result<Command, String> {
-    let mut atoms = None;
-    let mut ngauss = None;
-    let mut samples = DEFAULT_SAMPLES;
-    let mut shards = DEFAULT_SHARDS;
-    let mut out = None;
-    let mut threads = None;
-    let mut args = rest.iter().copied();
-    while let Some(arg) = args.next() {
-        match arg {
-            "--atoms" => atoms = Some(parse_number("--atoms", flag_value("--atoms", &mut args)?)?),
-            "--ngauss" => {
-                ngauss = Some(parse_number(
-                    "--ngauss",
-                    flag_value("--ngauss", &mut args)?,
-                )?)
-            }
-            "--sample" => {
-                samples = parse_number("--sample", flag_value("--sample", &mut args)?)?;
-            }
-            "--shards" => shards = parse_number("--shards", flag_value("--shards", &mut args)?)?,
-            "--out" => out = Some(PathBuf::from(flag_value("--out", &mut args)?)),
-            "--threads" => threads = Some(parse_threads(flag_value("--threads", &mut args)?)?),
-            other => return Err(format!("unknown 'run hartree-fock' argument '{other}'")),
-        }
-    }
-    let atoms = atoms.ok_or_else(|| "'run hartree-fock' needs --atoms N".to_string())?;
-    if atoms == 0 {
-        return Err("--atoms must be at least 1".to_string());
-    }
-    if samples == 0 {
-        return Err("--sample must be at least 1".to_string());
-    }
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
-    Ok(Command::RunHartreeFock(HartreeFockArgs {
-        atoms,
-        ngauss,
-        samples,
-        shards,
-        out,
-        threads,
-    }))
 }
 
 /// Applies a `--threads` override. Must run before the first parallel call
@@ -721,7 +622,6 @@ pub fn execute(command: &Command) -> i32 {
             0
         }
         Command::Run(args) => execute_run(args),
-        Command::RunHartreeFock(args) => execute_hartree_fock(args),
         Command::Sweep(args) => execute_sweep(args),
         Command::Shard(args) => execute_shard(args),
         Command::Serve(config) => execute_serve(config),
@@ -1273,81 +1173,6 @@ fn execute_shard_sweep(shard_args: &ShardArgs, args: &SweepArgs) -> i32 {
     0
 }
 
-/// Renders a sampled Hartree–Fock validation the way experiments render:
-/// deterministic text on stdout plus a per-shard CSV table.
-fn render_sampled(report: &SampledValidation) -> (String, CsvTable) {
-    let mut text = String::new();
-    text.push_str(&format!(
-        "=== hartree-fock — sampled functional validation (natoms = {}, ngauss = {}) ===\n",
-        report.natoms, report.ngauss
-    ));
-    text.push_str(&format!(
-        "quartets {}  shards {}  probed {}  executed {}\n",
-        report.nquartets,
-        report.shards.len(),
-        report.probed,
-        report.executed
-    ));
-    text.push_str(&format!(
-        "survivors: exact {}  estimated {}  (estimate error {:.2}%)\n",
-        report.exact_survivors,
-        report.estimated_survivors,
-        report.survivor_estimate_error() * 100.0
-    ));
-    text.push_str(&format!(
-        "max abs error: eri {:.3e}  fock {:.3e}\n",
-        report.eri_max_abs_error, report.fock_max_abs_error
-    ));
-    let mut table = CsvTable::new([
-        "shard",
-        "start",
-        "end",
-        "probed",
-        "surviving",
-        "estimated_survivors",
-        "max_abs_error",
-    ]);
-    for shard in &report.shards {
-        table.push_row([
-            shard.shard.to_string(),
-            shard.start.to_string(),
-            shard.end.to_string(),
-            shard.probed.to_string(),
-            shard.surviving.to_string(),
-            shard.estimated_survivors().to_string(),
-            format!("{:.3e}", shard.max_abs_error),
-        ]);
-    }
-    (text, table)
-}
-
-fn execute_hartree_fock(args: &HartreeFockArgs) -> i32 {
-    apply_threads(args.threads);
-    let ngauss = args
-        .ngauss
-        .unwrap_or(if args.atoms >= 1024 { 6 } else { 3 });
-    let config = HartreeFockConfig::paper(args.atoms, ngauss);
-    let platform = Platform::portable_h100();
-    match run_sampled(&platform, &config, args.samples, args.shards) {
-        Ok(report) => {
-            let (text, table) = render_sampled(&report);
-            print!("{text}");
-            let out_dir = args.out.clone().unwrap_or_else(output::experiments_dir);
-            let path = out_dir.join(format!("hartree_fock_sampled_{}_shards.csv", report.natoms));
-            if let Err(err) = table.write_to(&path) {
-                eprintln!("failed to write {}: {err}", path.display());
-                return 1;
-            }
-            eprintln!("  [csv] {}", path.display());
-            0
-        }
-        Err(err) => {
-            eprintln!("hartree-fock sampled validation failed: {err}");
-            1
-        }
-    }
-}
-
 /// Byte-compares the `.csv` and `.json` report files of two directories,
 /// naming the first differing row (CSV) or line (JSON) of each mismatched
 /// file.
@@ -1465,12 +1290,10 @@ mod tests {
             Command::Run(args) => assert_eq!(args.ids.len(), ExperimentId::ALL.len()),
             other => panic!("unexpected {other:?}"),
         }
-        match parse_line("run hartree-fock --atoms 1024 --sample 512 --shards 8").unwrap() {
-            Command::RunHartreeFock(args) => {
-                assert_eq!(args.atoms, 1024);
-                assert_eq!(args.samples, 512);
-                assert_eq!(args.shards, 8);
-                assert_eq!(args.ngauss, None);
+        match parse_line("serve --listen 127.0.0.1:0 --cache-entries 8 --scratch d").unwrap() {
+            Command::Serve(config) => {
+                assert_eq!(config.listen, "127.0.0.1:0");
+                assert_eq!(config.cache_entries, 8);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1675,9 +1498,8 @@ mod tests {
         assert!(parse_line("run --all table4").is_err());
         assert!(parse_line("run --threads").is_err());
         assert!(parse_line("run --all --threads 0").is_err());
-        assert!(parse_line("run hartree-fock --atoms 64 --threads 0").is_err());
-        assert!(parse_line("run hartree-fock").is_err());
-        assert!(parse_line("run hartree-fock --atoms zero").is_err());
+        assert!(parse_line("serve").is_err());
+        assert!(parse_line("serve --listen 127.0.0.1:0 --scratch").is_err());
         assert!(parse_line("diff onlyone").is_err());
         assert!(parse_line("list extra").is_err());
     }

@@ -5,20 +5,34 @@
 //! compute source wants the opposite shape — a persistent daemon that
 //! multiplexes concurrent clients, remembers what it already computed, and
 //! collapses request spikes onto single computations. `serve` is that
-//! daemon, built from three existing pieces:
+//! daemon, built from two existing pieces:
 //!
 //! * **The work-stealing pool.** Each connection runs on its own thread and
-//!   computes through the same `rayon`-shim pool `run`/`sweep` use, so the
-//!   kernels parallelise identically under the server.
+//!   computes through the same `rayon`-shim pool `run`/`sweep` use. The
+//!   experiments or sweep points one request still needs run in one
+//!   `par_iter`, exactly as the CLI runs them.
 //! * **The stable `Params` encoding.** `Params::encode()` renders a total,
 //!   spec-ordered `key=value,…` string — a content address. Completed
 //!   results land in an LRU cache keyed on it (plus the experiment id for
 //!   registry runs), bounded by entry count and estimated bytes.
-//! * **The launcher layer.** A sweep request with at least
-//!   `--spill-threshold` points is dispatched through
-//!   [`crate::dispatch`]'s supervised worker subprocesses instead of the
-//!   in-process pool, reusing its retry/timeout policy, and the shard merge
-//!   guarantees the response still matches the single-process bytes.
+//!
+//! # Single-flight without waiting inside the pool
+//!
+//! A request resolves its cache units in four steps, and does all of the
+//! flight bookkeeping on its connection thread:
+//!
+//! 1. take the units that are in the cache;
+//! 2. claim the leadership of every missing unit no other request is
+//!    computing;
+//! 3. compute the claimed units in one `par_iter` of pure computations;
+//! 4. publish them, and only then wait for the units other requests lead.
+//!
+//! No pool task ever waits on a flight. The shim's `wait_with_help` runs
+//! slots from any deque, so a flight wait inside the pool could sit beneath
+//! another request's claimed work and close the cross-key cycle that
+//! `science_kernels::cache` describes. Because every request publishes
+//! before it waits, two requests that lead each other's units never wait
+//! on each other either.
 //!
 //! # Protocol
 //!
@@ -47,21 +61,21 @@
 //! single-flight (followers wait for the leader's result instead of
 //! recomputing), counted separately in `stats`.
 //!
-//! The [`SERVE_SLOW_MS_ENV`] environment variable makes every computation
-//! sleep first — the chaos seam the stress suite uses to hold many
+//! The [`SERVE_SLOW_MS_ENV`] environment variable makes every computing
+//! request sleep first — the chaos seam the stress suite uses to hold many
 //! identical requests in flight and prove exactly one computation runs.
 
-use crate::dispatch::{self, DispatchPolicy, Launcher, LocalLauncher};
 use crate::registry::{run_experiment, ExperimentId};
 use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, ExperimentReport};
-use crate::shard::{self, ShardPoolCounters};
+use crate::shard::ShardPoolCounters;
 use crate::sweep::{render_sweep, SweepSpec};
+use rayon::prelude::*;
 use science_kernels::workload::{self, Measurement, WorkloadOutput};
 use serde::value::Value;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -69,7 +83,7 @@ use std::time::Duration;
 
 /// Environment variable holding a per-computation delay in milliseconds —
 /// the serve-layer chaos seam (analogous to `MOJO_HPC_CHAOS` for workers).
-/// The leader of each single-flight sleeps this long before computing, so a
+/// A request that leads any flight sleeps this long before computing, so a
 /// test can pile identical requests onto one in-flight computation.
 pub const SERVE_SLOW_MS_ENV: &str = "MOJO_HPC_SERVE_SLOW_MS";
 
@@ -78,9 +92,6 @@ pub const DEFAULT_CACHE_ENTRIES: usize = 1024;
 
 /// Default bound on the cache's estimated resident bytes (64 MiB).
 pub const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
-
-/// Default worker count of the spill lane.
-pub const DEFAULT_SPILL_WORKERS: u64 = 4;
 
 /// Longest request line the server reads (1 MiB, not counting the
 /// newline). A longer line is answered with an error and its connection is
@@ -99,17 +110,6 @@ pub struct ServeConfig {
     pub cache_entries: usize,
     /// Maximum estimated bytes of cached results.
     pub cache_bytes: u64,
-    /// A sweep with at least this many points dispatches through the
-    /// launcher layer instead of the in-process pool (0 disables spilling).
-    pub spill_threshold: usize,
-    /// Worker subprocesses of a spilled sweep (capped at the point count).
-    pub spill_workers: u64,
-    /// Per-attempt wall-clock timeout of spilled workers, in seconds.
-    pub spill_timeout: Option<f64>,
-    /// Directory for spill preset files (default `target/experiments`; kept
-    /// out of the shared temp dir — a predictable path in a world-writable
-    /// directory would be open to symlink games by other local users).
-    pub scratch: Option<PathBuf>,
 }
 
 impl ServeConfig {
@@ -120,10 +120,6 @@ impl ServeConfig {
             threads: None,
             cache_entries: DEFAULT_CACHE_ENTRIES,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            spill_threshold: 0,
-            spill_workers: DEFAULT_SPILL_WORKERS,
-            spill_timeout: None,
-            scratch: None,
         }
     }
 }
@@ -132,8 +128,7 @@ impl ServeConfig {
 /// waiters, and response rendering.
 #[derive(Clone)]
 enum CachedValue {
-    /// One registry experiment's report (also a spilled sweep's merged
-    /// report, which arrives pre-rendered from the shard merge).
+    /// One registry experiment's report.
     Report(Arc<ExperimentReport>),
     /// One sweep point's measurement rows, keyed on the point's full
     /// `Params` encoding.
@@ -269,9 +264,23 @@ struct Flight {
     cv: Condvar,
 }
 
+impl Flight {
+    fn publish(&self, result: Result<CachedValue, String>) {
+        *lock(&self.done) = Some(result);
+        self.cv.notify_all();
+    }
+
+    fn wait(&self) -> Result<CachedValue, String> {
+        let mut done = lock(&self.done);
+        while done.is_none() {
+            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
+        }
+        done.clone().expect("loop exits only when set")
+    }
+}
+
 /// Shared state of a running server.
 struct ServeState {
-    config: ServeConfig,
     /// The bound address (used by `shutdown` to wake the acceptor).
     addr: SocketAddr,
     cache: Mutex<ResultCache>,
@@ -280,15 +289,11 @@ struct ServeState {
     computed: AtomicU64,
     /// Requests that waited on another request's in-flight computation.
     coalesced: AtomicU64,
-    /// Sweeps dispatched through the launcher layer.
-    spilled: AtomicU64,
     /// Requests handled (any verb).
     requests: AtomicU64,
     /// Requests answered with an error status.
     errors: AtomicU64,
     shutdown: AtomicBool,
-    /// Sequence for unique spill preset file names.
-    spill_seq: AtomicU64,
     /// Pool counters at server start (`stats` reports the delta).
     pool_baseline: gpu_sim::PoolStats,
 }
@@ -300,19 +305,16 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl ServeState {
-    fn new(config: ServeConfig, addr: SocketAddr) -> ServeState {
+    fn new(config: &ServeConfig, addr: SocketAddr) -> ServeState {
         ServeState {
             cache: Mutex::new(ResultCache::new(config.cache_entries, config.cache_bytes)),
-            config,
             addr,
             flights: Mutex::new(HashMap::new()),
             computed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            spilled: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            spill_seq: AtomicU64::new(0),
             pool_baseline: gpu_sim::pool::stats(),
         }
     }
@@ -329,64 +331,87 @@ fn chaos_slow() {
     }
 }
 
-/// Returns `key`'s value from the cache, or computes it exactly once across
-/// every concurrent request for the same key (single-flight): the first
-/// requester leads and computes, later requesters wait on the leader's
-/// [`Flight`] and share its result. The boolean is true when the value came
-/// straight out of the cache.
-fn get_or_compute<F>(
-    state: &ServeState,
-    key: &str,
-    compute: F,
-) -> Result<(CachedValue, bool), String>
-where
-    F: FnOnce() -> Result<CachedValue, String>,
-{
-    if let Some(value) = lock(&state.cache).get(key) {
-        return Ok((value, true));
-    }
-    let (flight, leader) = {
-        let mut flights = lock(&state.flights);
-        match flights.get(key) {
-            Some(flight) => (Arc::clone(flight), false),
-            None => {
-                let flight = Arc::new(Flight::default());
-                flights.insert(key.to_string(), Arc::clone(&flight));
-                (flight, true)
-            }
-        }
-    };
-    if leader {
-        // A flight that completed between our cache miss and our
-        // registration has already populated the cache; don't recompute.
-        let cached = lock(&state.cache).get(key);
-        let result = match cached {
-            Some(value) => Ok(value),
-            None => {
-                chaos_slow();
-                state.computed.fetch_add(1, Ordering::SeqCst);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute))
-                    .unwrap_or_else(|_| Err("computation panicked".to_string()));
-                if let Ok(value) = &result {
-                    lock(&state.cache).insert(key, value.clone());
-                }
-                result
-            }
-        };
-        *lock(&flight.done) = Some(result.clone());
-        flight.cv.notify_all();
-        lock(&state.flights).remove(key);
-        result.map(|value| (value, false))
-    } else {
+/// Where one cache unit of a request stands (see "Single-flight without
+/// waiting inside the pool" in the module docs).
+enum Claim {
+    /// Resolved: a cache hit, or a computation this request led and
+    /// published.
+    Done(Result<CachedValue, String>),
+    /// This request leads the unit's flight and computes it.
+    Lead(Arc<Flight>),
+    /// Another request leads the unit's flight (or this request named the
+    /// unit twice); it is awaited only after this request has published.
+    Follow(Arc<Flight>),
+}
+
+/// Claims `key` for one request. The cache is read under the flights lock,
+/// and a leader fills the cache before it drops its flight, so a unit whose
+/// flight just finished is a hit, never a second computation.
+fn claim(state: &ServeState, key: &str) -> Claim {
+    let mut flights = lock(&state.flights);
+    if let Some(flight) = flights.get(key) {
         state.coalesced.fetch_add(1, Ordering::SeqCst);
-        let mut done = lock(&flight.done);
-        while done.is_none() {
-            done = flight.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
-        }
-        done.clone()
-            .expect("loop exits only when set")
-            .map(|value| (value, false))
+        return Claim::Follow(Arc::clone(flight));
     }
+    if let Some(value) = lock(&state.cache).get(key) {
+        return Claim::Done(Ok(value));
+    }
+    let flight = Arc::new(Flight::default());
+    flights.insert(key.to_string(), Arc::clone(&flight));
+    Claim::Lead(flight)
+}
+
+/// Resolves the cache units `keys` of one request, computing each missing
+/// unit with `compute(index)` exactly once across every concurrent request
+/// (single-flight). The led units run in one `par_iter`; `compute` must not
+/// wait on a flight. Returns the values in `keys` order, and whether every
+/// one came straight out of the cache.
+fn resolve<F>(
+    state: &ServeState,
+    keys: &[String],
+    compute: F,
+) -> Result<(Vec<CachedValue>, bool), String>
+where
+    F: Fn(usize) -> Result<CachedValue, String> + Sync,
+{
+    let mut claims: Vec<Claim> = keys.iter().map(|key| claim(state, key)).collect();
+    let all_cached = claims.iter().all(|c| matches!(c, Claim::Done(_)));
+    let leads: Vec<usize> = (0..keys.len())
+        .filter(|&i| matches!(claims[i], Claim::Lead(_)))
+        .collect();
+    if !leads.is_empty() {
+        chaos_slow();
+        state
+            .computed
+            .fetch_add(leads.len() as u64, Ordering::SeqCst);
+    }
+    let results: Vec<Result<CachedValue, String>> = leads
+        .par_iter()
+        .map(|&i| {
+            catch_unwind(AssertUnwindSafe(|| compute(i)))
+                .unwrap_or_else(|_| Err("computation panicked".to_string()))
+        })
+        .collect();
+    for (&i, result) in leads.iter().zip(results) {
+        let Claim::Lead(flight) = &claims[i] else {
+            unreachable!("leads indexes Lead claims")
+        };
+        if let Ok(value) = &result {
+            lock(&state.cache).insert(&keys[i], value.clone());
+        }
+        flight.publish(result.clone());
+        lock(&state.flights).remove(&keys[i]);
+        claims[i] = Claim::Done(result);
+    }
+    let values = claims
+        .into_iter()
+        .map(|claim| match claim {
+            Claim::Done(result) => result,
+            Claim::Follow(flight) => flight.wait(),
+            Claim::Lead(_) => unreachable!("every led unit was published"),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((values, all_cached))
 }
 
 /// A parsed protocol request.
@@ -542,19 +567,21 @@ impl Reply {
 /// (or computed once under single-flight), rendered exactly as
 /// `mojo-hpc run … --format …` prints them on stdout.
 fn run_body(state: &ServeState, ids: &[ExperimentId], format: BodyFormat) -> Result<Reply, String> {
-    let mut reports = Vec::with_capacity(ids.len());
-    let mut all_cached = true;
-    for id in ids {
-        let key = format!("run:{}", id.as_str());
-        let (value, from_cache) = get_or_compute(state, &key, || {
-            Ok(CachedValue::Report(Arc::new(run_experiment(*id))))
-        })?;
-        all_cached &= from_cache;
-        match value {
-            CachedValue::Report(report) => reports.push(report),
-            CachedValue::Rows(_) => return Err(format!("cache key '{key}' holds sweep rows")),
-        }
-    }
+    let keys: Vec<String> = ids
+        .iter()
+        .map(|id| format!("run:{}", id.as_str()))
+        .collect();
+    let (values, all_cached) = resolve(state, &keys, |i| {
+        Ok(CachedValue::Report(Arc::new(run_experiment(ids[i]))))
+    })?;
+    let reports = values
+        .into_iter()
+        .zip(&keys)
+        .map(|(value, key)| match value {
+            CachedValue::Report(report) => Ok(report),
+            CachedValue::Rows(_) => Err(format!("cache key '{key}' holds sweep rows")),
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let body = match format {
         BodyFormat::Json => {
             // The `render_json_array` bytes, built from the shared reports.
@@ -571,10 +598,10 @@ fn run_body(state: &ServeState, ids: &[ExperimentId], format: BodyFormat) -> Res
     Ok(Reply::payload(all_cached, body))
 }
 
-/// Computes a `sweep` response body. Small sweeps run per-point on the
-/// in-process pool with each point cached under its full `Params` encoding;
-/// sweeps with at least `spill_threshold` points dispatch through the
-/// launcher layer as one supervised fan-out, cached whole.
+/// Computes a `sweep` response body. Each point is one cache unit keyed on
+/// its full `Params` encoding, so overlapping sweeps share points; the
+/// missing points run concurrently on the pool, as `mojo-hpc sweep` runs
+/// them.
 fn sweep_body(
     state: &ServeState,
     name: &str,
@@ -589,101 +616,40 @@ fn sweep_body(
         )
     })?;
     let spec = SweepSpec::new(engine, overrides, sizes.to_vec()).map_err(|e| e.to_string())?;
-    let threshold = state.config.spill_threshold;
-    let (report, all_cached) = if threshold > 0 && spec.sizes.len() >= threshold {
-        let key = format!(
-            "sweep:{}:{}:{}",
-            engine.name(),
-            spec.base.encode(),
-            spec.sizes
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let (value, from_cache) = get_or_compute(state, &key, || {
-            spill_sweep(state, &spec).map(|report| CachedValue::Report(Arc::new(report)))
-        })?;
-        match value {
-            CachedValue::Report(report) => (report, from_cache),
-            CachedValue::Rows(_) => return Err(format!("cache key '{key}' holds sweep rows")),
-        }
-    } else {
-        let mut outputs = Vec::with_capacity(spec.sizes.len());
-        let mut all_cached = true;
-        for &size in &spec.sizes {
-            let point = spec.point(size).map_err(|e| e.to_string())?;
-            let key = format!("point:{}:{}", engine.name(), point.encode());
-            let (value, from_cache) = get_or_compute(state, &key, || {
-                let output = engine.run(&point).map_err(|e| e.to_string())?;
-                Ok(CachedValue::Rows(Arc::new(
-                    output.measurements.iter().cloned().collect(),
-                )))
-            })?;
-            all_cached &= from_cache;
-            let rows = match value {
-                CachedValue::Rows(rows) => rows,
-                CachedValue::Report(_) => return Err(format!("cache key '{key}' holds a report")),
-            };
-            outputs.push(WorkloadOutput {
-                params: point,
+    let points = spec
+        .sizes
+        .iter()
+        .map(|&size| spec.point(size))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let keys: Vec<String> = points
+        .iter()
+        .map(|point| format!("point:{}:{}", engine.name(), point.encode()))
+        .collect();
+    let (values, all_cached) = resolve(state, &keys, |i| {
+        let output = engine.run(&points[i]).map_err(|e| e.to_string())?;
+        Ok(CachedValue::Rows(Arc::new(
+            output.measurements.iter().cloned().collect(),
+        )))
+    })?;
+    let outputs = points
+        .into_iter()
+        .zip(values)
+        .zip(&keys)
+        .map(|((params, value), key)| match value {
+            CachedValue::Rows(rows) => Ok(WorkloadOutput {
+                params,
                 measurements: rows.iter().cloned().collect(),
-            });
-        }
-        (Arc::new(render_sweep(&spec, &outputs)), all_cached)
-    };
+            }),
+            CachedValue::Report(_) => Err(format!("cache key '{key}' holds a report")),
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let report = render_sweep(&spec, &outputs);
     let body = match format {
         BodyFormat::Json => report.to_json_pretty(),
         BodyFormat::Csv => format!("{}\n", report.render()),
     };
     Ok(Reply::payload(all_cached, body))
-}
-
-/// Runs one sweep through the launcher layer: write a preset, fan the
-/// points out over supervised worker subprocesses of this binary, and merge
-/// the shard documents back into the byte-identical report.
-fn spill_sweep(state: &ServeState, spec: &SweepSpec) -> Result<ExperimentReport, String> {
-    state.spilled.fetch_add(1, Ordering::SeqCst);
-    let scratch = state
-        .config
-        .scratch
-        .clone()
-        .unwrap_or_else(hpc_metrics::output::experiments_dir);
-    let seq = state.spill_seq.fetch_add(1, Ordering::SeqCst);
-    let preset = scratch.join(format!(
-        ".mojo-hpc-serve-preset-{}-{seq}.json",
-        std::process::id()
-    ));
-    spec.write_preset(&preset)
-        .map_err(|e| format!("cannot write spill preset {}: {e}", preset.display()))?;
-    let workers = state
-        .config
-        .spill_workers
-        .min(spec.sizes.len() as u64)
-        .max(1);
-    let worker_args: Vec<Vec<String>> = (0..workers)
-        .map(|index| {
-            vec![
-                "sweep".to_string(),
-                "--preset".to_string(),
-                preset.display().to_string(),
-                "--shard".to_string(),
-                format!("{index}/{workers}"),
-            ]
-        })
-        .collect();
-    let launchers: Vec<Box<dyn Launcher>> =
-        vec![Box::new(LocalLauncher::current_exe(workers as usize)?)];
-    let policy = DispatchPolicy {
-        timeout: state.config.spill_timeout.map(Duration::from_secs_f64),
-        ..DispatchPolicy::default()
-    };
-    let tasks = shard::worker_tasks(&worker_args);
-    let result = dispatch::dispatch(&launchers, &tasks, &policy);
-    std::fs::remove_file(&preset).ok();
-    let (docs, summary) = result?;
-    eprintln!("serve: spill dispatch: {}", summary.render());
-    shard::merge_sweep(spec, &docs)
 }
 
 /// Builds the `stats` verb's counter tree.
@@ -711,10 +677,6 @@ fn stats_value(state: &ServeState) -> Value {
         (
             "coalesced".to_string(),
             Value::U64(state.coalesced.load(Ordering::SeqCst)),
-        ),
-        (
-            "spilled".to_string(),
-            Value::U64(state.spilled.load(Ordering::SeqCst)),
         ),
     ]);
     Value::Object(vec![
@@ -859,7 +821,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("serve: cannot read the bound address: {e}"))?;
-    let state = Arc::new(ServeState::new(config.clone(), addr));
+    let state = Arc::new(ServeState::new(config, addr));
     eprintln!("serve: listening on {addr}");
     let mut connections: Vec<(std::thread::JoinHandle<()>, Option<TcpStream>)> = Vec::new();
     loop {
@@ -997,20 +959,25 @@ mod tests {
         );
     }
 
+    fn state() -> ServeState {
+        let config = ServeConfig::new("127.0.0.1:0");
+        ServeState::new(&config, "127.0.0.1:1".parse().expect("literal address"))
+    }
+
+    fn keys(names: &[&str]) -> Vec<String> {
+        names.iter().map(|k| k.to_string()).collect()
+    }
+
     #[test]
     fn single_flight_coalesces_identical_requests() {
-        let config = ServeConfig::new("127.0.0.1:0");
-        let state = Arc::new(ServeState::new(
-            config,
-            "127.0.0.1:1".parse().expect("literal address"),
-        ));
+        let state = Arc::new(state());
         let computations = Arc::new(AtomicU64::new(0));
         let mut threads = Vec::new();
         for _ in 0..8 {
             let state = Arc::clone(&state);
             let computations = Arc::clone(&computations);
             threads.push(std::thread::spawn(move || {
-                get_or_compute(&state, "k", || {
+                resolve(&state, &keys(&["k"]), |_| {
                     computations.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(Duration::from_millis(50));
                     Ok(report("k", 10))
@@ -1027,7 +994,7 @@ mod tests {
         }
         // Threads that raced the in-flight window share one computation;
         // threads arriving after it completed hit the cache. Either way the
-        // work ran at most... exactly once.
+        // work ran exactly once.
         assert_eq!(computations.load(Ordering::SeqCst), 1);
         assert_eq!(
             state.computed.load(Ordering::SeqCst),
@@ -1041,23 +1008,43 @@ mod tests {
         );
         // A later identical request is a pure cache hit.
         let (_, from_cache) =
-            get_or_compute(&state, "k", || panic!("must not recompute")).expect("cache hit");
+            resolve(&state, &keys(&["k"]), |_| panic!("must not recompute")).expect("cache hit");
         assert!(from_cache);
     }
 
     #[test]
+    fn a_unit_named_twice_in_one_request_computes_once() {
+        let state = state();
+        let (values, from_cache) =
+            resolve(&state, &keys(&["a", "b", "a"]), |i| Ok(report("x", i + 1)))
+                .expect("computation succeeds");
+        assert!(!from_cache);
+        assert_eq!(state.computed.load(Ordering::SeqCst), 2);
+        // The repeat follows the request's own flight and gets its value.
+        assert_eq!(values[0].cost(), values[2].cost());
+        assert_ne!(values[0].cost(), values[1].cost());
+        assert!(lock(&state.flights).is_empty(), "no flight left behind");
+    }
+
+    #[test]
     fn failed_computations_are_not_cached() {
-        let config = ServeConfig::new("127.0.0.1:0");
-        let state = ServeState::new(config, "127.0.0.1:1".parse().expect("literal address"));
-        let err = get_or_compute(&state, "k", || Err("boom".to_string()));
+        let state = state();
+        let err = resolve(&state, &keys(&["k"]), |_| Err("boom".to_string()));
         assert!(err.is_err());
         // The failure was not cached: the next request recomputes.
-        let ok = get_or_compute(&state, "k", || Ok(report("k", 5)));
+        let ok = resolve(&state, &keys(&["k"]), |_| Ok(report("k", 5)));
         assert!(ok.is_ok());
         assert_eq!(state.computed.load(Ordering::SeqCst), 2);
-        // Panics surface as errors, not wedged flights.
-        let panicked = get_or_compute(&state, "p", || panic!("kaboom"));
+        // Panics surface as errors, not wedged flights, and do not stop the
+        // other units of the request from being published.
+        let panicked = resolve(&state, &keys(&["p", "q"]), |i| {
+            if i == 0 {
+                panic!("kaboom")
+            }
+            Ok(report("q", 5))
+        });
         assert!(panicked.is_err());
         assert!(lock(&state.flights).is_empty(), "no flight left behind");
+        assert!(lock(&state.cache).get("q").is_some());
     }
 }

@@ -16,9 +16,8 @@
 //! `mojo-hpc serve` keeps one process of this binary resident as a TCP
 //! report service ([`experiment_report::serve`], DESIGN.md §13): responses
 //! reuse the `run`/`sweep` stdout bytes, results are cached under the
-//! stable `Params` encoding, and oversized sweeps spill through the same
-//! dispatcher — the serve process re-invokes this binary as its spill
-//! workers exactly like the `shard` coordinator does.
+//! stable `Params` encoding, and the points a request still needs run on
+//! the same worker pool as `run`/`sweep`.
 
 use experiment_report::cli;
 

@@ -1,8 +1,11 @@
 //! Integration tests of the `mojo-hpc` command-line interface: subcommand
 //! coverage, exit codes and error messages, through the real binary.
 
+use serde::value::Value;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn mojo_hpc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mojo-hpc"))
@@ -231,6 +234,23 @@ fn sweep_usage_errors_exit_2() {
         "{}",
         stderr(&bad_param)
     );
+    // Hartree-Fock counts large enough to exhaust the host are refused up
+    // front instead of aborting the process mid-allocation.
+    for line in [
+        "sweep hartree-fock --sizes 65536",
+        "sweep hartree-fock-sampled --sizes 4097",
+        "sweep hartree-fock-sampled --sizes 1024 shards=4294967296",
+        "sweep hartree-fock-sampled --sizes 1024 samples=4294967296",
+        "sweep hartree-fock-sampled --sizes 64 samples=8 shards=9",
+    ] {
+        let output = mojo_hpc(&line.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(output.status.code(), Some(2), "{line}: {}", stderr(&output));
+        assert!(
+            stderr(&output).contains("must be in"),
+            "{}",
+            stderr(&output)
+        );
+    }
 }
 
 #[test]
@@ -335,22 +355,22 @@ fn diff_on_a_missing_directory_is_a_usage_error() {
 fn sampled_hartree_fock_runs_beyond_the_full_validation_limit() {
     let out = scratch("hf-sampled");
     let output = mojo_hpc(&[
-        "run",
-        "hartree-fock",
-        "--atoms",
+        "sweep",
+        "hartree-fock-sampled",
+        "--sizes",
         "128",
-        "--sample",
-        "128",
-        "--shards",
-        "4",
+        "samples=128",
+        "shards=4",
         "--out",
         out.to_str().unwrap(),
     ]);
     assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr(&output));
     let text = stdout(&output);
-    assert!(text.contains("natoms = 128"));
-    assert!(text.contains("survivors: exact"));
-    assert!(out.join("hartree_fock_sampled_128_shards.csv").exists());
+    assert!(text.contains("atoms=128"), "{text}");
+    let csv = std::fs::read_to_string(out.join("sweep_hartree_fock_sampled_sweep.csv"))
+        .expect("sampled sweep CSV written");
+    assert!(csv.contains("passed(eri="), "{csv}");
+    assert!(csv.contains("exact_survivors="), "{csv}");
     std::fs::remove_dir_all(&out).ok();
 }
 
@@ -419,14 +439,43 @@ fn documented_flags_match_the_usage_text() {
     let removed_env = concat!("MOJO_HPC_", "CROSSOVER");
     let removed_subcommands = [concat!("bench", "-diff"), concat!("bench", "-trajectory")];
     let removed_command = concat!("cargo ", "bench");
-    for (doc, text) in [("README.md", &readme), ("DESIGN.md", &design)] {
-        for removed in [removed_flag, removed_env, removed_command]
+    let removed_serve_flags = [
+        concat!("--", "spill-threshold"),
+        concat!("--", "spill-workers"),
+        concat!("--", "spill-timeout"),
+    ];
+    let removed_run_form = concat!("run ", "hartree-fock");
+    for (doc, text) in [
+        ("README.md", readme.as_str()),
+        ("DESIGN.md", design.as_str()),
+        ("mojo-hpc help", usage),
+    ] {
+        for removed in [removed_flag, removed_env, removed_command, removed_run_form]
             .into_iter()
             .chain(removed_subcommands)
+            .chain(removed_serve_flags)
         {
             assert!(!text.contains(removed), "{doc} still mentions {removed}");
         }
     }
+    let output = mojo_hpc(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        removed_serve_flags[0],
+        "2",
+    ]);
+    assert_eq!(output.status.code(), Some(2), "{}", stderr(&output));
+    let output = mojo_hpc(&["run", "hartree-fock", "--atoms", "8"]);
+    assert_eq!(output.status.code(), Some(2), "{}", stderr(&output));
+
+    // `stats` reports exactly the compute counters §13 documents, so a
+    // removed counter cannot linger in either.
+    assert_eq!(
+        live_stats_keys("compute"),
+        documented_stats_keys(&design, "compute"),
+        "DESIGN.md §13 and `stats` disagree on the compute counters"
+    );
     let output = mojo_hpc(&["run", "--all", removed_flag, "simd"]);
     assert_eq!(output.status.code(), Some(2));
     assert!(
@@ -443,5 +492,63 @@ fn documented_flags_match_the_usage_text() {
             "{text}"
         );
         assert!(text.contains("USAGE:"), "{text}");
+    }
+}
+
+/// The counter names DESIGN.md §13 lists for `stats` section `section`,
+/// written there as `section (a/b/c)`.
+fn documented_stats_keys(design: &str, section: &str) -> Vec<String> {
+    let start = design.find("## §13 ").expect("DESIGN.md has §13");
+    let text = &design[start..];
+    let open = text
+        .find(&format!("{section} ("))
+        .unwrap_or_else(|| panic!("DESIGN.md §13 lists no {section} counters"))
+        + section.len()
+        + 2;
+    let close = open + text[open..].find(')').expect("closing parenthesis");
+    text[open..close].split('/').map(str::to_string).collect()
+}
+
+/// The field names of the `section` object of a live `serve` `stats` reply.
+fn live_stats_keys(section: &str) -> Vec<String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"))
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mojo-hpc serve");
+    let mut server_err = BufReader::new(child.stderr.take().expect("stderr is piped"));
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert_ne!(server_err.read_line(&mut line).expect("read stderr"), 0);
+        if let Some(addr) = line.trim().strip_prefix("serve: listening on ") {
+            break addr.to_string();
+        }
+    };
+    let stream = TcpStream::connect(addr.as_str()).expect("connect to serve");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    writer
+        .write_all(b"{\"cmd\":\"stats\"}\n{\"cmd\":\"shutdown\"}\n")
+        .expect("send requests");
+    let mut header = String::new();
+    reader.read_line(&mut header).expect("read stats reply");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).ok();
+    assert_eq!(child.wait().expect("wait for serve").code(), Some(0));
+    let object = |value: &Value, key: &str| match value {
+        Value::Object(fields) => fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("missing '{key}' in {value:?}")),
+        other => panic!("expected an object, got {other:?}"),
+    };
+    let reply: Value = serde_json::from_str(header.trim()).expect("stats reply is JSON");
+    match object(&object(&reply, "stats"), section) {
+        Value::Object(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+        other => panic!("expected '{section}' to be an object, got {other:?}"),
     }
 }

@@ -4,9 +4,10 @@
 //! requests must be served out of the Params-keyed cache (hit counter up,
 //! compute counter flat), identical concurrent requests must coalesce onto
 //! exactly one computation (pinned via the `MOJO_HPC_SERVE_SLOW_MS` chaos
-//! seam), oversized sweeps must spill through the launcher layer while
-//! keeping the same bytes, and an over-long request line must be refused
-//! without growing the daemon.
+//! seam), overlapping multi-point sweeps sent concurrently in opposite
+//! orders must compute each point once without deadlocking, hostile
+//! parameters must be refused with an error reply, and an over-long request
+//! line must be refused without growing the daemon.
 
 use mojo_hpc::report::serve::MAX_REQUEST_BYTES;
 use serde::value::Value;
@@ -14,6 +15,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn mojo_hpc(args: &[&str]) -> Output {
@@ -53,18 +55,14 @@ struct Server {
 }
 
 impl Server {
-    /// Spawns `serve --listen 127.0.0.1:0 <extra>` with `env` and parses
-    /// the announced address off stderr (draining the rest on a thread so
-    /// a chatty server can never block on a full pipe).
-    fn start(tag: &str, extra: &[&str], env: &[(&str, &str)]) -> Server {
-        let dir = scratch(tag);
+    /// Spawns `serve --listen 127.0.0.1:0` with `env` and parses the
+    /// announced address off stderr (draining the rest on a thread so a
+    /// chatty server can never block on a full pipe).
+    fn start(env: &[(&str, &str)]) -> Server {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"));
         cmd.arg("serve")
             .arg("--listen")
             .arg("127.0.0.1:0")
-            .arg("--scratch")
-            .arg(&dir)
-            .args(extra)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped());
@@ -205,7 +203,7 @@ fn counter(stats: &Value, section: &str, name: &str) -> u64 {
 fn responses_match_cli_bytes_in_both_formats() {
     let out = scratch("baseline-out");
     let out = out.to_str().unwrap();
-    let server = Server::start("baseline", &[], &[]);
+    let server = Server::start(&[]);
     let mut client = server.connect();
     let cases: &[(&str, Vec<&str>)] = &[
         (
@@ -259,7 +257,7 @@ fn responses_match_cli_bytes_in_both_formats() {
 
 #[test]
 fn repeated_requests_are_served_from_the_cache() {
-    let server = Server::start("cache-hit", &[], &[]);
+    let server = Server::start(&[]);
     let mut client = server.connect();
     let request = r#"{"cmd":"sweep","workload":"stencil","sizes":[16,20],"format":"json"}"#;
     let (first, body_a) = client.request(request);
@@ -292,7 +290,7 @@ fn repeated_requests_are_served_from_the_cache() {
 
 #[test]
 fn hundreds_of_concurrent_clients_get_identical_bytes() {
-    let server = Server::start("concurrent", &[], &[]);
+    let server = Server::start(&[]);
     // Three distinct cheap requests and their CLI baselines; 240 clients
     // round-robin over them, every one over its own connection.
     let requests: Vec<(String, Vec<u8>)> = vec![
@@ -378,7 +376,7 @@ fn hundreds_of_concurrent_clients_get_identical_bytes() {
 fn identical_concurrent_requests_compute_exactly_once() {
     // The slow seam holds the single computation open long enough for the
     // whole pack to pile onto the in-flight leader.
-    let server = Server::start("single-flight", &[], &[("MOJO_HPC_SERVE_SLOW_MS", "500")]);
+    let server = Server::start(&[("MOJO_HPC_SERVE_SLOW_MS", "500")]);
     const PACK: usize = 32;
     let request = r#"{"cmd":"sweep","workload":"stencil","sizes":[24],"format":"json"}"#;
     let addr = server.addr;
@@ -415,50 +413,81 @@ fn identical_concurrent_requests_compute_exactly_once() {
 }
 
 #[test]
-fn oversized_sweeps_spill_through_the_launcher_layer() {
-    let server = Server::start(
-        "spill",
-        &["--spill-threshold", "2", "--spill-workers", "2"],
-        &[],
-    );
-    let mut client = server.connect();
-    let request = r#"{"cmd":"sweep","workload":"stencil","sizes":[16,20,24],"format":"json"}"#;
-    let (header, payload) = client.request(request);
-    assert_eq!(str_field(&header, "status"), "ok");
+fn overlapping_sweeps_in_opposite_orders_compute_each_point_once() {
+    // Two clients sweep the same three points per round, one in ascending
+    // and one in descending order, so a request can lead some points and
+    // follow the other request's flights for the rest. A barrier sends
+    // each round's two requests together, and the slow seam keeps the
+    // first request's flights open while the second one claims. A wait
+    // cycle between them would hang both clients until the read timeout in
+    // `ServeClient::connect` (margin-commented there).
+    let server = Server::start(&[("MOJO_HPC_SERVE_SLOW_MS", "50")]);
+    const ROUNDS: u64 = 4;
+    const POINTS: u64 = 3;
+    let out = scratch("overlap-out");
+    let barrier = Arc::new(Barrier::new(2));
+    let mut clients = Vec::new();
+    for descending in [false, true] {
+        let rounds: Vec<(String, Vec<u8>)> = (0..ROUNDS)
+            .map(|round| {
+                let mut sizes: Vec<u64> = (0..POINTS).map(|p| 16 + 4 * (round + p)).collect();
+                if descending {
+                    sizes.reverse();
+                }
+                let list: Vec<String> = sizes.iter().map(u64::to_string).collect();
+                let request = format!(
+                    r#"{{"cmd":"sweep","workload":"stencil","sizes":[{}],"format":"json"}}"#,
+                    list.join(",")
+                );
+                let expected = cli_baseline(&[
+                    "sweep",
+                    "stencil",
+                    "--sizes",
+                    &list.join(","),
+                    "--format",
+                    "json",
+                    "--out",
+                    out.to_str().unwrap(),
+                ]);
+                (request, expected)
+            })
+            .collect();
+        let addr = server.addr;
+        let barrier = Arc::clone(&barrier);
+        clients.push(std::thread::spawn(move || {
+            let mut client = ServeClient::connect(addr);
+            for (request, expected) in rounds {
+                barrier.wait();
+                let (header, payload) = client.request(&request);
+                assert_eq!(str_field(&header, "status"), "ok", "{request}: {header:?}");
+                assert_eq!(payload, expected, "{request}: payload differs from the CLI");
+            }
+        }));
+    }
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    // Consecutive rounds share two of their three sizes, so the distinct
+    // points are 16, 20, …, 16 + 4 (ROUNDS + POINTS - 2).
+    let distinct = ROUNDS + POINTS - 1;
+    let lookups = 2 * ROUNDS * POINTS;
+    let stats = server.connect().stats();
     assert_eq!(
-        payload,
-        cli_baseline(&[
-            "sweep",
-            "stencil",
-            "--sizes",
-            "16,20,24",
-            "--format",
-            "json",
-            "--out",
-            scratch("spill-out").to_str().unwrap(),
-        ]),
-        "spilled sweep must keep the single-process bytes"
+        counter(&stats, "compute", "computed"),
+        distinct,
+        "each distinct point computes once: {stats:?}"
     );
-    let stats = client.stats();
-    assert_eq!(counter(&stats, "compute", "spilled"), 1, "{stats:?}");
-    // The spilled result is cached whole: a repeat is a hit, not a redispatch.
-    let (second, repeat) = client.request(request);
-    assert!(bool_field(&second, "cached"));
-    assert_eq!(repeat, payload);
-    let stats = client.stats();
-    assert_eq!(counter(&stats, "compute", "spilled"), 1);
-    // Under the threshold the in-process pool serves as usual.
-    let (small, _) =
-        client.request(r#"{"cmd":"sweep","workload":"stencil","sizes":[16],"format":"json"}"#);
-    assert_eq!(str_field(&small, "status"), "ok");
-    let stats = client.stats();
-    assert_eq!(counter(&stats, "compute", "spilled"), 1);
+    assert_eq!(
+        counter(&stats, "cache", "hits") + counter(&stats, "compute", "coalesced"),
+        lookups - distinct,
+        "every other point lookup was a hit or followed a flight: {stats:?}"
+    );
     server.shutdown();
 }
 
 #[test]
 fn protocol_errors_answer_without_dropping_the_connection() {
-    let server = Server::start("errors", &[], &[]);
+    let server = Server::start(&[]);
     let mut client = server.connect();
     for bad in [
         "this is not json",
@@ -467,6 +496,7 @@ fn protocol_errors_answer_without_dropping_the_connection() {
         r#"{"cmd":"sweep","workload":"stencil"}"#,
         r#"{"cmd":"sweep","workload":"frobnicate","sizes":[8]}"#,
         r#"{"cmd":"sweep","workload":"stencil","sizes":[2]}"#,
+        r#"{"cmd":"sweep","workload":"hartree-fock-sampled","sizes":[1024],"params":{"shards":4294967296}}"#,
     ] {
         let (header, payload) = client.request(bad);
         assert_eq!(str_field(&header, "status"), "error", "request: {bad}");
@@ -477,13 +507,13 @@ fn protocol_errors_answer_without_dropping_the_connection() {
     let (header, _) = client.request(r#"{"cmd":"run","experiments":["table1"],"format":"json"}"#);
     assert_eq!(str_field(&header, "status"), "ok");
     let stats = client.stats();
-    assert_eq!(as_u64(field(&stats, "errors")), 6);
+    assert_eq!(as_u64(field(&stats, "errors")), 7);
     server.shutdown();
 }
 
 #[test]
 fn an_oversized_request_line_is_refused_and_its_connection_closed() {
-    let server = Server::start("oversized", &[], &[]);
+    let server = Server::start(&[]);
     let errors_before = as_u64(field(&server.connect().stats(), "errors"));
     // One byte over the limit and no newline: the server must answer
     // without waiting for the line to end.
@@ -513,7 +543,7 @@ fn an_oversized_request_line_is_refused_and_its_connection_closed() {
 
 #[test]
 fn shutdown_verb_stops_the_server() {
-    let server = Server::start("shutdown", &[], &[]);
+    let server = Server::start(&[]);
     let addr = server.addr;
     server.shutdown();
     // The port is closed: a fresh connection is refused (allow the OS a
