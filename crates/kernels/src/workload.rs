@@ -21,9 +21,9 @@
 //! | `framestream` | [`crate::framestream`] | `bandwidth_gbs` (§15) | `n` |
 
 use crate::common::{Verification, WorkloadRun};
-use gpu_sim::{istr, istr_fmt, IStr, PooledVec, SimError};
+use gpu_sim::{istr_fmt, IStr, PooledVec, SimError};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use vendor_models::Platform;
 
 /// A typed parameter value: workloads are tuned by unsigned integers
@@ -32,19 +32,19 @@ use vendor_models::Platform;
 pub enum ParamValue {
     /// An unsigned integer parameter.
     Int(u64),
-    /// A keyword parameter, stored lowercase. Interned: keywords come from a
-    /// small fixed vocabulary, so cloning an assignment never allocates.
-    Text(IStr),
+    /// A keyword parameter, stored lowercase. Not interned: a value is
+    /// built before it is validated, and an interned rejected value would
+    /// stay resident forever. Cloning an assignment is a refcount bump.
+    Text(Arc<str>),
 }
 
 impl ParamValue {
-    /// A keyword value (lowercased on construction). Already-lowercase input
-    /// — the steady-state case — interns without an intermediate copy.
+    /// A keyword value (lowercased on construction).
     pub fn text(s: &str) -> ParamValue {
         if s.bytes().any(|b| b.is_ascii_uppercase()) {
-            ParamValue::Text(istr(&s.to_ascii_lowercase()))
+            ParamValue::Text(s.to_ascii_lowercase().into())
         } else {
-            ParamValue::Text(istr(s))
+            ParamValue::Text(s.into())
         }
     }
 }
@@ -396,6 +396,7 @@ pub fn known_names() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::istr;
 
     fn specs() -> Vec<ParamSpec> {
         vec![

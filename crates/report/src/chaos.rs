@@ -6,7 +6,7 @@
 //! doing any work. The variable holds a comma-separated list of rules:
 //!
 //! ```text
-//! MOJO_HPC_CHAOS=crash:1,hang:2,garble:0,slow:3
+//! MOJO_HPC_CHAOS=crash:1,hang:2,garble:0
 //! ```
 //!
 //! Each rule is `mode:shard[:attempts]`:
@@ -15,10 +15,7 @@
 //! * `hang:I` — worker for shard `I` sleeps forever (the dispatcher's
 //!   per-worker timeout must reap it);
 //! * `garble:I` — worker for shard `I` prints a non-JSON line on stdout and
-//!   exits 0 (a protocol violation the coordinator must catch);
-//! * `slow:I` — worker for shard `I` sleeps a configurable delay
-//!   (`MOJO_HPC_CHAOS_SLOW_MS`, default 2000) before working normally — the
-//!   straggler shape speculation targets.
+//!   exits 0 (a protocol violation the coordinator must catch).
 //!
 //! The optional `:attempts` suffix bounds how many attempts the rule fires
 //! on: by default a rule fires only on the **first** attempt, so a retried
@@ -41,12 +38,6 @@ pub const CHAOS_ENV: &str = "MOJO_HPC_CHAOS";
 /// (1-based). Absent or unparseable means attempt 1.
 pub const ATTEMPT_ENV: &str = "MOJO_HPC_ATTEMPT";
 
-/// Environment variable overriding the `slow` rule's delay in milliseconds.
-pub const SLOW_MS_ENV: &str = "MOJO_HPC_CHAOS_SLOW_MS";
-
-/// Default `slow` delay when [`SLOW_MS_ENV`] is unset.
-pub const DEFAULT_SLOW_MS: u64 = 2000;
-
 /// The exit code a `crash` rule terminates the worker with.
 pub const CRASH_EXIT_CODE: i32 = 3;
 
@@ -59,8 +50,6 @@ pub enum ChaosMode {
     Hang,
     /// Print non-JSON on stdout and exit 0.
     Garble,
-    /// Sleep before working normally (straggler).
-    Slow,
 }
 
 impl ChaosMode {
@@ -69,9 +58,8 @@ impl ChaosMode {
             "crash" => Ok(ChaosMode::Crash),
             "hang" => Ok(ChaosMode::Hang),
             "garble" => Ok(ChaosMode::Garble),
-            "slow" => Ok(ChaosMode::Slow),
             other => Err(format!(
-                "{CHAOS_ENV}: unknown mode '{other}' (known: crash, hang, garble, slow)"
+                "{CHAOS_ENV}: unknown mode '{other}' (known: crash, hang, garble)"
             )),
         }
     }
@@ -81,7 +69,6 @@ impl ChaosMode {
             ChaosMode::Crash => "crash",
             ChaosMode::Hang => "hang",
             ChaosMode::Garble => "garble",
-            ChaosMode::Slow => "slow",
         }
     }
 }
@@ -140,17 +127,9 @@ pub fn current_attempt() -> u32 {
         .unwrap_or(1)
 }
 
-/// The `slow` rule's delay, from [`SLOW_MS_ENV`].
-fn slow_ms() -> u64 {
-    std::env::var(SLOW_MS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SLOW_MS)
-}
-
 /// Consults [`CHAOS_ENV`] and injects the configured failure for `shard`,
-/// if any. Called at the top of the shard-worker execution paths; may not
-/// return (crash, hang, garble). A malformed rule list exits 2 — a chaos
+/// if any. Called at the top of the shard-worker execution paths; does not
+/// return when a rule fires. A malformed rule list exits 2 — a chaos
 /// harness with a typo must fail loudly, not silently run clean.
 pub fn apply(shard: u64) {
     let Ok(spec) = std::env::var(CHAOS_ENV) else {
@@ -181,9 +160,6 @@ pub fn apply(shard: u64) {
                 println!("** chaos: garbled shard document **");
                 std::process::exit(0);
             }
-            ChaosMode::Slow => {
-                std::thread::sleep(Duration::from_millis(slow_ms()));
-            }
         }
     }
 }
@@ -195,7 +171,7 @@ mod tests {
     #[test]
     fn parses_rule_lists() {
         assert_eq!(
-            parse_spec("crash:1,hang:2,garble:0,slow:3").unwrap(),
+            parse_spec("crash:1,hang:2,garble:0").unwrap(),
             vec![
                 ChaosRule {
                     mode: ChaosMode::Crash,
@@ -210,11 +186,6 @@ mod tests {
                 ChaosRule {
                     mode: ChaosMode::Garble,
                     shard: 0,
-                    attempts: 1
-                },
-                ChaosRule {
-                    mode: ChaosMode::Slow,
-                    shard: 3,
                     attempts: 1
                 },
             ]
@@ -235,6 +206,7 @@ mod tests {
     #[test]
     fn rejects_malformed_rules() {
         assert!(parse_spec("explode:1").is_err(), "unknown mode");
+        assert!(parse_spec("slow:1").is_err(), "no straggler mode");
         assert!(parse_spec("crash").is_err(), "missing shard");
         assert!(parse_spec("crash:x").is_err(), "non-numeric shard");
         assert!(parse_spec("crash:1:y").is_err(), "non-numeric attempts");

@@ -30,7 +30,7 @@
 //! compared byte-for-byte across runs, thread counts and worker counts.
 
 use crate::chaos;
-use crate::dispatch::{self, DispatchPolicy, HostManifest, Launcher, LocalLauncher};
+use crate::dispatch::{self, DispatchPolicy, LocalLauncher};
 use crate::registry::{known_ids, run_experiments, ExperimentId, EXPERIMENTS};
 use crate::report::ExperimentReport;
 use crate::serve::{self, ServeConfig};
@@ -127,53 +127,26 @@ pub struct SweepArgs {
     pub preset_out: Option<PathBuf>,
 }
 
-/// How the `shard` coordinator places workers (DESIGN.md §12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LauncherKind {
-    /// Worker subprocesses of this binary on this host (the default).
-    #[default]
-    Local,
-    /// Command-template workers from a `--hosts` manifest (`ssh host -- …`
-    /// by default; any argv template, including replay via `cat`).
-    Template,
-    /// Generate a SLURM-style job-array batch script instead of running
-    /// anything; the collected shard documents merge later via a replay
-    /// manifest.
-    Slurm,
-}
+/// The most worker subprocesses one `shard` invocation may start. Every
+/// worker is spawned at once, so a larger `--workers` is refused with a
+/// usage error rather than forking without limit.
+pub const MAX_WORKERS: u64 = 64;
 
-impl LauncherKind {
-    /// Parses a `--launcher` value (`ssh` is an alias for `template`).
-    pub fn parse(value: &str) -> Result<LauncherKind, String> {
-        match value {
-            "local" => Ok(LauncherKind::Local),
-            "template" | "ssh" => Ok(LauncherKind::Template),
-            "slurm" => Ok(LauncherKind::Slurm),
-            other => Err(format!(
-                "--launcher: expected local, template (alias ssh) or slurm, got '{other}'"
-            )),
-        }
-    }
-}
+/// The longest per-worker `--timeout` in seconds (one week). Larger values
+/// are refused: they cannot be added to a clock reading without overflow.
+pub const MAX_TIMEOUT_SECS: f64 = 7.0 * 24.0 * 3600.0;
 
 /// Arguments of the `shard` coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardArgs {
-    /// Worker subprocess count (= shard count), at least 1.
+    /// Worker subprocess count (= shard count), in `1..=MAX_WORKERS`.
     pub workers: u64,
-    /// How workers are placed ([`LauncherKind::Local`] by default).
-    pub launcher: LauncherKind,
-    /// Host-manifest file (required for `--launcher template`, optional
-    /// node pin for `--launcher slurm`).
-    pub hosts: Option<PathBuf>,
     /// Per-worker wall-clock timeout in seconds; a worker exceeding it is
     /// killed and the attempt counts as failed.
     pub timeout: Option<f64>,
     /// Attempt budget per shard (default 3; 0 runs a single attempt and
     /// degrades gracefully on failure).
     pub max_attempts: u32,
-    /// Launch speculative duplicates of straggling shards.
-    pub speculate: bool,
     /// The wrapped command ([`Command::Run`] or [`Command::Sweep`]) whose
     /// work items the workers partition.
     pub inner: Box<Command>,
@@ -193,8 +166,7 @@ USAGE:
   mojo-hpc sweep --preset FILE [--out DIR] [--threads N] [--format csv|json]
                             [--shard I/N]
   mojo-hpc shard (run|sweep) <run/sweep arguments> --workers N
-                            [--launcher local|template|slurm] [--hosts FILE]
-                            [--timeout SECS] [--max-attempts N] [--speculate]
+                            [--timeout SECS] [--max-attempts N]
   mojo-hpc serve --listen HOST:PORT [--threads N] [--cache-entries N]
                             [--cache-bytes N] [--scratch DIR]
   mojo-hpc diff <dir-a> <dir-b>
@@ -219,16 +191,13 @@ the single-process command. `--shard I/N` is the worker-side flag: it runs
 shard I and prints a JSON shard document (manifest + partial reports); it
 cannot be combined with `--format csv`.
 
-DISPATCHER (DESIGN.md \u{a7}12): workers run under supervision. `--timeout
-SECS` kills a worker exceeding the wall clock; `--max-attempts N` retries a
-failed shard with exponential backoff on the healthiest launcher (default
+DISPATCHER (DESIGN.md \u{a7}12): all N workers start at once on this host,
+under supervision; N is at most 64. `--timeout SECS` kills a worker
+exceeding the wall clock; SECS is at most 604800 (one week).
+`--max-attempts N` retries a failed shard with exponential backoff (default
 3; 0 runs a single attempt and, on failure, reports which ranges completed
-before exiting 1); `--speculate` duplicates the slowest straggler (first
-completion wins). `--launcher template --hosts FILE` places workers through
-a JSON host manifest's command template (ssh by default); `--launcher
-slurm` writes a job-array batch script to <out>/slurm_job_array.sbatch
-instead of running anything. MOJO_HPC_CHAOS=mode:shard[:attempts] injects
-crash/hang/garble/slow faults into workers for harness testing.
+before exiting 1). MOJO_HPC_CHAOS=mode:shard[:attempts] injects
+crash/hang/garble faults into workers for harness testing.
 
 SERVE (DESIGN.md \u{a7}13): `mojo-hpc serve --listen HOST:PORT` runs an
 always-on TCP service speaking line-delimited JSON: one request per line
@@ -500,17 +469,15 @@ fn parse_sweep(rest: &[&str]) -> Result<Command, String> {
     }))
 }
 
-/// Parses `shard (run|sweep) … --workers N [dispatcher flags]`: extract the
-/// coordinator's own flags, delegate the rest to the wrapped subcommand's
-/// parser, and reject combinations the coordinator owns (`--shard` on the
-/// inner command; `--hosts` without a host-driven launcher).
+/// Parses `shard (run|sweep) … --workers N [--timeout SECS] [--max-attempts
+/// N]`: extract the coordinator's own flags, delegate the rest to the
+/// wrapped subcommand's parser, and reject what the coordinator owns
+/// (`--shard` on the inner command) or cannot honour (more than
+/// [`MAX_WORKERS`] workers, a timeout above [`MAX_TIMEOUT_SECS`]).
 fn parse_shard(rest: &[&str]) -> Result<Command, String> {
     let mut workers = None;
-    let mut launcher = LauncherKind::default();
-    let mut hosts = None;
     let mut timeout = None;
     let mut max_attempts = 3u32;
-    let mut speculate = false;
     let mut inner_args: Vec<&str> = Vec::new();
     let mut args = rest.iter().copied();
     while let Some(arg) = args.next() {
@@ -521,14 +488,15 @@ fn parse_shard(rest: &[&str]) -> Result<Command, String> {
                     flag_value("--workers", &mut args)?,
                 )?);
             }
-            "--launcher" => {
-                launcher = LauncherKind::parse(flag_value("--launcher", &mut args)?)?;
-            }
-            "--hosts" => hosts = Some(PathBuf::from(flag_value("--hosts", &mut args)?)),
             "--timeout" => {
                 let secs: f64 = parse_number("--timeout", flag_value("--timeout", &mut args)?)?;
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--timeout must be a positive number of seconds".to_string());
+                }
+                if secs > MAX_TIMEOUT_SECS {
+                    return Err(format!(
+                        "--timeout must be at most {MAX_TIMEOUT_SECS} seconds"
+                    ));
                 }
                 timeout = Some(secs);
             }
@@ -538,26 +506,12 @@ fn parse_shard(rest: &[&str]) -> Result<Command, String> {
                     flag_value("--max-attempts", &mut args)?,
                 )?;
             }
-            "--speculate" => speculate = true,
             other => inner_args.push(other),
         }
     }
     let workers = workers.ok_or_else(|| "'shard' needs --workers N".to_string())?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_string());
-    }
-    match launcher {
-        LauncherKind::Template if hosts.is_none() => {
-            return Err("--launcher template needs --hosts FILE".to_string());
-        }
-        LauncherKind::Local if hosts.is_some() => {
-            return Err(
-                "--hosts drives the template/slurm launchers; pass --launcher template \
-                 (or slurm) with it"
-                    .to_string(),
-            );
-        }
-        _ => {}
+    if workers == 0 || workers > MAX_WORKERS {
+        return Err(format!("--workers must be in [1, {MAX_WORKERS}]"));
     }
     let inner = match inner_args.split_first() {
         Some((&"run", tail)) => parse_run(tail)?,
@@ -577,11 +531,8 @@ fn parse_shard(rest: &[&str]) -> Result<Command, String> {
         ),
         Command::Run(_) | Command::Sweep(_) => Ok(Command::Shard(ShardArgs {
             workers,
-            launcher,
-            hosts,
             timeout,
             max_attempts,
-            speculate,
             inner: Box::new(inner),
         })),
         _ => Err("'shard' wraps 'run' or 'sweep'".to_string()),
@@ -903,11 +854,9 @@ fn execute_sweep_shard_worker(spec: &SweepSpec, shard_spec: &ShardSpec) -> i32 {
     0
 }
 
-/// The `shard` coordinator: place one worker per shard through the
-/// configured launcher under the dispatcher's supervision, merge their
-/// documents, and render the merged output exactly as the wrapped
-/// single-process command would. `--launcher slurm` generates a job-array
-/// batch script instead of running workers.
+/// The `shard` coordinator: run one local worker per shard under the
+/// dispatcher's supervision, merge their documents, and render the merged
+/// output exactly as the wrapped single-process command would.
 fn execute_shard(args: &ShardArgs) -> i32 {
     match args.inner.as_ref() {
         Command::Run(run_args) => execute_shard_run(args, run_args),
@@ -916,71 +865,13 @@ fn execute_shard(args: &ShardArgs) -> i32 {
     }
 }
 
-/// Builds the launcher fleet a `shard` invocation dispatches through.
-/// The local launcher gets one extra slot under `--speculate`, so a
-/// duplicate of a straggler never has to wait for the straggler itself to
-/// free a slot.
-fn build_launchers(args: &ShardArgs) -> Result<Vec<Box<dyn Launcher>>, String> {
-    match args.launcher {
-        LauncherKind::Local => {
-            let slots = args.workers as usize + usize::from(args.speculate);
-            Ok(vec![
-                Box::new(LocalLauncher::current_exe(slots)?) as Box<dyn Launcher>
-            ])
-        }
-        LauncherKind::Template => {
-            let path = args.hosts.as_ref().expect("parser requires --hosts");
-            HostManifest::load(path)?.launchers()
-        }
-        LauncherKind::Slurm => {
-            unreachable!("the slurm lane generates a script instead of dispatching")
-        }
-    }
-}
-
 /// The dispatch policy a `shard` invocation's flags select.
 fn dispatch_policy(args: &ShardArgs) -> DispatchPolicy {
     DispatchPolicy {
         max_attempts: args.max_attempts,
         timeout: args.timeout.map(Duration::from_secs_f64),
-        speculate: args.speculate,
         ..DispatchPolicy::default()
     }
-}
-
-/// Writes the SLURM job-array script for `base_args` (one array task per
-/// shard; the script appends `--shard $SLURM_ARRAY_TASK_ID/N`) under
-/// `out_dir` and echoes its path to stderr.
-fn emit_slurm_script(args: &ShardArgs, base_args: &[String], out_dir: &Path) -> i32 {
-    let manifest = match &args.hosts {
-        Some(path) => match HostManifest::load(path) {
-            Ok(manifest) => Some(manifest),
-            Err(err) => {
-                eprintln!("error: {err}");
-                return 2;
-            }
-        },
-        None => None,
-    };
-    let exe = match std::env::current_exe() {
-        Ok(path) => path.display().to_string(),
-        Err(err) => {
-            eprintln!("error: cannot locate the current executable: {err}");
-            return 1;
-        }
-    };
-    let script = dispatch::slurm_job_array_script(&exe, base_args, args.workers, manifest.as_ref());
-    let path = out_dir.join("slurm_job_array.sbatch");
-    if let Err(err) = std::fs::create_dir_all(out_dir) {
-        eprintln!("failed to create {}: {err}", out_dir.display());
-        return 1;
-    }
-    if let Err(err) = std::fs::write(&path, script) {
-        eprintln!("failed to write {}: {err}", path.display());
-        return 1;
-    }
-    eprintln!("  [sbatch] {}", path.display());
-    0
 }
 
 /// Prints the fleet-wide pool telemetry accumulated from the workers'
@@ -1016,9 +907,9 @@ fn dispatch_workers(
     args: &ShardArgs,
     worker_args: &[Vec<String>],
 ) -> Result<Vec<ShardDocument>, String> {
-    let launchers = build_launchers(args)?;
+    let launcher = LocalLauncher::current_exe()?;
     let tasks = shard::worker_tasks(worker_args);
-    let (docs, summary) = dispatch::dispatch(&launchers, &tasks, &dispatch_policy(args))?;
+    let (docs, summary) = dispatch::dispatch(&launcher, &tasks, &dispatch_policy(args))?;
     eprintln!("dispatch: {}", summary.render());
     report_fleet_pool_telemetry(&docs);
     Ok(docs)
@@ -1033,9 +924,6 @@ fn execute_shard_run(shard_args: &ShardArgs, args: &RunArgs) -> i32 {
     if let Some(threads) = args.threads {
         base.push("--threads".to_string());
         base.push(threads.to_string());
-    }
-    if shard_args.launcher == LauncherKind::Slurm {
-        return emit_slurm_script(shard_args, &base, &out_dir);
     }
     let worker_args: Vec<Vec<String>> = (0..workers)
         .map(|index| {
@@ -1095,29 +983,6 @@ fn execute_shard_sweep(shard_args: &ShardArgs, args: &SweepArgs) -> i32 {
     // a world-writable directory would be open to symlink/rewrite games by
     // other local users.
     let out_dir = args.out.clone().unwrap_or_else(output::experiments_dir);
-    if shard_args.launcher == LauncherKind::Slurm {
-        // Array tasks run later, possibly on other machines: the preset must
-        // outlive this process at a stable path next to the script.
-        let preset_path = out_dir.join("slurm_shard_preset.json");
-        if let Err(err) = spec.write_preset(&preset_path) {
-            eprintln!(
-                "failed to write the worker preset {}: {err}",
-                preset_path.display()
-            );
-            return 1;
-        }
-        eprintln!("  [preset] {}", preset_path.display());
-        let mut base = vec![
-            "sweep".to_string(),
-            "--preset".to_string(),
-            preset_path.display().to_string(),
-        ];
-        if let Some(threads) = args.threads {
-            base.push("--threads".to_string());
-            base.push(threads.to_string());
-        }
-        return emit_slurm_script(shard_args, &base, &out_dir);
-    }
     let preset_path = out_dir.join(format!(
         ".mojo-hpc-shard-preset-{}.json",
         std::process::id()
@@ -1395,6 +1260,12 @@ mod tests {
         assert!(parse_line("shard run --workers 2 --all").is_ok());
         assert!(parse_line("shard run --all").is_err(), "missing --workers");
         assert!(parse_line("shard run --all --workers 0").is_err());
+        // Parsing only: no worker is started at either count.
+        let at_cap = format!("shard run --all --workers {MAX_WORKERS}");
+        assert!(parse_line(&at_cap).is_ok());
+        let over_cap = format!("shard run --all --workers {}", MAX_WORKERS + 1);
+        let err = parse_line(&over_cap).unwrap_err();
+        assert!(err.contains(&MAX_WORKERS.to_string()), "{err}");
         assert!(parse_line("shard run --all --workers x").is_err());
         assert!(parse_line("shard --workers 2").is_err());
         assert!(parse_line("shard diff a b --workers 2").is_err());
@@ -1405,50 +1276,35 @@ mod tests {
 
     #[test]
     fn parses_the_dispatcher_flags() {
-        match parse_line(
-            "shard run --all --workers 3 --launcher template --hosts h.json \
-             --timeout 2.5 --max-attempts 5 --speculate",
-        )
-        .unwrap()
-        {
+        match parse_line("shard run --all --workers 3 --timeout 2.5 --max-attempts 5").unwrap() {
             Command::Shard(args) => {
-                assert_eq!(args.launcher, LauncherKind::Template);
-                assert_eq!(args.hosts, Some(PathBuf::from("h.json")));
                 assert_eq!(args.timeout, Some(2.5));
                 assert_eq!(args.max_attempts, 5);
-                assert!(args.speculate);
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Defaults: local launcher, 3 attempts, no timeout, no speculation.
+        // Defaults: 3 attempts, no timeout.
         match parse_line("shard run --all --workers 2").unwrap() {
             Command::Shard(args) => {
-                assert_eq!(args.launcher, LauncherKind::Local);
-                assert_eq!(args.hosts, None);
                 assert_eq!(args.timeout, None);
                 assert_eq!(args.max_attempts, 3);
-                assert!(!args.speculate);
             }
             other => panic!("unexpected {other:?}"),
         }
-        // "ssh" is an alias for the template launcher; slurm needs no hosts.
-        match parse_line("shard run --all --workers 2 --launcher ssh --hosts h.json").unwrap() {
-            Command::Shard(args) => assert_eq!(args.launcher, LauncherKind::Template),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse_line("shard run --all --workers 2 --launcher slurm").is_ok());
         assert!(parse_line("shard run --all --workers 2 --max-attempts 0").is_ok());
-        // Conflicting or malformed dispatcher flags are usage errors.
-        assert!(parse_line("shard run --all --workers 2 --launcher warp").is_err());
-        assert!(parse_line("shard run --all --workers 2 --launcher template").is_err());
-        assert!(parse_line("shard run --all --workers 2 --hosts h.json").is_err());
+        let max_timeout = format!("shard run --all --workers 2 --timeout {MAX_TIMEOUT_SECS}");
+        assert!(parse_line(&max_timeout).is_ok());
+        // Malformed or out-of-range dispatcher flags are usage errors.
         assert!(parse_line("shard run --all --workers 2 --timeout 0").is_err());
         assert!(parse_line("shard run --all --workers 2 --timeout -1").is_err());
         assert!(parse_line("shard run --all --workers 2 --timeout inf").is_err());
         assert!(parse_line("shard run --all --workers 2 --timeout nope").is_err());
+        assert!(parse_line("shard run --all --workers 2 --timeout 1e19").is_err());
+        assert!(parse_line("shard run --all --workers 2 --timeout 1e300").is_err());
         assert!(parse_line("shard run --all --workers 2 --max-attempts x").is_err());
-        assert!(parse_line("shard run --all --workers 2 --launcher").is_err());
-        assert!(parse_line("shard run --all --workers 2 --hosts").is_err());
+        // The usage text quotes both caps.
+        assert!(usage().contains(&format!("N is at most {MAX_WORKERS}.")));
+        assert!(usage().contains(&format!("SECS is at most {MAX_TIMEOUT_SECS} (one week)")));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property-based tests for the shard protocol's parsing and merge
-//! invariants: `--shard` specs, shard/host manifests, and the tiling
-//! validation that keeps a dispatcher retry/re-shard from ever corrupting a
-//! merged report.
+//! invariants: `--shard` specs, shard manifests, and the tiling validation
+//! that keeps a dispatcher retry from ever corrupting a merged report.
 
-use experiment_report::dispatch::{HostEntry, HostManifest};
 use experiment_report::shard::{
     merge_run, ShardDocument, ShardManifest, ShardPoolCounters, ShardSpec,
 };
@@ -117,55 +115,6 @@ proptest! {
         );
     }
 
-    /// Host manifests survive the JSON round trip, whatever the host count,
-    /// slot spread and template arity.
-    fn host_manifest_round_trips(
-        hosts in 1usize..12, slots in 1u64..64, template_len in 1usize..6,
-    ) {
-        let manifest = HostManifest {
-            template: (0..template_len)
-                .map(|i| if i == 0 { "run{shard}".to_string() } else { format!("arg{i}") })
-                .collect(),
-            hosts: (0..hosts)
-                .map(|i| HostEntry {
-                    name: format!("node-{i}"),
-                    slots: 1 + (slots + i as u64) % 64,
-                })
-                .collect(),
-        };
-        let parsed = HostManifest::parse(&manifest.to_json_pretty()).unwrap();
-        prop_assert_eq!(&parsed, &manifest);
-        prop_assert_eq!(parsed.to_json_pretty(), manifest.to_json_pretty());
-    }
-
-    /// Malformed host manifests (zero slots, duplicate or empty names) are
-    /// rejected wherever the bad entry sits.
-    fn host_manifest_rejects_bad_entries(hosts in 1usize..8, bad in 0usize..8) {
-        let bad = bad % hosts;
-        let zero_slots = HostManifest {
-            template: vec!["{exe}".to_string()],
-            hosts: (0..hosts)
-                .map(|i| HostEntry {
-                    name: format!("node-{i}"),
-                    slots: if i == bad { 0 } else { 2 },
-                })
-                .collect(),
-        };
-        prop_assert!(HostManifest::parse(&zero_slots.to_json_pretty()).is_err());
-        if hosts > 1 {
-            let duplicated = HostManifest {
-                template: vec!["{exe}".to_string()],
-                hosts: (0..hosts)
-                    .map(|i| HostEntry {
-                        name: format!("node-{}", if i == bad { (bad + 1) % hosts } else { i }),
-                        slots: 2,
-                    })
-                    .collect(),
-            };
-            prop_assert!(HostManifest::parse(&duplicated.to_json_pretty()).is_err());
-        }
-    }
-
     /// A clean two-shard tiling merges to exactly the expected labels; the
     /// same set with shard 1's range shifted (gap or overlap) is rejected.
     fn merge_rejects_gap_and_overlap_tilings(
@@ -193,7 +142,7 @@ proptest! {
         }
     }
 
-    /// A shard that duplicates one of its neighbour's labels (re-shard gone
+    /// A shard that duplicates one of its neighbour's labels (a retry gone
     /// wrong) is rejected even when the counts line up.
     fn merge_rejects_duplicated_labels(total in 2u64..24, cut in 1u64..24, dup in 0u64..24) {
         let cut = cut.min(total - 1);

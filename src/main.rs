@@ -6,11 +6,9 @@
 //! `std::env::current_exe`) as its worker subprocesses, so the worker-facing
 //! `--shard I/N` flags of `run` and `sweep` always speak the same partition
 //! and document schema as the coordinator that spawned them (DESIGN.md §10).
-//! Workers are placed through the fault-tolerant dispatcher
-//! ([`experiment_report::dispatch`], DESIGN.md §12): pluggable launchers
-//! (`--launcher local|template|slurm` with `--hosts`), per-worker
-//! `--timeout`, bounded retry/re-shard under `--max-attempts`, and
-//! `--speculate` duplicates of straggling shards — all while the merged
+//! Workers run on this host under the fault-tolerant dispatcher
+//! ([`experiment_report::dispatch`], DESIGN.md §12): per-worker
+//! `--timeout` and bounded retry under `--max-attempts`, while the merged
 //! output stays byte-identical to a single-process run.
 //!
 //! `mojo-hpc serve` keeps one process of this binary resident as a TCP

@@ -418,15 +418,13 @@ fn documented_flags_match_the_usage_text() {
         .join("\n");
     let start = design.find("## §8 ").expect("DESIGN.md has §8");
     let end = design.find("## §14 ").expect("DESIGN.md has §14");
-    // Flags of other tools the docs quote (sbatch's, in generated scripts).
-    let foreign = ["--nodelist"];
     for (doc, text) in [
         ("README.md tables", tables.as_str()),
         ("DESIGN.md §8–§13", &design[start..end]),
     ] {
         for flag in flag_tokens(text) {
             assert!(
-                usage.contains(&flag) || foreign.contains(&flag.as_str()),
+                usage.contains(&flag),
                 "{doc} documents {flag}, which `mojo-hpc help` does not know"
             );
         }
@@ -445,6 +443,15 @@ fn documented_flags_match_the_usage_text() {
         concat!("--", "spill-timeout"),
     ];
     let removed_run_form = concat!("run ", "hartree-fock");
+    let removed_shard_flags = [
+        concat!("--", "launcher"),
+        concat!("--", "hosts"),
+        concat!("--", "speculate"),
+    ];
+    let removed_shard_names = [
+        concat!("MOJO_HPC_CHAOS_", "SLOW_MS"),
+        concat!("slurm_", "job_array"),
+    ];
     for (doc, text) in [
         ("README.md", readme.as_str()),
         ("DESIGN.md", design.as_str()),
@@ -454,6 +461,8 @@ fn documented_flags_match_the_usage_text() {
             .into_iter()
             .chain(removed_subcommands)
             .chain(removed_serve_flags)
+            .chain(removed_shard_flags)
+            .chain(removed_shard_names)
         {
             assert!(!text.contains(removed), "{doc} still mentions {removed}");
         }
@@ -468,6 +477,20 @@ fn documented_flags_match_the_usage_text() {
     assert_eq!(output.status.code(), Some(2), "{}", stderr(&output));
     let output = mojo_hpc(&["run", "hartree-fock", "--atoms", "8"]);
     assert_eq!(output.status.code(), Some(2), "{}", stderr(&output));
+    for removed in [
+        vec![removed_shard_flags[2]],
+        vec![removed_shard_flags[0], "slurm"],
+    ] {
+        let mut line = vec!["shard", "run", "table1", "--workers", "1"];
+        line.extend(removed);
+        let output = mojo_hpc(&line);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{line:?}: {}",
+            stderr(&output)
+        );
+    }
 
     // `stats` reports exactly the compute counters §13 documents, so a
     // removed counter cannot linger in either.

@@ -336,12 +336,10 @@ fn presets_round_trip_through_the_cli_and_feed_shard_workers() {
 fn a_crashed_worker_fails_the_fan_out_naming_its_shard() {
     use mojo_hpc::report::dispatch::dispatch;
     use mojo_hpc::report::shard::worker_tasks;
-    use mojo_hpc::report::{DispatchPolicy, Launcher, LocalLauncher};
+    use mojo_hpc::report::{DispatchPolicy, LocalLauncher};
     let fan_out = |exe: &str, args_per_worker: &[Vec<String>]| {
-        let launchers: Vec<Box<dyn Launcher>> =
-            vec![Box::new(LocalLauncher::new(exe, args_per_worker.len()))];
         dispatch(
-            &launchers,
+            &LocalLauncher::new(exe),
             &worker_tasks(args_per_worker),
             &DispatchPolicy::no_retry(),
         )
