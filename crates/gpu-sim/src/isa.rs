@@ -8,20 +8,17 @@
 //! read off an *instruction-mix* summary derived from the kernel cost and the
 //! backend execution profile — which is what this module produces.
 
-use crate::intern::IStr;
 use crate::stats::KernelCost;
 use crate::timing::ExecutionProfile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-thread instruction-mix estimate for one kernel under one backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstructionMix {
-    /// Backend label ("Mojo", "CUDA", "HIP"). Interned: mixes are derived per
-    /// launch and cloning the label must not allocate.
-    pub backend: IStr,
-    /// Kernel name. Interned for the same reason.
-    pub kernel: IStr,
+    /// Backend label ("Mojo", "CUDA", "HIP").
+    pub backend: &'static str,
+    /// Kernel name.
+    pub kernel: &'static str,
     /// Global-memory load instructions per thread (LDG).
     pub ldg: f64,
     /// Global-memory store instructions per thread (STG).
@@ -55,8 +52,8 @@ impl InstructionMix {
         let materialised_constants = 4.0 - f64::from(profile.constant_loads_per_thread.min(4));
         let iadd = (mem_insts + 1.0) * profile.issue_overhead + materialised_constants;
         InstructionMix {
-            backend: profile.backend.clone(),
-            kernel: cost.kernel_name.clone(),
+            backend: profile.backend,
+            kernel: cost.kernel_name,
             ldg: cost.loads_per_thread,
             stg: cost.stores_per_thread,
             ldc: profile.constant_loads_per_thread,
@@ -102,7 +99,7 @@ impl fmt::Display for InstructionMix {
 
 /// A side-by-side comparison of two instruction mixes (Mojo vs. vendor),
 /// carrying the observations Fig. 5 makes in prose.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixComparison {
     /// The portable backend's mix.
     pub portable: InstructionMix,
@@ -160,7 +157,7 @@ mod tests {
         .build()
     }
 
-    fn profile(backend: &str, ldc: u32, issue: f64, regs: u32) -> ExecutionProfile {
+    fn profile(backend: &'static str, ldc: u32, issue: f64, regs: u32) -> ExecutionProfile {
         let mut p = ExecutionProfile::ideal(backend);
         p.constant_loads_per_thread = ldc;
         p.issue_overhead = issue;

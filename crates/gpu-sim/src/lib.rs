@@ -18,9 +18,9 @@
 //! * [`coop`] — a bulk-synchronous engine for kernels that use block shared
 //!   memory and barriers (the BabelStream `dot` reduction);
 //! * [`pool`] — the process-wide size-classed buffer pool behind device
-//!   buffers, executor scratch, and pooled host staging ([`PooledVec`]): in
-//!   steady state a repeated launch touches the global allocator zero times;
-//! * [`intern`] — interned strings ([`IStr`]) for the run-labelling hot path;
+//!   buffers, executor scratch, pooled host staging ([`PooledVec`]) and
+//!   rendered run text ([`PooledString`]): in steady state a repeated launch
+//!   touches the global allocator zero times;
 //! * [`atomics`] — device-global atomic operations (FP64/FP32 `fetch_add`);
 //! * [`stats`] — the analytic cost description of a launch (bytes moved,
 //!   FLOPs by class, atomics, access pattern);
@@ -36,7 +36,6 @@ pub mod coop;
 pub mod dim;
 pub mod error;
 pub mod exec;
-pub mod intern;
 pub mod isa;
 pub mod memory;
 pub mod pool;
@@ -50,9 +49,8 @@ pub use coop::{CoopKernel, CoopLaunch, PhaseOutcome};
 pub use dim::{Dim3, LaunchConfig};
 pub use error::SimError;
 pub use exec::{launch_flat, ThreadCtx};
-pub use intern::{istr, istr_fmt, IStr};
 pub use memory::{Device, DeviceBuffer};
-pub use pool::{PoolStats, PooledVec};
+pub use pool::{PoolStats, PooledString, PooledVec};
 pub use profiler::{MemoryReport, ProfileReport};
 pub use slice::UnsafeSlice;
 pub use stats::{AccessPattern, FlopCounts, KernelCost};

@@ -4,13 +4,13 @@
 //! PR 2's thread-local arena recycled per-block scratch only, and only on the
 //! thread that first allocated it. This module generalises that discipline to
 //! the whole process: backing storage for [`DeviceBuffer`] allocations, coop
-//! block scratch, pooled host staging ([`PooledVec`]), and reusable report
-//! rows all check raw blocks out of one global, size-classed shelf set and
-//! return them on drop. Blocks are rounded up to power-of-two classes
-//! (64 B minimum), so a steady workload re-requests the *same* classes on
-//! every launch and — after warm-up — never touches the global allocator:
-//! checkout pops a shelved block, recycle pushes it back into already-reserved
-//! `Vec` capacity.
+//! block scratch, pooled host staging ([`PooledVec`]), reusable report rows
+//! and their rendered text ([`PooledString`]) all check raw blocks out of one
+//! global, size-classed shelf set and return them on drop. Blocks are rounded
+//! up to power-of-two classes (64 B minimum), so a steady workload
+//! re-requests the *same* classes on every launch and — after warm-up — never
+//! touches the global allocator: checkout pops a shelved block, recycle
+//! pushes it back into already-reserved `Vec` capacity.
 //!
 //! Telemetry is first-class: every checkout is counted as a hit (served from
 //! a shelf) or a miss (fresh `alloc`), with recycled vs fresh byte totals, the
@@ -589,6 +589,67 @@ impl<T: Deserialize> Deserialize for PooledVec<T> {
     }
 }
 
+/// UTF-8 text over pooled storage: the `String` of rendered run text (skip
+/// reasons, verification tokens). Its bytes go back to the pool's bounded
+/// shelves when it drops, so text that differs on every run costs a shelf
+/// pop rather than a fresh allocation, and nothing outlives its owner.
+#[derive(Clone, Default, PartialEq)]
+pub struct PooledString(PooledVec<u8>);
+
+impl PooledString {
+    /// Renders `args` into a new pooled string: the pooled `format!`.
+    pub fn from_fmt(args: std::fmt::Arguments<'_>) -> Self {
+        let mut out = PooledString::default();
+        std::fmt::Write::write_fmt(&mut out, args).expect("formatting into pooled text");
+        out
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        // SAFETY: the bytes only ever grow through `write_str`, which appends
+        // whole `&str`s, so they are always valid UTF-8.
+        unsafe { std::str::from_utf8_unchecked(&self.0) }
+    }
+}
+
+impl std::ops::Deref for PooledString {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl std::fmt::Write for PooledString {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+impl std::fmt::Display for PooledString {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::fmt::Debug for PooledString {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl From<&str> for PooledString {
+    fn from(text: &str) -> Self {
+        PooledString(PooledVec::from(text.as_bytes()))
+    }
+}
+
+impl PartialEq<&str> for PooledString {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,6 +858,29 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .is_empty());
+    }
+
+    #[test]
+    fn pooled_strings_behave_like_strings() {
+        // Growth across size classes keeps the bytes.
+        let long = "x".repeat(1000);
+        let grown = PooledString::from_fmt(format_args!("skipped({long})"));
+        assert_eq!(grown.len(), 1009);
+        assert!(grown.starts_with("skipped(x") && grown.ends_with("x)"));
+        assert_eq!(PooledString::from(grown.as_str()), grown);
+
+        let mut text = PooledString::default();
+        std::fmt::Write::write_fmt(
+            &mut text,
+            format_args!("passed(max_abs_err={:.3e})", 1.25e-9),
+        )
+        .unwrap();
+        assert_eq!(text, "passed(max_abs_err=1.250e-9)");
+        assert_eq!(text.clone(), text);
+        assert_eq!(
+            format!("{text} {text:?}"),
+            format!("{0} {0:?}", text.as_str())
+        );
     }
 
     #[test]

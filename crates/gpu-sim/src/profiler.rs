@@ -8,7 +8,6 @@
 //! rows is derivable from the launch cost, the backend execution profile and
 //! the simulated duration — which is what [`ProfileReport`] does.
 
-use crate::intern::IStr;
 use crate::isa::InstructionMix;
 use crate::pool::PoolStats;
 use crate::stats::KernelCost;
@@ -26,13 +25,12 @@ const PIPE_REPORT_FACTOR: f64 = 3.5;
 
 /// A profiling report for one kernel launch on one backend, mirroring the
 /// rows of the paper's Tables 2–3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
-    /// Backend label ("Mojo", "CUDA", "HIP"). Interned: reports are derived
-    /// per launch and cloning the label must not allocate.
-    pub backend: IStr,
-    /// Kernel name. Interned for the same reason.
-    pub kernel: IStr,
+    /// Backend label ("Mojo", "CUDA", "HIP").
+    pub backend: &'static str,
+    /// Kernel name.
+    pub kernel: &'static str,
     /// Kernel duration in milliseconds.
     pub duration_ms: f64,
     /// Compute (SM) throughput percentage.
@@ -87,8 +85,8 @@ impl ProfileReport {
         let perf_flops = cost.flops.total() as f64 / duration_s;
 
         ProfileReport {
-            backend: profile.backend.clone(),
-            kernel: cost.kernel_name.clone(),
+            backend: profile.backend,
+            kernel: cost.kernel_name,
             duration_ms: timing.millis(),
             compute_sm_pct,
             memory_pct: memory_pct.min(98.0),

@@ -15,7 +15,6 @@
 //! reports and the benchmark's tracer can attribute allocator traffic.
 
 use crate::dim::LaunchConfig;
-use crate::intern::IStr;
 use gpu_spec::Precision;
 use serde::{Deserialize, Serialize};
 
@@ -112,11 +111,10 @@ impl AccessPattern {
 }
 
 /// The full analytic cost of one kernel launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelCost {
     /// Kernel name as it appears in reports ("laplacian", "copy", "fasten", …).
-    /// Interned: cost construction on the run hot path stays allocation-free.
-    pub kernel_name: IStr,
+    pub kernel_name: &'static str,
     /// Arithmetic precision of the kernel.
     pub precision: Precision,
     /// Launch configuration the cost corresponds to.
@@ -152,14 +150,14 @@ pub struct KernelCost {
 impl KernelCost {
     /// Starts building a cost description for a kernel.
     pub fn builder(
-        kernel_name: impl Into<IStr>,
+        kernel_name: &'static str,
         precision: Precision,
         launch: LaunchConfig,
         pattern: AccessPattern,
     ) -> KernelCostBuilder {
         KernelCostBuilder {
             cost: KernelCost {
-                kernel_name: kernel_name.into(),
+                kernel_name,
                 precision,
                 launch,
                 bytes_read: 0,

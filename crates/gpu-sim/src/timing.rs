@@ -16,7 +16,6 @@
 //! fast-math lowered the transcendental cost, and how well its atomic path
 //! performs. All paper-derived constants live in that crate, not here.
 
-use crate::intern::IStr;
 use crate::stats::KernelCost;
 use gpu_spec::GpuSpec;
 use rand::rngs::StdRng;
@@ -29,11 +28,10 @@ pub const DIV_SQRT_COST: f64 = 4.0;
 
 /// What a compiler backend produced for a specific kernel on a specific
 /// device: the inputs the timing model needs beyond the raw cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionProfile {
     /// Backend label as it appears in plots ("Mojo", "CUDA", "CUDA -ffast-math", "HIP").
-    /// Interned: profiles are rebuilt per run, and the label must not allocate.
-    pub backend: IStr,
+    pub backend: &'static str,
     /// Registers allocated per thread (Tables 2–3 "Registers" row).
     pub registers_per_thread: u32,
     /// Fraction of peak DRAM bandwidth the generated code sustains (0..=1].
@@ -60,9 +58,9 @@ pub struct ExecutionProfile {
 impl ExecutionProfile {
     /// A neutral profile achieving ideal efficiency; useful for tests and for
     /// expressing theoretical upper bounds.
-    pub fn ideal(backend: impl Into<IStr>) -> Self {
+    pub fn ideal(backend: &'static str) -> Self {
         ExecutionProfile {
-            backend: backend.into(),
+            backend,
             registers_per_thread: 32,
             mem_efficiency: 1.0,
             compute_efficiency: 1.0,

@@ -42,7 +42,7 @@ pub fn all_presets() -> Vec<GpuSpec> {
 /// NVIDIA H100 NVL — 94 GB. Table 1: 3,900 GB/s, 60.0 FP32 TFLOP/s, 30.0 FP64 TFLOP/s.
 pub fn h100_nvl() -> GpuSpec {
     GpuSpec {
-        name: "NVIDIA H100 NVL - 94 GB".to_string(),
+        name: "NVIDIA H100 NVL - 94 GB",
         vendor: Vendor::Nvidia,
         memory_bytes: 94 * GIB,
         bandwidth_gbs: 3_900.0,
@@ -90,7 +90,7 @@ pub fn h100_nvl() -> GpuSpec {
 /// AMD MI300A — 128 GB HBM3. Table 1: 5,300 GB/s, 122.6 FP32 TFLOP/s, 61.3 FP64 TFLOP/s.
 pub fn mi300a() -> GpuSpec {
     GpuSpec {
-        name: "AMD MI300A - 128 GB HBM3".to_string(),
+        name: "AMD MI300A - 128 GB HBM3",
         vendor: Vendor::Amd,
         memory_bytes: 128 * GIB,
         bandwidth_gbs: 5_300.0,
@@ -139,7 +139,7 @@ pub fn mi300a() -> GpuSpec {
 /// absolute numbers do not matter but determinism and speed do.
 pub fn test_device() -> GpuSpec {
     GpuSpec {
-        name: "SimTest GPU - 1 GB".to_string(),
+        name: "SimTest GPU - 1 GB",
         vendor: Vendor::Generic,
         memory_bytes: GIB,
         bandwidth_gbs: 100.0,

@@ -94,10 +94,11 @@ impl ComputeTopology {
 /// Full description of one GPU, combining the published headline figures
 /// (Table 1 of the paper) with the architectural detail needed by the
 /// simulator and codegen models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuSpec {
-    /// Marketing name, e.g. "NVIDIA H100 NVL - 94 GB".
-    pub name: String,
+    /// Marketing name, e.g. "NVIDIA H100 NVL - 94 GB". Devices are a fixed
+    /// set of presets, so the name is a literal.
+    pub name: &'static str,
     /// Silicon vendor.
     pub vendor: Vendor,
     /// Device memory capacity in bytes.
@@ -255,9 +256,15 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
+        // A spec serialises but does not deserialise (its name is a preset
+        // literal); the JSON text parses back to the same value tree.
         let spec = presets::mi300a();
         let json = serde_json::to_string(&spec).unwrap();
-        let back: GpuSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(spec, back);
+        let back: serde::value::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, serde::Serialize::to_value(&spec));
+        assert!(
+            json.contains(&format!("\"name\":\"{}\"", spec.name)),
+            "{json}"
+        );
     }
 }

@@ -16,7 +16,7 @@ use super::reference::expected_values;
 use crate::cache;
 use crate::common::{Verification, WorkloadRun};
 use crate::real::Real;
-use gpu_sim::{istr, Dim3, SimError};
+use gpu_sim::{Dim3, PooledString, SimError};
 use portable_kernel::prelude::*;
 use rayon::prelude::*;
 use vendor_models::kernel_class::StreamOp;
@@ -43,14 +43,14 @@ pub fn run(
         }
     } else {
         Verification::Skipped {
-            reason: istr("functional execution disabled for this configuration"),
+            reason: PooledString::from("functional execution disabled for this configuration"),
         }
     };
 
     Ok(WorkloadRun {
-        backend: profile.backend.clone(),
-        device: istr(&platform.spec.name),
-        kernel: istr(op.label()),
+        backend: profile.backend,
+        device: platform.spec.name,
+        kernel: op.label(),
         cost,
         profile,
         timing,

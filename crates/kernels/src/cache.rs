@@ -28,7 +28,7 @@ use crate::hartree_fock::{
 use crate::minibude::{reference_energies, Deck, MiniBudeConfig};
 use crate::stencil7::{initialize_grid, reference_laplacian, StencilConfig};
 use gpu_sim::memory::Device;
-use gpu_sim::{istr, IStr, TimingModel};
+use gpu_sim::TimingModel;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -160,7 +160,7 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     }
 }
 
-static DEVICE: Memo<IStr, Device> = Memo::new();
+static DEVICE: Memo<&'static str, Device> = Memo::new();
 
 /// The shared simulated [`Device`] for a platform's GPU spec (keyed by the
 /// spec's name — there are exactly two devices in the paper). A `Device` is
@@ -168,19 +168,16 @@ static DEVICE: Memo<IStr, Device> = Memo::new();
 /// instance makes per-run device setup allocation-free; capacity accounting
 /// is shared, which is exactly how a real device behaves.
 pub fn device(platform: &Platform) -> Device {
-    (*DEVICE.get_or_generate(istr(&platform.spec.name), || {
-        Device::new(platform.spec.clone())
-    }))
-    .clone()
+    (*DEVICE.get_or_generate(platform.spec.name, || Device::new(platform.spec.clone()))).clone()
 }
 
-static TIMING: Memo<IStr, TimingModel> = Memo::new();
+static TIMING: Memo<&'static str, TimingModel> = Memo::new();
 
 /// The shared [`TimingModel`] for a platform's GPU spec. Building a model
-/// clones the spec (one heap-allocated name); every launch of every workload
-/// needs one, so the two paper devices' models are built once.
+/// clones the spec; every launch of every workload needs one, so the two
+/// paper devices' models are built once.
 pub fn timing_model(platform: &Platform) -> Arc<TimingModel> {
-    TIMING.get_or_generate(istr(&platform.spec.name), || platform.timing_model())
+    TIMING.get_or_generate(platform.spec.name, || platform.timing_model())
 }
 
 /// The fields of [`HartreeFockConfig`] that determine the generated system
@@ -241,7 +238,6 @@ struct SampledKey {
     fock: FockKey,
     samples: u64,
     shards: u64,
-    weighting: SampleWeighting,
 }
 
 static SAMPLED: Memo<SampledKey, SampledPlan> = Memo::new();
@@ -249,19 +245,19 @@ static SAMPLED: Memo<SampledKey, SampledPlan> = Memo::new();
 /// The shared run-invariant plan of a sampled Hartree–Fock validation: the
 /// stratified probe set, its CPU-reference ERIs and the expected Fock
 /// contributions. Sampling is purely arithmetic (no RNG), so the plan is a
-/// function of the system, tolerance, probe counts and weighting alone.
+/// function of the system, tolerance and probe counts alone. Uniform is the
+/// only [`SampleWeighting`].
 pub fn sampled_plan(
     config: &HartreeFockConfig,
     samples: u64,
     shards: u64,
-    weighting: SampleWeighting,
+    _weighting: SampleWeighting,
 ) -> Arc<SampledPlan> {
     SAMPLED.get_or_generate(
         SampledKey {
             fock: fock_key(config),
             samples,
             shards,
-            weighting,
         },
         || {
             SampledPlan::generate(
@@ -270,7 +266,6 @@ pub fn sampled_plan(
                 config.nquartets(),
                 samples,
                 shards,
-                weighting,
             )
         },
     )

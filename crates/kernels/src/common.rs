@@ -2,12 +2,11 @@
 //! sampling.
 
 use gpu_sim::timing::JitterModel;
-use gpu_sim::{ExecutionProfile, IStr, KernelCost, LaunchTiming};
+use gpu_sim::{ExecutionProfile, KernelCost, LaunchTiming, PooledString};
 use hpc_metrics::RunStats;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of comparing a simulated kernel's output with the CPU reference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Verification {
     /// Output matched the reference within tolerance.
     Passed {
@@ -17,19 +16,13 @@ pub enum Verification {
     /// Functional execution was skipped (problem too large to run on the
     /// host within the experiment budget); the cost model is still exact.
     Skipped {
-        /// Why functional execution was skipped. Interned: skip reasons are
-        /// drawn from a small fixed set, so repeated runs re-use one string.
-        reason: IStr,
+        /// Why functional execution was skipped. Rendered into pooled
+        /// storage, which returns to the pool when the run drops.
+        reason: PooledString,
     },
 }
 
 impl Verification {
-    /// Whether the run either verified or was deliberately skipped
-    /// (i.e. not a failure).
-    pub fn is_ok(&self) -> bool {
-        true
-    }
-
     /// Whether the run was actually verified against the reference.
     pub fn is_verified(&self) -> bool {
         matches!(self, Verification::Passed { .. })
@@ -39,15 +32,14 @@ impl Verification {
 /// The complete record of one kernel execution on one platform: what ran,
 /// what it cost, how long the model says it took, and whether the numerics
 /// were checked.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadRun {
-    /// Backend label ("Mojo", "CUDA", "CUDA fast-math", "HIP", …). Interned
-    /// so that building and cloning run records never allocates once warm.
-    pub backend: IStr,
-    /// Device name (e.g. "NVIDIA H100 NVL - 94 GB"). Interned.
-    pub device: IStr,
-    /// Kernel name. Interned.
-    pub kernel: IStr,
+    /// Backend label ("Mojo", "CUDA", "CUDA fast-math", "HIP", …).
+    pub backend: &'static str,
+    /// Device name (e.g. "NVIDIA H100 NVL - 94 GB").
+    pub device: &'static str,
+    /// Kernel name.
+    pub kernel: &'static str,
     /// Analytic launch cost.
     pub cost: KernelCost,
     /// Backend execution profile used for timing.
@@ -73,7 +65,7 @@ impl WorkloadRun {
     /// warm-up iteration first, the way the paper's methodology prescribes
     /// ("we discarded the first step in our measurements").
     pub fn sample_durations(&self, iterations: usize, sigma: f64, seed: u64) -> Vec<f64> {
-        let mut jitter = JitterModel::new(sigma, seed ^ fxhash(&self.backend, &self.kernel));
+        let mut jitter = JitterModel::new(sigma, seed ^ fxhash(self.backend, self.kernel));
         // Warm-up draw, discarded.
         let _ = jitter.sample();
         (0..iterations)
@@ -201,9 +193,9 @@ mod tests {
         let profile = ExecutionProfile::ideal("Mojo");
         let timing = TimingModel::new(presets::test_device()).estimate(&cost, &profile);
         WorkloadRun {
-            backend: gpu_sim::istr("Mojo"),
-            device: gpu_sim::istr("test"),
-            kernel: gpu_sim::istr("copy"),
+            backend: "Mojo",
+            device: "test",
+            kernel: "copy",
             cost,
             profile,
             timing,
@@ -229,7 +221,7 @@ mod tests {
     fn different_kernels_get_different_jitter_streams() {
         let run = dummy_run();
         let mut other = dummy_run();
-        other.kernel = gpu_sim::istr("add");
+        other.kernel = "add";
         assert_ne!(
             run.sample_durations(10, 0.02, 7),
             other.sample_durations(10, 0.02, 7)
@@ -253,12 +245,8 @@ mod tests {
     fn verification_helpers() {
         assert!(Verification::Passed { max_abs_error: 0.0 }.is_verified());
         assert!(!Verification::Skipped {
-            reason: gpu_sim::istr("too large")
+            reason: PooledString::from("too large")
         }
         .is_verified());
-        assert!(Verification::Skipped {
-            reason: gpu_sim::istr("x")
-        }
-        .is_ok());
     }
 }

@@ -12,7 +12,7 @@ use super::cost::framestream_cost;
 use super::reference::expected_final;
 use crate::cache;
 use crate::common::{Verification, WorkloadRun};
-use gpu_sim::{istr, istr_fmt, SimError};
+use gpu_sim::{PooledString, SimError};
 use portable_kernel::prelude::*;
 use rayon::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
@@ -31,7 +31,7 @@ pub fn run(platform: &Platform, config: &FrameStreamConfig) -> Result<WorkloadRu
         execute(platform, config)?
     } else {
         Verification::Skipped {
-            reason: istr_fmt(format_args!(
+            reason: PooledString::from_fmt(format_args!(
                 "{} streamed elements exceed the functional-execution budget; cost model only",
                 config.streamed_elements()
             )),
@@ -39,9 +39,9 @@ pub fn run(platform: &Platform, config: &FrameStreamConfig) -> Result<WorkloadRu
     };
 
     Ok(WorkloadRun {
-        backend: profile.backend.clone(),
-        device: istr(&platform.spec.name),
-        kernel: istr("framestream"),
+        backend: profile.backend,
+        device: platform.spec.name,
+        kernel: "framestream",
         cost,
         profile,
         timing,

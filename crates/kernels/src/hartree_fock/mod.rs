@@ -30,8 +30,8 @@ pub use geometry::HeliumSystem;
 pub use portable::{run, run as run_portable, run as run_vendor};
 pub use reference::{quartet_eri, reference_fock};
 pub use sampled::{
-    run_sampled, run_sampled_weighted, shard_ranges, SampleWeighting, SampledPlan,
-    SampledValidation, ShardStats, DEFAULT_SAMPLES, DEFAULT_SHARDS,
+    run_sampled, shard_ranges, SampleWeighting, SampledPlan, SampledValidation, ShardStats,
+    DEFAULT_SAMPLES, DEFAULT_SHARDS,
 };
 pub use triangular::{pair_count, pair_decode, pair_encode, quartet_decode};
 

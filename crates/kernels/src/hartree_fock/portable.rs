@@ -14,7 +14,7 @@ use super::reference::quartet_eri;
 use super::triangular::pair_decode;
 use crate::cache;
 use crate::common::{compare_slices, Verification, WorkloadRun};
-use gpu_sim::{istr, istr_fmt, SimError};
+use gpu_sim::{PooledString, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
@@ -33,7 +33,7 @@ pub fn run(platform: &Platform, config: &HartreeFockConfig) -> Result<WorkloadRu
         execute(platform, config, &system)?
     } else {
         Verification::Skipped {
-            reason: istr_fmt(format_args!(
+            reason: PooledString::from_fmt(format_args!(
                 "natoms = {} exceeds the functional-execution limit; cost model only",
                 config.natoms
             )),
@@ -41,9 +41,9 @@ pub fn run(platform: &Platform, config: &HartreeFockConfig) -> Result<WorkloadRu
     };
 
     Ok(WorkloadRun {
-        backend: profile.backend.clone(),
-        device: istr(&platform.spec.name),
-        kernel: istr("hartree_fock"),
+        backend: profile.backend,
+        device: platform.spec.name,
+        kernel: "hartree_fock",
         cost,
         profile,
         timing,

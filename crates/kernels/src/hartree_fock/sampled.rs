@@ -37,30 +37,14 @@ pub const DEFAULT_SAMPLES: u64 = 4096;
 /// Default number of shards the quartet space is split into.
 pub const DEFAULT_SHARDS: u64 = 32;
 
-/// How the sampled probe budget is spread over the shards.
+/// How the sampled probe budget is spread over the shards. Uniform is the
+/// only scheme: every shard receives the same budget. The type remains a
+/// parameter of [`cache::sampled_plan`] so its callers keep their signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SampleWeighting {
-    /// Every shard receives the same probe budget (the historical behaviour
-    /// and the default — report goldens are produced with this weighting).
+    /// Every shard receives the same probe budget.
     #[default]
     Uniform,
-    /// Importance sampling: each shard's probe budget is proportional to its
-    /// coarse Schwarz mass (the mean sampled `schwarz[ij] * schwarz[kl]`
-    /// product times the shard width), so probes concentrate where surviving
-    /// quartets actually live. The mass pre-pass is a fixed-stride sweep —
-    /// purely arithmetic, no RNG — so the weighted plan is as deterministic
-    /// as the uniform one.
-    Schwarz,
-}
-
-impl SampleWeighting {
-    /// Stable lowercase label (used in cache keys and diagnostics).
-    pub fn label(self) -> &'static str {
-        match self {
-            SampleWeighting::Uniform => "uniform",
-            SampleWeighting::Schwarz => "schwarz",
-        }
-    }
 }
 
 /// Sampling statistics of one shard of the quartet index space.
@@ -175,10 +159,8 @@ impl SampledPlan {
         nquartets: u64,
         samples: u64,
         shards: u64,
-        weighting: SampleWeighting,
     ) -> SampledPlan {
-        let (stats, survivors) =
-            sample_quartets(system, screening_tol, nquartets, samples, shards, weighting);
+        let (stats, survivors) = sample_quartets(system, screening_tol, nquartets, samples, shards);
         let nsamples = survivors.len();
         let host_eris: Vec<f64> = {
             let survivors = &survivors;
@@ -207,86 +189,9 @@ impl SampledPlan {
     }
 }
 
-/// Probes the coarse Schwarz mass pre-pass takes per shard. Fixed (and
-/// independent of the requested sample budget) so the weighted plan is a
-/// deterministic function of the system and shard geometry alone.
-const COARSE_MASS_PROBES: u64 = 32;
-
-/// Per-shard probe budgets under a weighting scheme.
-///
-/// `Uniform` reproduces the historical allocation exactly (`samples`
-/// divided evenly, rounded up). `Schwarz` apportions the total budget by
-/// each shard's coarse Schwarz mass through largest-remainder rounding,
-/// flooring every non-empty shard at one probe so the stratified estimate
-/// never loses a stratum.
-fn shard_probe_budgets(
-    system: &HeliumSystem,
-    ranges: &[(u64, u64)],
-    samples: u64,
-    weighting: SampleWeighting,
-) -> Vec<u64> {
-    match weighting {
-        SampleWeighting::Uniform => {
-            let per_shard = samples.div_ceil(ranges.len() as u64).max(1);
-            ranges.iter().map(|&(s, e)| per_shard.min(e - s)).collect()
-        }
-        SampleWeighting::Schwarz => {
-            // Coarse mass pre-pass: mean sampled Schwarz product × width.
-            let masses: Vec<f64> = ranges
-                .iter()
-                .map(|&(start, end)| {
-                    let len = end - start;
-                    if len == 0 {
-                        return 0.0;
-                    }
-                    let probes = COARSE_MASS_PROBES.min(len);
-                    let stride = (len / probes).max(1);
-                    let mut sum = 0.0f64;
-                    for k in 0..probes {
-                        let (ij, kl) = pair_decode(start + k * stride);
-                        sum += system.schwarz[ij as usize] * system.schwarz[kl as usize];
-                    }
-                    sum / probes as f64 * len as f64
-                })
-                .collect();
-            let total_mass: f64 = masses.iter().sum();
-            if total_mass <= 0.0 {
-                // Degenerate mass field: fall back to the uniform split.
-                return shard_probe_budgets(system, ranges, samples, SampleWeighting::Uniform);
-            }
-            // Largest-remainder apportionment of the total budget; ties are
-            // broken by shard index, so the result is deterministic.
-            let shares: Vec<f64> = masses
-                .iter()
-                .map(|m| samples as f64 * m / total_mass)
-                .collect();
-            let mut budgets: Vec<u64> = shares.iter().map(|s| s.floor() as u64).collect();
-            let assigned: u64 = budgets.iter().sum();
-            let mut order: Vec<usize> = (0..budgets.len()).collect();
-            order.sort_by(|&a, &b| {
-                let ra = shares[a] - shares[a].floor();
-                let rb = shares[b] - shares[b].floor();
-                rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
-            });
-            for &shard in order
-                .iter()
-                .cycle()
-                .take(samples.saturating_sub(assigned) as usize)
-            {
-                budgets[shard] += 1;
-            }
-            // Floor every non-empty shard at one probe and clamp to width.
-            for (budget, &(start, end)) in budgets.iter_mut().zip(ranges.iter()) {
-                let len = end - start;
-                *budget = (*budget).max(u64::from(len > 0)).min(len);
-            }
-            budgets
-        }
-    }
-}
-
 /// Stratified sample of the quartet space: probes each shard at a fixed
-/// stride and partitions the probes by Schwarz screening. Returns the
+/// stride, with the budget divided evenly (rounded up) and capped at the
+/// shard width, and partitions the probes by Schwarz screening. Returns the
 /// per-shard statistics (errors zeroed) and the surviving `(shard, quartet)`
 /// list in index order.
 fn sample_quartets(
@@ -295,15 +200,14 @@ fn sample_quartets(
     nquartets: u64,
     samples: u64,
     shards: u64,
-    weighting: SampleWeighting,
 ) -> (Vec<ShardStats>, Vec<(u64, u64)>) {
     let ranges = shard_ranges(nquartets, shards);
-    let budgets = shard_probe_budgets(system, &ranges, samples, weighting);
+    let per_shard = samples.div_ceil(ranges.len() as u64).max(1);
     let mut stats = Vec::with_capacity(ranges.len());
     let mut survivors = Vec::new();
     for (shard, &(start, end)) in ranges.iter().enumerate() {
         let len = end - start;
-        let probes = budgets[shard];
+        let probes = per_shard.min(len);
         // probes == 0 only for an empty shard, where the loop body never runs.
         let stride = len.checked_div(probes).map_or(1, |s| s.max(1));
         let mut surviving = 0;
@@ -341,20 +245,6 @@ pub fn run_sampled(
     samples: u64,
     shards: u64,
 ) -> Result<SampledValidation, SimError> {
-    run_sampled_weighted(platform, config, samples, shards, SampleWeighting::Uniform)
-}
-
-/// [`run_sampled`] with an explicit probe-budget weighting. `Uniform` is the
-/// historical (and golden) behaviour; `Schwarz` importance-samples the shards
-/// by their coarse Schwarz mass, which concentrates probes on the shards that
-/// contribute survivors and tightens the extrapolated survivor estimate.
-pub fn run_sampled_weighted(
-    platform: &Platform,
-    config: &HartreeFockConfig,
-    samples: u64,
-    shards: u64,
-    weighting: SampleWeighting,
-) -> Result<SampledValidation, SimError> {
     let system = cache::helium_system(config);
     let natoms = system.natoms;
     let nquartets = config.nquartets();
@@ -362,7 +252,7 @@ pub fn run_sampled_weighted(
     // The probe set, reference ERIs and expected Fock contributions are
     // run-invariant — fetch the cached plan and copy the mutable shard
     // statistics into pooled storage.
-    let plan = cache::sampled_plan(config, samples, shards, weighting);
+    let plan = cache::sampled_plan(config, samples, shards, SampleWeighting::Uniform);
     let mut stats: PooledVec<ShardStats> = PooledVec::new();
     stats.extend_from_slice(&plan.shards);
     let nsamples = plan.survivors.len();
@@ -487,74 +377,6 @@ mod tests {
         for (sa, sb) in a.shards.iter().zip(b.shards.iter()) {
             assert_eq!(sa.surviving, sb.surviving);
             assert_eq!(sa.probed, sb.probed);
-        }
-    }
-
-    #[test]
-    fn schwarz_weighting_reallocates_probes_toward_heavy_shards() {
-        let config = HartreeFockConfig::paper(64, 3);
-        let system = cache::helium_system(&config);
-        let ranges = shard_ranges(config.nquartets(), 16);
-        let uniform = shard_probe_budgets(&system, &ranges, 512, SampleWeighting::Uniform);
-        let weighted = shard_probe_budgets(&system, &ranges, 512, SampleWeighting::Schwarz);
-        assert_eq!(uniform.len(), weighted.len());
-        // Importance sampling must actually move budget between shards...
-        assert_ne!(uniform, weighted);
-        // ...while covering every stratum and respecting the total budget
-        // (up to the per-shard floor).
-        assert!(weighted.iter().all(|&b| b >= 1));
-        let total: u64 = weighted.iter().sum();
-        assert!(total >= 512, "floors can only add probes, got {total}");
-        assert!(total <= 512 + ranges.len() as u64);
-    }
-
-    #[test]
-    fn weighted_sampling_is_deterministic_and_passes_validation() {
-        let config = HartreeFockConfig::paper(64, 3);
-        let platform = Platform::portable_h100();
-        let a = run_sampled_weighted(&platform, &config, 512, 8, SampleWeighting::Schwarz).unwrap();
-        let b = run_sampled_weighted(&platform, &config, 512, 8, SampleWeighting::Schwarz).unwrap();
-        assert_eq!(a.executed, b.executed);
-        assert_eq!(a.estimated_survivors, b.estimated_survivors);
-        assert!(a.executed > 0);
-        assert_eq!(a.eri_max_abs_error, 0.0);
-        assert!(a.fock_max_abs_error < 1e-9);
-        assert!(
-            a.survivor_estimate_error() < 0.35,
-            "estimate {} vs exact {}",
-            a.estimated_survivors,
-            a.exact_survivors
-        );
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
-
-        /// The Schwarz-weighted estimator must stay within the same
-        /// extrapolation tolerance the uniform estimator is held to.
-        fn weighted_estimator_stays_within_extrapolation_tolerance(
-            natoms in 16u32..48,
-            samples in 128u64..512,
-            shards in 2u64..12,
-        ) {
-            let config = HartreeFockConfig::paper(natoms, 3);
-            let report = run_sampled_weighted(
-                &Platform::portable_h100(),
-                &config,
-                samples,
-                shards,
-                SampleWeighting::Schwarz,
-            )
-            .unwrap();
-            proptest::prop_assert!(
-                report.survivor_estimate_error() < 0.35,
-                "natoms={} samples={} shards={}: estimate {} vs exact {}",
-                natoms,
-                samples,
-                shards,
-                report.estimated_survivors,
-                report.exact_survivors
-            );
         }
     }
 

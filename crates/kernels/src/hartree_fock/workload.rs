@@ -6,7 +6,7 @@ use crate::workload::{
     check_int_range, paper_platform_pairs, Measurement, ParamSpec, Params, Workload, WorkloadError,
     WorkloadOutput,
 };
-use gpu_sim::{istr, istr_fmt, PooledVec};
+use gpu_sim::{PooledString, PooledVec};
 
 /// Largest `atoms` either Hartree–Fock workload accepts. One point holds
 /// about `atoms²/2` Schwarz factors and an `atoms²` density matrix: 4096
@@ -172,12 +172,12 @@ impl Workload for HartreeFockSampledWorkload {
             params.int("shards"),
         )?;
         let measurement = Measurement {
-            device: istr(&platform.spec.name),
-            backend: istr(platform.backend.label()),
-            kernel: istr("hartree_fock_sampled"),
+            device: platform.spec.name,
+            backend: platform.backend.label(),
+            kernel: "hartree_fock_sampled",
             seconds: 0.0,
             fom: report.estimated_survivors as f64,
-            verification: istr_fmt(format_args!(
+            verification: PooledString::from_fmt(format_args!(
                 "passed(eri={:.3e},fock={:.3e},exact_survivors={},estimate_err={:.2}%)",
                 report.eri_max_abs_error,
                 report.fock_max_abs_error,

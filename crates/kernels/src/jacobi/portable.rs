@@ -12,7 +12,7 @@ use super::cost::jacobi_cost;
 use super::reference::residual_rms;
 use crate::cache;
 use crate::common::{compare_with_reference, Verification, WorkloadRun};
-use gpu_sim::{istr, istr_fmt, SimError};
+use gpu_sim::{PooledString, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
@@ -54,7 +54,7 @@ pub fn run(platform: &Platform, config: &JacobiConfig) -> Result<WorkloadRun, Si
         execute(platform, config)?
     } else {
         Verification::Skipped {
-            reason: istr_fmt(format_args!(
+            reason: PooledString::from_fmt(format_args!(
                 "L = {} exceeds the functional-execution limit; cost model only",
                 config.l
             )),
@@ -62,9 +62,9 @@ pub fn run(platform: &Platform, config: &JacobiConfig) -> Result<WorkloadRun, Si
     };
 
     Ok(WorkloadRun {
-        backend: profile.backend.clone(),
-        device: istr(&platform.spec.name),
-        kernel: istr("jacobi"),
+        backend: profile.backend,
+        device: platform.spec.name,
+        kernel: "jacobi",
         cost,
         profile,
         timing,

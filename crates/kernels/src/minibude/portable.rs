@@ -14,7 +14,7 @@ use super::cost::fasten_cost;
 use super::reference::{pair_energy, transform_point, HALF};
 use crate::cache;
 use crate::common::{compare_slices_f32, Verification, WorkloadRun};
-use gpu_sim::{istr, SimError};
+use gpu_sim::{PooledString, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
@@ -32,14 +32,14 @@ pub fn run(platform: &Platform, config: &MiniBudeConfig) -> Result<WorkloadRun, 
         execute(platform, config)?
     } else {
         Verification::Skipped {
-            reason: istr("functional execution disabled (executed_poses = 0)"),
+            reason: PooledString::from("functional execution disabled (executed_poses = 0)"),
         }
     };
 
     Ok(WorkloadRun {
-        backend: profile.backend.clone(),
-        device: istr(&platform.spec.name),
-        kernel: istr("fasten"),
+        backend: profile.backend,
+        device: platform.spec.name,
+        kernel: "fasten",
         cost,
         profile,
         timing,

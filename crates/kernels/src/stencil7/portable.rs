@@ -12,7 +12,7 @@ use super::cost::stencil_cost;
 use crate::cache;
 use crate::common::{compare_with_reference, Verification, WorkloadRun};
 use crate::real::Real;
-use gpu_sim::{istr, istr_fmt, SimError};
+use gpu_sim::{PooledString, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
@@ -60,7 +60,7 @@ pub fn run(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, S
         }
     } else {
         Verification::Skipped {
-            reason: istr_fmt(format_args!(
+            reason: PooledString::from_fmt(format_args!(
                 "L = {} exceeds the functional-execution limit; cost model only",
                 config.l
             )),
@@ -68,9 +68,9 @@ pub fn run(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, S
     };
 
     Ok(WorkloadRun {
-        backend: profile.backend.clone(),
-        device: istr(&platform.spec.name),
-        kernel: istr("laplacian"),
+        backend: profile.backend,
+        device: platform.spec.name,
+        kernel: "laplacian",
         cost,
         profile,
         timing,

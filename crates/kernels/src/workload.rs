@@ -21,7 +21,7 @@
 //! | `framestream` | [`crate::framestream`] | `bandwidth_gbs` (§15) | `n` |
 
 use crate::common::{Verification, WorkloadRun};
-use gpu_sim::{istr_fmt, IStr, PooledVec, SimError};
+use gpu_sim::{PooledString, PooledVec, SimError};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use vendor_models::Platform;
@@ -32,9 +32,9 @@ use vendor_models::Platform;
 pub enum ParamValue {
     /// An unsigned integer parameter.
     Int(u64),
-    /// A keyword parameter, stored lowercase. Not interned: a value is
-    /// built before it is validated, and an interned rejected value would
-    /// stay resident forever. Cloning an assignment is a refcount bump.
+    /// A keyword parameter, stored lowercase. A value is built before it is
+    /// validated, so a rejected one is freed with its assignment; cloning an
+    /// assignment is a refcount bump.
     Text(Arc<str>),
 }
 
@@ -232,32 +232,33 @@ impl Params {
 }
 
 /// One measured data point of a workload run: one kernel on one platform.
-/// Every string field is interned, so building and cloning rows on the sweep
-/// hot path is allocation-free once the label vocabulary is warm.
+/// The labels are static and the verification text is pooled, so building,
+/// cloning and dropping rows on the sweep hot path is allocation-free once
+/// the pool is warm, and a dropped row keeps nothing resident.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Device name (e.g. "NVIDIA H100 NVL - 94 GB").
-    pub device: IStr,
+    pub device: &'static str,
     /// Backend label ("Mojo", "CUDA", "HIP", …).
-    pub backend: IStr,
+    pub backend: &'static str,
     /// Kernel name within the workload ("laplacian", "Triad", …).
-    pub kernel: IStr,
+    pub kernel: &'static str,
     /// Simulated kernel duration in seconds (0 when the scenario has no
     /// timing model, e.g. the sampled Hartree–Fock validation).
     pub seconds: f64,
     /// The workload's figure of merit (see [`Workload::fom_label`]).
     pub fom: f64,
     /// Rendered verification outcome (`passed(…)` / `skipped(…)`).
-    pub verification: IStr,
+    pub verification: PooledString,
 }
 
 impl Measurement {
     /// Builds a measurement from a driver run record and its figure of merit.
     pub fn from_run(run: &WorkloadRun, fom: f64) -> Measurement {
         Measurement {
-            device: run.device.clone(),
-            backend: run.backend.clone(),
-            kernel: run.kernel.clone(),
+            device: run.device,
+            backend: run.backend,
+            kernel: run.kernel,
             seconds: run.seconds(),
             fom,
             verification: render_verification(&run.verification),
@@ -265,15 +266,16 @@ impl Measurement {
     }
 }
 
-/// Renders a verification outcome as a short deterministic token. Interned:
-/// repeated runs of a deterministic workload produce the same token, so the
-/// steady state is a lookup, not an allocation.
-pub fn render_verification(verification: &Verification) -> IStr {
+/// Renders a verification outcome as a short deterministic token, in pooled
+/// storage: the steady state is a shelf pop, not an allocation.
+pub fn render_verification(verification: &Verification) -> PooledString {
     match verification {
         Verification::Passed { max_abs_error } => {
-            istr_fmt(format_args!("passed(max_abs_err={max_abs_error:.3e})"))
+            PooledString::from_fmt(format_args!("passed(max_abs_err={max_abs_error:.3e})"))
         }
-        Verification::Skipped { reason } => istr_fmt(format_args!("skipped({reason})")),
+        Verification::Skipped { reason } => {
+            PooledString::from_fmt(format_args!("skipped({reason})"))
+        }
     }
 }
 
@@ -396,7 +398,6 @@ pub fn known_names() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::istr;
 
     fn specs() -> Vec<ParamSpec> {
         vec![
@@ -450,8 +451,74 @@ mod tests {
             "passed(max_abs_err=1.250e-12)"
         );
         let skipped = Verification::Skipped {
-            reason: istr("too large"),
+            reason: PooledString::from("too large"),
         };
         assert_eq!(render_verification(&skipped), "skipped(too large)");
+    }
+
+    /// The verification tokens keep their bytes: one passed, one skipped per
+    /// family and one sampled token, as the CSV/JSON cells print them.
+    #[test]
+    fn verification_tokens_keep_their_bytes() {
+        let token = |name: &str, encoding: &str| {
+            let engine = find(name).expect("registered workload");
+            let mut params = engine.default_params();
+            params.apply_encoding(encoding).expect("valid assignment");
+            let output = engine.run(&params).expect("run succeeds");
+            output.measurements[0].verification.to_string()
+        };
+        let platform = &paper_platform_pairs()[0];
+        let stream = crate::babelstream::run(
+            platform,
+            vendor_models::StreamOp::Copy,
+            &crate::babelstream::BabelStreamConfig::paper(gpu_spec::Precision::Fp64),
+        )
+        .expect("cost-model run");
+        let bude = crate::minibude::run(
+            platform,
+            &crate::minibude::MiniBudeConfig {
+                executed_poses: 0,
+                ..crate::minibude::MiniBudeConfig::paper(8, 64)
+            },
+        )
+        .expect("cost-model run");
+        let cases = [
+            (
+                token("stencil", "l=16,precision=fp32"),
+                "passed(max_abs_err=7.324e-4)",
+            ),
+            (
+                token("stencil", "l=200"),
+                "skipped(L = 200 exceeds the functional-execution limit; cost model only)",
+            ),
+            (
+                render_verification(&stream.verification).to_string(),
+                "skipped(functional execution disabled for this configuration)",
+            ),
+            (
+                render_verification(&bude.verification).to_string(),
+                "skipped(functional execution disabled (executed_poses = 0))",
+            ),
+            (
+                token("hartree-fock", "atoms=200"),
+                "skipped(natoms = 200 exceeds the functional-execution limit; cost model only)",
+            ),
+            (
+                token("jacobi", "l=200"),
+                "skipped(L = 200 exceeds the functional-execution limit; cost model only)",
+            ),
+            (
+                token("framestream", "n=100000000"),
+                "skipped(6400000000 streamed elements exceed the functional-execution budget; \
+                 cost model only)",
+            ),
+            (
+                token("hartree-fock-sampled", "atoms=16,samples=64,shards=4"),
+                "passed(eri=0.000e0,fock=0.000e0,exact_survivors=9316,estimate_err=0.00%)",
+            ),
+        ];
+        for (rendered, expected) in cases {
+            assert_eq!(rendered, expected);
+        }
     }
 }

@@ -48,7 +48,7 @@ impl Roofline {
     /// Builds the roofline of `spec` at `precision`.
     pub fn of(spec: &GpuSpec, precision: Precision) -> Self {
         Roofline {
-            device: spec.name.clone(),
+            device: spec.name.to_string(),
             precision,
             peak_bandwidth: spec.peak_bandwidth_bytes_per_s(),
             peak_flops: spec.peak_flops(precision),

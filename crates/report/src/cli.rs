@@ -38,10 +38,12 @@ use crate::shard::{self, ShardDocument, ShardManifest, ShardPoolCounters, ShardS
 use crate::sweep::{run_sweep, SweepSpec};
 use hpc_metrics::output;
 use science_kernels::workload;
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Output rendering of `run` and `sweep`.
+/// Output rendering of `run` and `sweep`, on the CLI (`--format`) and in
+/// `serve` payloads (the `format` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputFormat {
     /// Human-readable console text plus CSV files (the default).
@@ -52,12 +54,31 @@ pub enum OutputFormat {
 }
 
 impl OutputFormat {
-    /// Parses a `--format` value.
-    pub fn parse(value: &str) -> Result<OutputFormat, String> {
+    /// Parses the value of the flag or protocol field `source`, which the
+    /// error names.
+    pub fn parse(value: &str, source: &str) -> Result<OutputFormat, String> {
         match value {
             "csv" => Ok(OutputFormat::Csv),
             "json" => Ok(OutputFormat::Json),
-            other => Err(format!("--format: expected csv or json, got '{other}'")),
+            other => Err(format!("{source}: expected csv or json, got '{other}'")),
+        }
+    }
+
+    /// The stdout bytes of `run` (`array`: the JSON document is an array of
+    /// the reports) or `sweep` (the one report's JSON document). The CLI
+    /// prints them and `serve` sends them as its payload, so both lanes
+    /// produce the same bytes.
+    pub fn render<R: Borrow<ExperimentReport>>(self, reports: &[R], array: bool) -> String {
+        match self {
+            OutputFormat::Csv => reports
+                .iter()
+                .map(|r| format!("{}\n", r.borrow().render()))
+                .collect(),
+            OutputFormat::Json if array => ExperimentReport::render_json_array(reports),
+            OutputFormat::Json => reports
+                .iter()
+                .map(|r| r.borrow().to_json_pretty())
+                .collect(),
         }
     }
 }
@@ -349,7 +370,12 @@ fn parse_run(rest: &[&str]) -> Result<Command, String> {
             "--all" => all = true,
             "--out" => out = Some(PathBuf::from(flag_value("--out", &mut args)?)),
             "--threads" => threads = Some(parse_threads(flag_value("--threads", &mut args)?)?),
-            "--format" => format = Some(OutputFormat::parse(flag_value("--format", &mut args)?)?),
+            "--format" => {
+                format = Some(OutputFormat::parse(
+                    flag_value("--format", &mut args)?,
+                    "--format",
+                )?)
+            }
             "--shard" => shard = Some(parse_shard_flag(&shard, flag_value("--shard", &mut args)?)?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             id => ids.push(
@@ -414,7 +440,12 @@ fn parse_sweep(rest: &[&str]) -> Result<Command, String> {
             "--sizes" => sizes = Some(parse_sizes(flag_value("--sizes", &mut args)?)?),
             "--out" => out = Some(PathBuf::from(flag_value("--out", &mut args)?)),
             "--threads" => threads = Some(parse_threads(flag_value("--threads", &mut args)?)?),
-            "--format" => format = Some(OutputFormat::parse(flag_value("--format", &mut args)?)?),
+            "--format" => {
+                format = Some(OutputFormat::parse(
+                    flag_value("--format", &mut args)?,
+                    "--format",
+                )?)
+            }
             "--shard" => shard = Some(parse_shard_flag(&shard, flag_value("--shard", &mut args)?)?),
             "--preset" => preset = Some(PathBuf::from(flag_value("--preset", &mut args)?)),
             "--preset-out" => {
@@ -655,17 +686,17 @@ fn write_report_files(report: &ExperimentReport, dir: &Path, format: OutputForma
     }
 }
 
-/// Prints `run` reports in the requested format and writes their files —
-/// the shared tail of the single-process and sharded `run` lanes, so both
-/// produce identical stdout and files.
-fn emit_run_reports(reports: &[ExperimentReport], format: OutputFormat, out_dir: &Path) -> i32 {
-    if format == OutputFormat::Json {
-        print!("{}", ExperimentReport::render_json_array(reports));
-    }
+/// Prints `run` (`array`) or `sweep` reports in the requested format and
+/// writes their files — the shared tail of the single-process and sharded
+/// lanes, so both produce identical stdout and files.
+fn emit_reports(
+    reports: &[ExperimentReport],
+    array: bool,
+    format: OutputFormat,
+    out_dir: &Path,
+) -> i32 {
+    print!("{}", format.render(reports, array));
     for report in reports {
-        if format == OutputFormat::Csv {
-            println!("{}", report.render());
-        }
         if !write_report_files(report, out_dir, format) {
             return 1;
         }
@@ -683,7 +714,7 @@ fn execute_run(args: &RunArgs) -> i32 {
     let pool_before = gpu_sim::pool::stats();
     let reports = run_experiments(&args.ids);
     report_pool_telemetry(&pool_before);
-    let code = emit_run_reports(&reports, args.format, &out_dir);
+    let code = emit_reports(&reports, true, args.format, &out_dir);
     if code != 0 {
         return code;
     }
@@ -754,19 +785,6 @@ fn resolve_sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
     SweepSpec::new(engine, &args.params, sizes).map_err(|e| e.to_string())
 }
 
-/// Prints a sweep report in the requested format and writes its files —
-/// shared by the single-process and sharded sweep lanes.
-fn emit_sweep_report(report: &ExperimentReport, format: OutputFormat, out_dir: &Path) -> i32 {
-    match format {
-        OutputFormat::Csv => println!("{}", report.render()),
-        OutputFormat::Json => print!("{}", report.to_json_pretty()),
-    }
-    if !write_report_files(report, out_dir, format) {
-        return 1;
-    }
-    0
-}
-
 fn execute_sweep(args: &SweepArgs) -> i32 {
     apply_threads(args.threads);
     let spec = match resolve_sweep_spec(args) {
@@ -797,7 +815,7 @@ fn execute_sweep(args: &SweepArgs) -> i32 {
     };
     report_pool_telemetry(&pool_before);
     let out_dir = args.out.clone().unwrap_or_else(output::experiments_dir);
-    let code = emit_sweep_report(&report, args.format, &out_dir);
+    let code = emit_reports(std::slice::from_ref(&report), false, args.format, &out_dir);
     if code != 0 {
         return code;
     }
@@ -948,7 +966,7 @@ fn execute_shard_run(shard_args: &ShardArgs, args: &RunArgs) -> i32 {
             return 1;
         }
     };
-    let code = emit_run_reports(&reports, args.format, &out_dir);
+    let code = emit_reports(&reports, true, args.format, &out_dir);
     if code != 0 {
         return code;
     }
@@ -1026,7 +1044,7 @@ fn execute_shard_sweep(shard_args: &ShardArgs, args: &SweepArgs) -> i32 {
             return 1;
         }
     };
-    let code = emit_sweep_report(&report, args.format, &out_dir);
+    let code = emit_reports(std::slice::from_ref(&report), false, args.format, &out_dir);
     if code != 0 {
         return code;
     }
@@ -1202,7 +1220,10 @@ mod tests {
         assert!(parse_line("sweep stencil --sizes 64 --frobnicate").is_err());
         assert!(parse_line("sweep --sizes 64").is_err());
         assert!(parse_line("sweep stencil other --sizes 64").is_err());
-        assert!(parse_line("run --all --format yaml").is_err());
+        assert_eq!(
+            parse_line("run --all --format yaml").unwrap_err(),
+            "--format: expected csv or json, got 'yaml'"
+        );
     }
 
     #[test]

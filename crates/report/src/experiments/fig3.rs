@@ -54,7 +54,7 @@ pub fn run() -> ExperimentReport {
                 let samples = run.sample_durations(RUNS_PER_CONFIG, STENCIL_JITTER, 2025);
                 for (i, seconds) in samples.iter().enumerate() {
                     csv.push_row([
-                        platform.spec.name.clone(),
+                        platform.spec.name.to_string(),
                         platform.backend.label().to_string(),
                         format!("{}", config.l),
                         config.precision.label().to_string(),

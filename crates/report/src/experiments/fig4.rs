@@ -49,7 +49,7 @@ pub fn run() -> ExperimentReport {
                 let std_bw = mean_bw * stats.coefficient_of_variation();
                 s.push(op.label(), mean_bw);
                 csv.push_row([
-                    platform.spec.name.clone(),
+                    platform.spec.name.to_string(),
                     platform.backend.label().to_string(),
                     op.label().to_string(),
                     format!("{mean_bw}"),

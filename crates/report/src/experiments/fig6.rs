@@ -31,7 +31,7 @@ pub fn sweep(platforms: &[Platform], wg: u32, csv: &mut CsvTable) -> Vec<Series>
             let gflops = bude_fom(&run, &config);
             s.push(format!("PPWI={ppwi}"), gflops);
             csv.push_row([
-                platform.spec.name.clone(),
+                platform.spec.name.to_string(),
                 platform.backend.label().to_string(),
                 format!("{wg}"),
                 format!("{ppwi}"),

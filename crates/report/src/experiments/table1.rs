@@ -17,13 +17,13 @@ pub fn run() -> ExperimentReport {
     let mut csv = CsvTable::new(["gpu", "bandwidth_gbs", "fp32_tflops", "fp64_tflops"]);
     for spec in presets::all_presets() {
         table.push_row([
-            spec.name.clone(),
+            spec.name.to_string(),
             format!("{:.0}", spec.bandwidth_gbs),
             format!("{:.1}", spec.fp32_tflops),
             format!("{:.1}", spec.fp64_tflops),
         ]);
         csv.push_row([
-            spec.name.clone(),
+            spec.name.to_string(),
             format!("{}", spec.bandwidth_gbs),
             format!("{}", spec.fp32_tflops),
             format!("{}", spec.fp64_tflops),

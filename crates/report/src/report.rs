@@ -2,6 +2,7 @@
 
 use hpc_metrics::output::{self, CsvTable};
 use serde::value::Value;
+use std::borrow::Borrow;
 use std::path::PathBuf;
 
 /// Looks up a field of a JSON object value.
@@ -204,8 +205,8 @@ impl ExperimentReport {
 
     /// Renders a set of reports as one pretty-printed JSON array (the
     /// `run --all --format json` stdout payload).
-    pub fn render_json_array(reports: &[ExperimentReport]) -> String {
-        let array = Value::Array(reports.iter().map(|r| r.to_json_value()).collect());
+    pub fn render_json_array<R: Borrow<ExperimentReport>>(reports: &[R]) -> String {
+        let array = Value::Array(reports.iter().map(|r| r.borrow().to_json_value()).collect());
         let mut json = serde_json::to_string_pretty(&array).expect("reports serialise");
         json.push('\n');
         json

@@ -65,6 +65,7 @@
 //! request sleep first — the chaos seam the stress suite uses to hold many
 //! identical requests in flight and prove exactly one computation runs.
 
+use crate::cli::OutputFormat;
 use crate::registry::{run_experiment, ExperimentId};
 use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, ExperimentReport};
 use crate::shard::ShardPoolCounters;
@@ -420,14 +421,14 @@ enum Request {
     /// `experiments` field is absent).
     Run {
         ids: Vec<ExperimentId>,
-        format: BodyFormat,
+        format: OutputFormat,
     },
     /// `sweep`: run a workload at custom sizes with parameter overrides.
     Sweep {
         workload: String,
         sizes: Vec<u64>,
         params: Vec<String>,
-        format: BodyFormat,
+        format: OutputFormat,
     },
     /// `stats`: report cache / single-flight / pool counters.
     Stats,
@@ -435,30 +436,13 @@ enum Request {
     Shutdown,
 }
 
-/// Payload rendering of `run` and `sweep` responses — mirrors the CLI's
-/// `--format` flag (the payload bytes match that lane's stdout exactly).
-#[derive(Clone, Copy, PartialEq)]
-enum BodyFormat {
-    Csv,
-    Json,
-}
-
-impl BodyFormat {
-    fn parse(value: &str) -> Result<BodyFormat, String> {
-        match value {
-            "csv" => Ok(BodyFormat::Csv),
-            "json" => Ok(BodyFormat::Json),
-            other => Err(format!("format: expected csv or json, got '{other}'")),
-        }
-    }
-}
-
 /// Parses the optional `format` field (`json` when absent — a wire protocol
-/// defaults to the machine-readable rendering).
-fn parse_format(value: &Value) -> Result<BodyFormat, String> {
+/// defaults to the machine-readable rendering). The payload bytes match the
+/// CLI's stdout in the same format exactly.
+fn parse_format(value: &Value) -> Result<OutputFormat, String> {
     match json_opt_field(value, "format") {
-        Some(v) => BodyFormat::parse(json_str(v)?),
-        None => Ok(BodyFormat::Json),
+        Some(v) => OutputFormat::parse(json_str(v)?, "format"),
+        None => Ok(OutputFormat::Json),
     }
 }
 
@@ -566,7 +550,11 @@ impl Reply {
 /// Computes a `run` response body: per-experiment reports out of the cache
 /// (or computed once under single-flight), rendered exactly as
 /// `mojo-hpc run … --format …` prints them on stdout.
-fn run_body(state: &ServeState, ids: &[ExperimentId], format: BodyFormat) -> Result<Reply, String> {
+fn run_body(
+    state: &ServeState,
+    ids: &[ExperimentId],
+    format: OutputFormat,
+) -> Result<Reply, String> {
     let keys: Vec<String> = ids
         .iter()
         .map(|id| format!("run:{}", id.as_str()))
@@ -582,20 +570,7 @@ fn run_body(state: &ServeState, ids: &[ExperimentId], format: BodyFormat) -> Res
             CachedValue::Rows(_) => Err(format!("cache key '{key}' holds sweep rows")),
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let body = match format {
-        BodyFormat::Json => {
-            // The `render_json_array` bytes, built from the shared reports.
-            let array = Value::Array(reports.iter().map(|r| r.to_json_value()).collect());
-            let mut json = serde_json::to_string_pretty(&array).expect("reports serialise");
-            json.push('\n');
-            json
-        }
-        BodyFormat::Csv => reports
-            .iter()
-            .map(|r| format!("{}\n", r.render()))
-            .collect(),
-    };
-    Ok(Reply::payload(all_cached, body))
+    Ok(Reply::payload(all_cached, format.render(&reports, true)))
 }
 
 /// Computes a `sweep` response body. Each point is one cache unit keyed on
@@ -607,7 +582,7 @@ fn sweep_body(
     name: &str,
     sizes: &[u64],
     overrides: &[String],
-    format: BodyFormat,
+    format: OutputFormat,
 ) -> Result<Reply, String> {
     let engine = workload::find(name).ok_or_else(|| {
         format!(
@@ -645,11 +620,7 @@ fn sweep_body(
         })
         .collect::<Result<Vec<_>, String>>()?;
     let report = render_sweep(&spec, &outputs);
-    let body = match format {
-        BodyFormat::Json => report.to_json_pretty(),
-        BodyFormat::Csv => format!("{}\n", report.render()),
-    };
-    Ok(Reply::payload(all_cached, body))
+    Ok(Reply::payload(all_cached, format.render(&[report], false)))
 }
 
 /// Builds the `stats` verb's counter tree.
@@ -926,11 +897,11 @@ mod tests {
     fn requests_parse_and_reject() {
         assert!(matches!(
             parse_request(r#"{"cmd":"run"}"#),
-            Ok(Request::Run { ids, format: BodyFormat::Json }) if ids.len() == ExperimentId::ALL.len()
+            Ok(Request::Run { ids, format: OutputFormat::Json }) if ids.len() == ExperimentId::ALL.len()
         ));
         assert!(matches!(
             parse_request(r#"{"cmd":"run","experiments":["table1"],"format":"csv"}"#),
-            Ok(Request::Run { ids, format: BodyFormat::Csv }) if ids.len() == 1
+            Ok(Request::Run { ids, format: OutputFormat::Csv }) if ids.len() == 1
         ));
         let sweep = parse_request(
             r#"{"cmd":"sweep","workload":"stencil","sizes":[16,24],"params":{"precision":"fp32"}}"#,
@@ -956,6 +927,10 @@ mod tests {
         assert!(
             parse_request(r#"{"cmd":"sweep","workload":"stencil","sizes":[8],"params":3}"#)
                 .is_err()
+        );
+        assert_eq!(
+            parse_request(r#"{"cmd":"run","format":"yaml"}"#).err(),
+            Some("format: expected csv or json, got 'yaml'".to_string())
         );
     }
 

@@ -197,7 +197,7 @@ pub fn render_sweep(spec: &SweepSpec, outputs: &[WorkloadOutput]) -> ExperimentR
         report.push_line(format!("{}={size}  [{encoding}]", engine.size_param()));
         for m in &output.measurements {
             report.push_line(format!(
-                "  {:<24} {:<10} {:<10} {} = {}",
+                "  {} {} {} {} = {}",
                 m.device,
                 m.backend,
                 m.kernel,

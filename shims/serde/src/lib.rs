@@ -172,7 +172,7 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     }
 }
 
-impl<T: Serialize> Serialize for &T {
+impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (*self).to_value()
     }

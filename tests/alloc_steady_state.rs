@@ -3,9 +3,9 @@
 //!
 //! Every registered workload is run repeatedly with one fixed parameter
 //! assignment. The first runs are warm-up: they fill the size-classed buffer
-//! pool, the string interner and the generation memo caches. After that,
-//! each `Workload::run` must be served entirely from pooled and memoized
-//! storage — the counting global allocator below must observe **zero**
+//! pool (whose shelves also back each row's verification text) and the
+//! generation memo caches. After that, each `Workload::run` must be served
+//! entirely from pooled and memoized storage — the counting global allocator below must observe **zero**
 //! `alloc`/`realloc` calls across the steady-state launches.
 //!
 //! The test pins `RAYON_NUM_THREADS=1` before the first parallel call so the

@@ -452,6 +452,11 @@ fn documented_flags_match_the_usage_text() {
         concat!("MOJO_HPC_CHAOS_", "SLOW_MS"),
         concat!("slurm_", "job_array"),
     ];
+    let removed_interner = [
+        concat!("gpu_sim::", "intern"),
+        concat!("IS", "tr"),
+        concat!("is", "tr_fmt"),
+    ];
     for (doc, text) in [
         ("README.md", readme.as_str()),
         ("DESIGN.md", design.as_str()),
@@ -463,6 +468,7 @@ fn documented_flags_match_the_usage_text() {
             .chain(removed_serve_flags)
             .chain(removed_shard_flags)
             .chain(removed_shard_names)
+            .chain(removed_interner)
         {
             assert!(!text.contains(removed), "{doc} still mentions {removed}");
         }
@@ -492,13 +498,16 @@ fn documented_flags_match_the_usage_text() {
         );
     }
 
-    // `stats` reports exactly the compute counters §13 documents, so a
-    // removed counter cannot linger in either.
-    assert_eq!(
-        live_stats_keys("compute"),
-        documented_stats_keys(&design, "compute"),
-        "DESIGN.md §13 and `stats` disagree on the compute counters"
-    );
+    // `stats` reports exactly the cache and compute counters §13
+    // documents, so a removed counter cannot linger in either.
+    let stats = live_stats();
+    for section in ["cache", "compute"] {
+        assert_eq!(
+            section_keys(&stats, section),
+            documented_stats_keys(&design, section),
+            "DESIGN.md §13 and `stats` disagree on the {section} counters"
+        );
+    }
     let output = mojo_hpc(&["run", "--all", removed_flag, "simd"]);
     assert_eq!(output.status.code(), Some(2));
     assert!(
@@ -532,8 +541,8 @@ fn documented_stats_keys(design: &str, section: &str) -> Vec<String> {
     text[open..close].split('/').map(str::to_string).collect()
 }
 
-/// The field names of the `section` object of a live `serve` `stats` reply.
-fn live_stats_keys(section: &str) -> Vec<String> {
+/// The `stats` object of a live `serve` `stats` reply.
+fn live_stats() -> Value {
     let mut child = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"))
         .args(["serve", "--listen", "127.0.0.1:0"])
         .stdin(Stdio::null())
@@ -561,17 +570,23 @@ fn live_stats_keys(section: &str) -> Vec<String> {
     let mut rest = String::new();
     reader.read_to_string(&mut rest).ok();
     assert_eq!(child.wait().expect("wait for serve").code(), Some(0));
-    let object = |value: &Value, key: &str| match value {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| panic!("missing '{key}' in {value:?}")),
-        other => panic!("expected an object, got {other:?}"),
-    };
     let reply: Value = serde_json::from_str(header.trim()).expect("stats reply is JSON");
-    match object(&object(&reply, "stats"), section) {
-        Value::Object(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+    match reply {
+        Value::Object(fields) => fields
+            .into_iter()
+            .find_map(|(k, v)| (k == "stats").then_some(v))
+            .expect("stats reply has a 'stats' object"),
+        other => panic!("expected an object, got {other:?}"),
+    }
+}
+
+/// The field names of the `section` object of a `stats` object.
+fn section_keys(stats: &Value, section: &str) -> Vec<String> {
+    let Value::Object(fields) = stats else {
+        panic!("expected an object, got {stats:?}");
+    };
+    match fields.iter().find(|(k, _)| k == section) {
+        Some((_, Value::Object(fields))) => fields.iter().map(|(k, _)| k.clone()).collect(),
         other => panic!("expected '{section}' to be an object, got {other:?}"),
     }
 }

@@ -60,10 +60,16 @@ impl Server {
     /// announced address off stderr (draining the rest on a thread so a
     /// chatty server can never block on a full pipe).
     fn start(env: &[(&str, &str)]) -> Server {
+        Server::start_with_args(&[], env)
+    }
+
+    /// [`Server::start`] with extra `serve` flags.
+    fn start_with_args(args: &[&str], env: &[(&str, &str)]) -> Server {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"));
         cmd.arg("serve")
             .arg("--listen")
             .arg("127.0.0.1:0")
+            .args(args)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped());
@@ -590,6 +596,61 @@ fn rejected_keyword_values_do_not_grow_the_daemon() {
     assert!(
         growth_kib < 8 * 1024,
         "serve grew by {growth_kib} KiB over 400 rejected keywords ({before} -> {after} KiB)"
+    );
+    server.shutdown();
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn distinct_sweep_points_do_not_grow_the_daemon() {
+    // Every point is a distinct stencil size past the functional limit, so
+    // it runs the cost model only and its skip reason names the size. The
+    // cache keeps 8 entries; a daemon that also keeps each point's rendered
+    // text (e.g. by interning it) grows with the number of distinct points.
+    // Large batches keep the test fast: every keep-alive request pays a
+    // fixed ~44 ms.
+    const BATCH: u64 = 1000;
+    const BATCHES: u64 = 60;
+    let server = Server::start_with_args(&["--cache-entries", "8"], &[]);
+    let mut client = server.connect();
+    let mut sweep = |batch: u64| {
+        let first = 1000 + batch * BATCH;
+        let sizes: Vec<String> = (first..first + BATCH).map(|l| l.to_string()).collect();
+        let line = format!(
+            r#"{{"cmd":"sweep","workload":"stencil","sizes":[{}]}}"#,
+            sizes.join(",")
+        );
+        let (header, payload) = client.request(&line);
+        assert_eq!(str_field(&header, "status"), "ok", "batch {batch}");
+        assert!(!bool_field(&header, "cached"), "batch {batch}");
+        let text = String::from_utf8(payload).expect("payload is UTF-8");
+        assert!(
+            text.contains(&format!("skipped(L = {first} exceeds")),
+            "batch {batch}"
+        );
+    };
+    // Warm the pool shelves and the allocator's free lists before the
+    // baseline.
+    sweep(0);
+    let before = vm_rss_kib(server.child.id());
+    for batch in 1..=BATCHES {
+        sweep(batch);
+    }
+    let after = vm_rss_kib(server.child.id());
+    let cache_entries = counter(&client.stats(), "cache", "entries");
+    assert!(cache_entries <= 8, "{cache_entries} cache entries");
+    // Margin (2 vCPU): over these 60,000 points a daemon that interned each
+    // point's skip reason and verification text grew by 20,612 KiB in
+    // release and 20,040 KiB in debug, at every step. With pooled text it
+    // grew by 1,924–4,912 KiB (3 release and 2 debug runs), nearly all of
+    // it in the first 10 batches while the allocator settles, then flat.
+    // 12 MiB is over twice the worst pooled run and fails the interning
+    // daemon by more than 7 MiB.
+    let growth_kib = after.saturating_sub(before);
+    assert!(
+        growth_kib < 12 * 1024,
+        "serve grew by {growth_kib} KiB over {} distinct points ({before} -> {after} KiB)",
+        BATCHES * BATCH
     );
     server.shutdown();
 }
