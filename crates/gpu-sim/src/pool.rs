@@ -45,9 +45,12 @@ const NUM_CLASSES: usize = 27;
 /// allocated exactly and freed on recycle instead of shelved.
 const OVERSIZE: usize = NUM_CLASSES;
 
-/// Blocks retained per class; beyond this, recycle frees instead of shelving,
-/// bounding idle pool memory at ~`Σ class_bytes × RETAIN_PER_CLASS`.
-const RETAIN_PER_CLASS: usize = 32;
+/// Most bytes the shelves hold idle, across every class: 512 MiB. The
+/// largest functional point, a stencil at l = 192, holds three 64 MiB blocks
+/// (201 MB) at once, so the cap keeps the working sets of two concurrent
+/// such points for reuse. A recycled block that would take the idle total
+/// past the cap is freed instead of shelved.
+const MAX_IDLE_BYTES: u64 = 512 << 20;
 
 /// One shelf per size class. Const-initialised so the statics themselves
 /// never allocate; each inner `Vec` grows only while the pool is warming up.
@@ -60,6 +63,8 @@ static RECYCLED_BYTES: AtomicU64 = AtomicU64::new(0);
 static FRESH_BYTES: AtomicU64 = AtomicU64::new(0);
 static OUTSTANDING_BYTES: AtomicU64 = AtomicU64::new(0);
 static HIGH_WATER_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently shelved, at most [`MAX_IDLE_BYTES`].
+static IDLE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A raw 16-byte-aligned allocation owned by the pool machinery.
 ///
@@ -152,6 +157,7 @@ pub(crate) fn checkout(bytes: usize) -> Block {
             .unwrap_or_else(|e| e.into_inner())
             .pop();
         if let Some(block) = shelved {
+            IDLE_BYTES.fetch_sub(block.bytes as u64, Ordering::Relaxed);
             HITS.fetch_add(1, Ordering::Relaxed);
             RECYCLED_BYTES.fetch_add(block.bytes as u64, Ordering::Relaxed);
             let now = OUTSTANDING_BYTES.fetch_add(block.bytes as u64, Ordering::Relaxed)
@@ -181,14 +187,19 @@ pub(crate) fn checkout(bytes: usize) -> Block {
 }
 
 /// Returns a block to its class shelf (or frees it: oversize blocks and
-/// blocks beyond the per-class retention cap are deallocated).
+/// blocks that would take the idle total past [`MAX_IDLE_BYTES`] are
+/// deallocated).
 pub(crate) fn recycle(block: Block) {
-    OUTSTANDING_BYTES.fetch_sub(block.bytes as u64, Ordering::Relaxed);
+    let bytes = block.bytes as u64;
+    OUTSTANDING_BYTES.fetch_sub(bytes, Ordering::Relaxed);
     if block.class != OVERSIZE {
         let mut shelf = SHELVES[block.class]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        if shelf.len() < RETAIN_PER_CLASS {
+        let admitted = IDLE_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |idle| {
+            (idle + bytes <= MAX_IDLE_BYTES).then_some(idle + bytes)
+        });
+        if admitted.is_ok() {
             shelf.push(block);
             return;
         }
@@ -196,7 +207,7 @@ pub(crate) fn recycle(block: Block) {
     free(block);
 }
 
-/// Deallocates a block without shelving it (oversize, over-retention, or
+/// Deallocates a block without shelving it (oversize, over the idle cap, or
 /// panic-path returns). Outstanding accounting must already be settled by the
 /// caller ([`recycle`]) — [`discard`] settles it itself.
 fn free(block: Block) {
@@ -210,20 +221,6 @@ fn free(block: Block) {
 pub(crate) fn discard(block: Block) {
     OUTSTANDING_BYTES.fetch_sub(block.bytes as u64, Ordering::Relaxed);
     free(block);
-}
-
-/// Frees every shelved block, returning idle pool memory to the allocator.
-/// Outstanding blocks are unaffected. Mainly for tests and teardown.
-pub fn trim() {
-    for shelf in &SHELVES {
-        let drained: Vec<Block> = {
-            let mut shelf = shelf.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *shelf)
-        };
-        for block in drained {
-            free(block);
-        }
-    }
 }
 
 /// A snapshot of the pool counters (DESIGN.md §11 telemetry schema).
@@ -849,15 +846,18 @@ mod tests {
     }
 
     #[test]
-    fn trim_empties_the_shelves() {
-        let block = checkout(QUIET_CLASS);
-        recycle(block);
-        trim();
-        let (class, _) = classify(QUIET_CLASS);
+    fn a_block_past_the_idle_cap_is_freed() {
+        // A class of its own, larger than the whole cap (it rounds to
+        // 1 GiB), so no block of it can ever be shelved. The block is never
+        // written, so it costs address space only.
+        const OVER_CAP_CLASS: usize = MAX_IDLE_BYTES as usize + 1;
+        let (class, _) = classify(OVER_CAP_CLASS);
+        recycle(checkout(OVER_CAP_CLASS));
         assert!(SHELVES[class]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .is_empty());
+        assert!(IDLE_BYTES.load(Ordering::Relaxed) <= MAX_IDLE_BYTES);
     }
 
     #[test]

@@ -289,6 +289,23 @@ pub struct WorkloadOutput {
     pub measurements: PooledVec<Measurement>,
 }
 
+impl WorkloadOutput {
+    /// Resident bytes: each row plus the pool block of its verification
+    /// text, and the pool block of the parameter assignment. A pooled
+    /// block is the size class of what it holds.
+    pub fn resident_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let block = gpu_sim::pool::class_bytes;
+        let rows: usize = self
+            .measurements
+            .iter()
+            .map(|m| size_of::<Measurement>() + block(m.verification.len()))
+            .sum();
+        let params = block(self.params.values.len() * size_of::<(&str, ParamValue)>());
+        (rows + params) as u64
+    }
+}
+
 /// A parameterizable scenario engine wrapping one kernel family's drivers.
 ///
 /// Implementations are stateless unit structs registered in [`all()`](all); the

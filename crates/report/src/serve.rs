@@ -13,8 +13,9 @@
 //!   `par_iter`, exactly as the CLI runs them.
 //! * **The stable `Params` encoding.** `Params::encode()` renders a total,
 //!   spec-ordered `key=value,…` string — a content address. Completed
-//!   results land in an LRU cache keyed on it (plus the experiment id for
-//!   registry runs), bounded by entry count and estimated bytes.
+//!   results land in a `science_kernels::cache::SingleFlight` keyed on it
+//!   (plus the experiment id for registry runs), bounded by entry count and
+//!   resident bytes.
 //!
 //! # Single-flight without waiting inside the pool
 //!
@@ -71,15 +72,16 @@ use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, 
 use crate::shard::ShardPoolCounters;
 use crate::sweep::{render_sweep, SweepSpec};
 use rayon::prelude::*;
-use science_kernels::workload::{self, Measurement, WorkloadOutput};
+use science_kernels::cache::{self, Claim, SingleFlight};
+use science_kernels::workload::{self, WorkloadOutput};
 use serde::value::Value;
-use std::collections::HashMap;
+use serde::Serialize;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Environment variable holding a per-computation delay in milliseconds —
@@ -131,15 +133,15 @@ impl ServeConfig {
 enum CachedValue {
     /// One registry experiment's report.
     Report(Arc<ExperimentReport>),
-    /// One sweep point's measurement rows, keyed on the point's full
-    /// `Params` encoding.
-    Rows(Arc<Vec<Measurement>>),
+    /// One sweep point's engine output, keyed on the point's full `Params`
+    /// encoding.
+    Point(Arc<WorkloadOutput>),
 }
 
 impl CachedValue {
-    /// Estimated resident bytes, for the cache's byte budget. String
-    /// content dominates both shapes; the per-row constant covers struct
-    /// overhead.
+    /// Resident bytes, for the cache's byte budget. A report is priced at
+    /// its string content plus a per-row constant for struct overhead; a
+    /// sweep point at its rows, their verification text and parameters.
     fn cost(&self) -> u64 {
         match self {
             CachedValue::Report(report) => {
@@ -157,126 +159,8 @@ impl CachedValue {
                     .sum();
                 (report.id.len() + report.title.len() + report.text.len() + tables + 64) as u64
             }
-            CachedValue::Rows(rows) => rows
-                .iter()
-                .map(|m| {
-                    (m.device.len() + m.backend.len() + m.kernel.len() + m.verification.len() + 64)
-                        as u64
-                })
-                .sum(),
+            CachedValue::Point(output) => output.resident_bytes(),
         }
-    }
-}
-
-/// One cache slot.
-struct CacheEntry {
-    value: CachedValue,
-    cost: u64,
-    last_used: u64,
-}
-
-/// The bounded LRU result cache. Recency is a logical tick (every get and
-/// insert advances it); eviction scans for the minimum — linear, but the
-/// entry bound keeps the scan short and the common path is one hash lookup.
-struct ResultCache {
-    max_entries: usize,
-    max_bytes: u64,
-    map: HashMap<String, CacheEntry>,
-    bytes: u64,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    inserts: u64,
-}
-
-impl ResultCache {
-    fn new(max_entries: usize, max_bytes: u64) -> ResultCache {
-        ResultCache {
-            max_entries,
-            max_bytes,
-            map: HashMap::new(),
-            bytes: 0,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            inserts: 0,
-        }
-    }
-
-    fn get(&mut self, key: &str) -> Option<CachedValue> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.hits += 1;
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: &str, value: CachedValue) {
-        if self.max_entries == 0 {
-            return;
-        }
-        let cost = value.cost();
-        self.tick += 1;
-        if let Some(old) = self.map.remove(key) {
-            self.bytes -= old.cost;
-        }
-        self.bytes += cost;
-        self.inserts += 1;
-        self.map.insert(
-            key.to_string(),
-            CacheEntry {
-                value,
-                cost,
-                last_used: self.tick,
-            },
-        );
-        // Evict least-recently-used entries until both budgets hold. A
-        // single over-budget value evicts itself — an entry larger than the
-        // whole byte budget is not cacheable.
-        while self.map.len() > self.max_entries || self.bytes > self.max_bytes {
-            let Some(lru) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            let entry = self.map.remove(&lru).expect("key came from the map");
-            self.bytes -= entry.cost;
-            self.evictions += 1;
-        }
-    }
-}
-
-/// One in-flight computation other requests can latch onto.
-#[derive(Default)]
-struct Flight {
-    done: Mutex<Option<Result<CachedValue, String>>>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn publish(&self, result: Result<CachedValue, String>) {
-        *lock(&self.done) = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<CachedValue, String> {
-        let mut done = lock(&self.done);
-        while done.is_none() {
-            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
-        }
-        done.clone().expect("loop exits only when set")
     }
 }
 
@@ -284,10 +168,9 @@ impl Flight {
 struct ServeState {
     /// The bound address (used by `shutdown` to wake the acceptor).
     addr: SocketAddr,
-    cache: Mutex<ResultCache>,
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
-    /// Computations actually executed (cache misses that led the flight).
-    computed: AtomicU64,
+    /// Results keyed on `run:ID` or `point:WORKLOAD:PARAMS`. Its misses are
+    /// the computations actually executed: each one led a flight.
+    cache: SingleFlight<String, CachedValue>,
     /// Requests that waited on another request's in-flight computation.
     coalesced: AtomicU64,
     /// Requests handled (any verb).
@@ -299,19 +182,11 @@ struct ServeState {
     pool_baseline: gpu_sim::PoolStats,
 }
 
-/// Locks a mutex, recovering the guard from a poisoned lock — one panicking
-/// connection thread must not wedge a long-running daemon.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl ServeState {
     fn new(config: &ServeConfig, addr: SocketAddr) -> ServeState {
         ServeState {
-            cache: Mutex::new(ResultCache::new(config.cache_entries, config.cache_bytes)),
+            cache: SingleFlight::new(config.cache_entries, config.cache_bytes, CachedValue::cost),
             addr,
-            flights: Mutex::new(HashMap::new()),
-            computed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -332,41 +207,13 @@ fn chaos_slow() {
     }
 }
 
-/// Where one cache unit of a request stands (see "Single-flight without
-/// waiting inside the pool" in the module docs).
-enum Claim {
-    /// Resolved: a cache hit, or a computation this request led and
-    /// published.
-    Done(Result<CachedValue, String>),
-    /// This request leads the unit's flight and computes it.
-    Lead(Arc<Flight>),
-    /// Another request leads the unit's flight (or this request named the
-    /// unit twice); it is awaited only after this request has published.
-    Follow(Arc<Flight>),
-}
-
-/// Claims `key` for one request. The cache is read under the flights lock,
-/// and a leader fills the cache before it drops its flight, so a unit whose
-/// flight just finished is a hit, never a second computation.
-fn claim(state: &ServeState, key: &str) -> Claim {
-    let mut flights = lock(&state.flights);
-    if let Some(flight) = flights.get(key) {
-        state.coalesced.fetch_add(1, Ordering::SeqCst);
-        return Claim::Follow(Arc::clone(flight));
-    }
-    if let Some(value) = lock(&state.cache).get(key) {
-        return Claim::Done(Ok(value));
-    }
-    let flight = Arc::new(Flight::default());
-    flights.insert(key.to_string(), Arc::clone(&flight));
-    Claim::Lead(flight)
-}
-
 /// Resolves the cache units `keys` of one request, computing each missing
 /// unit with `compute(index)` exactly once across every concurrent request
 /// (single-flight). The led units run in one `par_iter`; `compute` must not
-/// wait on a flight. Returns the values in `keys` order, and whether every
-/// one came straight out of the cache.
+/// wait on a flight. Every led unit is published before any followed unit
+/// is awaited (see "Single-flight without waiting inside the pool" in the
+/// module docs). Returns the values in `keys` order, and whether every one
+/// came straight out of the cache.
 fn resolve<F>(
     state: &ServeState,
     keys: &[String],
@@ -375,39 +222,39 @@ fn resolve<F>(
 where
     F: Fn(usize) -> Result<CachedValue, String> + Sync,
 {
-    let mut claims: Vec<Claim> = keys.iter().map(|key| claim(state, key)).collect();
-    let all_cached = claims.iter().all(|c| matches!(c, Claim::Done(_)));
+    let claims: Vec<_> = keys.iter().map(|key| state.cache.claim(key)).collect();
+    let all_cached = claims.iter().all(|c| matches!(c, Claim::Hit(_)));
+    let follows = claims.iter().filter(|c| matches!(c, Claim::Follow(_)));
+    state
+        .coalesced
+        .fetch_add(follows.count() as u64, Ordering::SeqCst);
     let leads: Vec<usize> = (0..keys.len())
         .filter(|&i| matches!(claims[i], Claim::Lead(_)))
         .collect();
     if !leads.is_empty() {
         chaos_slow();
-        state
-            .computed
-            .fetch_add(leads.len() as u64, Ordering::SeqCst);
     }
-    let results: Vec<Result<CachedValue, String>> = leads
+    let mut outcomes = leads
         .par_iter()
         .map(|&i| {
             catch_unwind(AssertUnwindSafe(|| compute(i)))
                 .unwrap_or_else(|_| Err("computation panicked".to_string()))
         })
+        .collect::<Vec<_>>()
+        .into_iter();
+    let claims: Vec<_> = claims
+        .into_iter()
+        .map(|claim| match claim {
+            Claim::Lead(lead) => {
+                Claim::Follow(lead.publish(outcomes.next().expect("one outcome per lead")))
+            }
+            other => other,
+        })
         .collect();
-    for (&i, result) in leads.iter().zip(results) {
-        let Claim::Lead(flight) = &claims[i] else {
-            unreachable!("leads indexes Lead claims")
-        };
-        if let Ok(value) = &result {
-            lock(&state.cache).insert(&keys[i], value.clone());
-        }
-        flight.publish(result.clone());
-        lock(&state.flights).remove(&keys[i]);
-        claims[i] = Claim::Done(result);
-    }
     let values = claims
         .into_iter()
         .map(|claim| match claim {
-            Claim::Done(result) => result,
+            Claim::Hit(value) => Ok(value),
             Claim::Follow(flight) => flight.wait(),
             Claim::Lead(_) => unreachable!("every led unit was published"),
         })
@@ -567,7 +414,7 @@ fn run_body(
         .zip(&keys)
         .map(|(value, key)| match value {
             CachedValue::Report(report) => Ok(report),
-            CachedValue::Rows(_) => Err(format!("cache key '{key}' holds sweep rows")),
+            CachedValue::Point(_) => Err(format!("cache key '{key}' holds a sweep point")),
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(Reply::payload(all_cached, format.render(&reports, true)))
@@ -603,19 +450,13 @@ fn sweep_body(
         .collect();
     let (values, all_cached) = resolve(state, &keys, |i| {
         let output = engine.run(&points[i]).map_err(|e| e.to_string())?;
-        Ok(CachedValue::Rows(Arc::new(
-            output.measurements.iter().cloned().collect(),
-        )))
+        Ok(CachedValue::Point(Arc::new(output)))
     })?;
-    let outputs = points
+    let outputs = values
         .into_iter()
-        .zip(values)
         .zip(&keys)
-        .map(|((params, value), key)| match value {
-            CachedValue::Rows(rows) => Ok(WorkloadOutput {
-                params,
-                measurements: rows.iter().cloned().collect(),
-            }),
+        .map(|(value, key)| match value {
+            CachedValue::Point(output) => Ok(output),
             CachedValue::Report(_) => Err(format!("cache key '{key}' holds a report")),
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -625,26 +466,13 @@ fn sweep_body(
 
 /// Builds the `stats` verb's counter tree.
 fn stats_value(state: &ServeState) -> Value {
-    let cache = lock(&state.cache);
-    let cache_value = Value::Object(vec![
-        ("entries".to_string(), Value::U64(cache.map.len() as u64)),
-        ("bytes".to_string(), Value::U64(cache.bytes)),
-        ("hits".to_string(), Value::U64(cache.hits)),
-        ("misses".to_string(), Value::U64(cache.misses)),
-        ("evictions".to_string(), Value::U64(cache.evictions)),
-        ("inserts".to_string(), Value::U64(cache.inserts)),
-        (
-            "max_entries".to_string(),
-            Value::U64(cache.max_entries as u64),
-        ),
-        ("max_bytes".to_string(), Value::U64(cache.max_bytes)),
-    ]);
-    drop(cache);
+    let memo = cache::memo_counters()
+        .into_iter()
+        .map(|(tier, counters)| (tier.to_string(), counters.to_value()))
+        .collect();
+    let cache = state.cache.counters();
     let compute = Value::Object(vec![
-        (
-            "computed".to_string(),
-            Value::U64(state.computed.load(Ordering::SeqCst)),
-        ),
+        ("computed".to_string(), Value::U64(cache.misses)),
         (
             "coalesced".to_string(),
             Value::U64(state.coalesced.load(Ordering::SeqCst)),
@@ -663,7 +491,8 @@ fn stats_value(state: &ServeState) -> Value {
                     "errors".to_string(),
                     Value::U64(state.errors.load(Ordering::SeqCst)),
                 ),
-                ("cache".to_string(), cache_value),
+                ("cache".to_string(), cache.to_value()),
+                ("memo".to_string(), Value::Object(memo)),
                 ("compute".to_string(), compute),
                 (
                     "pool".to_string(),
@@ -853,44 +682,102 @@ mod tests {
         CachedValue::Report(Arc::new(report))
     }
 
+    type Cache = SingleFlight<String, CachedValue>;
+
+    fn cache(max_entries: usize, max_bytes: u64) -> Cache {
+        SingleFlight::new(max_entries, max_bytes, CachedValue::cost)
+    }
+
+    /// Leads the flight of the cold `key` and publishes `value`.
+    fn fill(cache: &Cache, key: &str, value: CachedValue) {
+        match cache.claim(&key.to_string()) {
+            Claim::Lead(lead) => drop(lead.publish(Ok(value))),
+            _ => panic!("'{key}' is not cold"),
+        }
+    }
+
+    /// The cached value of `key`. A miss leads a flight and abandons it.
+    fn get(cache: &Cache, key: &str) -> Option<CachedValue> {
+        match cache.claim(&key.to_string()) {
+            Claim::Hit(value) => Some(value),
+            _ => None,
+        }
+    }
+
     #[test]
     fn cache_tracks_hits_misses_and_lru_eviction() {
-        let mut cache = ResultCache::new(2, u64::MAX);
-        assert!(cache.get("a").is_none());
-        cache.insert("a", report("a", 10));
-        cache.insert("b", report("b", 10));
-        assert!(cache.get("a").is_some());
-        // Capacity 2: inserting c evicts the LRU entry, which is b.
-        cache.insert("c", report("c", 10));
-        assert!(cache.get("b").is_none());
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
-        assert_eq!(cache.evictions, 1);
-        assert_eq!(cache.hits, 3);
-        assert_eq!(cache.misses, 2);
+        let cache = cache(2, u64::MAX);
+        assert!(get(&cache, "a").is_none());
+        fill(&cache, "a", report("a", 10));
+        fill(&cache, "b", report("b", 10));
+        assert!(get(&cache, "a").is_some());
+        // Capacity 2: filling c evicts the LRU entry, which is b.
+        fill(&cache, "c", report("c", 10));
+        assert!(get(&cache, "b").is_none());
+        assert!(get(&cache, "a").is_some());
+        assert!(get(&cache, "c").is_some());
+        let counters = cache.counters();
+        assert_eq!(counters.evictions, 1);
+        assert_eq!(counters.hits, 3);
+        // Every claim that leads is a miss: two failed gets, three fills.
+        assert_eq!(counters.misses, 5);
+        assert_eq!((counters.entries, counters.inserts), (2, 3));
     }
 
     #[test]
     fn cache_enforces_the_byte_budget() {
         let small = report("s", 10);
         let budget = small.cost() * 2 + 1;
-        let mut cache = ResultCache::new(100, budget);
-        cache.insert("a", report("s", 10));
-        cache.insert("b", report("s", 10));
-        assert_eq!(cache.evictions, 0);
-        cache.insert("c", report("s", 10));
-        assert_eq!(cache.evictions, 1, "third entry pushes bytes over budget");
-        // A value larger than the whole budget evicts itself.
-        cache.insert("huge", report("h", 10_000));
-        assert!(cache.get("huge").is_none());
+        let cache = cache(100, budget);
+        fill(&cache, "a", report("s", 10));
+        fill(&cache, "b", report("s", 10));
+        assert_eq!(cache.counters().evictions, 0);
+        fill(&cache, "c", report("s", 10));
+        assert_eq!(
+            cache.counters().evictions,
+            1,
+            "third entry pushes bytes over budget"
+        );
+        // A value larger than the whole budget is not kept, and evicts
+        // nothing to make room.
+        fill(&cache, "huge", report("h", 10_000));
+        assert!(get(&cache, "huge").is_none());
+        assert_eq!(cache.counters().evictions, 1);
+        assert!(cache.counters().bytes <= budget);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let mut cache = ResultCache::new(0, u64::MAX);
-        cache.insert("a", report("a", 10));
-        assert!(cache.get("a").is_none());
-        assert_eq!(cache.inserts, 0);
+        let cache = cache(0, u64::MAX);
+        fill(&cache, "a", report("a", 10));
+        assert!(get(&cache, "a").is_none());
+        assert_eq!(cache.counters().inserts, 0);
+    }
+
+    #[test]
+    fn a_sweep_point_costs_its_resident_bytes() {
+        use gpu_sim::pool::class_bytes;
+        use science_kernels::workload::{Measurement, ParamValue};
+        use std::mem::size_of;
+        let engine = workload::find("stencil").expect("stencil is registered");
+        let spec = SweepSpec::new(engine, &[], vec![16]).expect("valid sweep");
+        let output = engine
+            .run(&spec.point(16).expect("valid point"))
+            .expect("the point runs");
+        // Four rows (two platform pairs), each `passed(max_abs_err=…)` text
+        // of 27 bytes in a 64 B block, and three parameters (l, precision,
+        // block) in one block.
+        assert_eq!(output.measurements.len(), 4);
+        assert!(output
+            .measurements
+            .iter()
+            .all(|m| m.verification.len() == 27));
+        let rows = 4 * (size_of::<Measurement>() + 64);
+        let params = class_bytes(3 * size_of::<(&str, ParamValue)>());
+        assert_eq!(
+            CachedValue::Point(Arc::new(output)).cost(),
+            (rows + params) as u64
+        );
     }
 
     #[test]
@@ -971,11 +858,7 @@ mod tests {
         // threads arriving after it completed hit the cache. Either way the
         // work ran exactly once.
         assert_eq!(computations.load(Ordering::SeqCst), 1);
-        assert_eq!(
-            state.computed.load(Ordering::SeqCst),
-            1,
-            "one leader computed"
-        );
+        assert_eq!(state.cache.counters().misses, 1, "one leader computed");
         assert_eq!(
             state.coalesced.load(Ordering::SeqCst) + cached,
             7,
@@ -994,11 +877,12 @@ mod tests {
             resolve(&state, &keys(&["a", "b", "a"]), |i| Ok(report("x", i + 1)))
                 .expect("computation succeeds");
         assert!(!from_cache);
-        assert_eq!(state.computed.load(Ordering::SeqCst), 2);
+        assert_eq!(state.cache.counters().misses, 2);
         // The repeat follows the request's own flight and gets its value.
         assert_eq!(values[0].cost(), values[2].cost());
         assert_ne!(values[0].cost(), values[1].cost());
-        assert!(lock(&state.flights).is_empty(), "no flight left behind");
+        // No flight is left behind: both units are cached.
+        assert!(get(&state.cache, "a").is_some() && get(&state.cache, "b").is_some());
     }
 
     #[test]
@@ -1009,7 +893,7 @@ mod tests {
         // The failure was not cached: the next request recomputes.
         let ok = resolve(&state, &keys(&["k"]), |_| Ok(report("k", 5)));
         assert!(ok.is_ok());
-        assert_eq!(state.computed.load(Ordering::SeqCst), 2);
+        assert_eq!(state.cache.counters().misses, 2);
         // Panics surface as errors, not wedged flights, and do not stop the
         // other units of the request from being published.
         let panicked = resolve(&state, &keys(&["p", "q"]), |i| {
@@ -1019,7 +903,11 @@ mod tests {
             Ok(report("q", 5))
         });
         assert!(panicked.is_err());
-        assert!(lock(&state.flights).is_empty(), "no flight left behind");
-        assert!(lock(&state.cache).get("q").is_some());
+        // No flight is left behind: the panicked unit can be led again.
+        assert!(matches!(
+            state.cache.claim(&"p".to_string()),
+            Claim::Lead(_)
+        ));
+        assert!(get(&state.cache, "q").is_some());
     }
 }

@@ -13,6 +13,7 @@ use hpc_metrics::output::CsvTable;
 use rayon::prelude::*;
 use science_kernels::workload::{self, ParamValue, Params, WorkloadError, WorkloadOutput};
 use serde::value::Value;
+use std::borrow::Borrow;
 use std::path::Path;
 
 /// Version tag of the sweep preset file schema.
@@ -185,14 +186,15 @@ pub fn table_header(engine: &dyn workload::Workload) -> Vec<String> {
 /// Renders sweep outputs as an experiment-shaped report (id
 /// `sweep_<workload>`, one CSV table named `sweep`).
 ///
-/// Public so the serve layer (DESIGN.md §13) can rebuild a sweep report
-/// from per-point `Measurement` rows served out of its Params-keyed cache;
+/// Public so the serve layer (DESIGN.md §13) can render the `Arc`-shared
+/// per-point outputs of its Params-keyed cache without copying rows;
 /// `outputs` must be in `spec.sizes` order.
-pub fn render_sweep(spec: &SweepSpec, outputs: &[WorkloadOutput]) -> ExperimentReport {
+pub fn render_sweep(spec: &SweepSpec, outputs: &[impl Borrow<WorkloadOutput>]) -> ExperimentReport {
     let engine = spec.workload;
     let mut report = report_envelope(spec);
     let mut csv = CsvTable::new(table_header(engine));
     for (size, output) in spec.sizes.iter().zip(outputs) {
+        let output = output.borrow();
         let encoding = output.params.encode();
         report.push_line(format!("{}={size}  [{encoding}]", engine.size_param()));
         for m in &output.measurements {

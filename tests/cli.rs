@@ -498,14 +498,22 @@ fn documented_flags_match_the_usage_text() {
         );
     }
 
-    // `stats` reports exactly the cache and compute counters §13
-    // documents, so a removed counter cannot linger in either.
+    // `stats` reports exactly the counters and memo tiers §13 documents,
+    // so a removed one cannot linger in either, and every memo tier reports
+    // the cache's counters.
     let stats = live_stats();
-    for section in ["cache", "compute"] {
+    for section in ["cache", "memo", "compute", "pool"] {
         assert_eq!(
             section_keys(&stats, section),
             documented_stats_keys(&design, section),
-            "DESIGN.md §13 and `stats` disagree on the {section} counters"
+            "DESIGN.md §13 and `stats` disagree on the {section} keys"
+        );
+    }
+    for tier in section_keys(&stats, "memo") {
+        assert_eq!(
+            section_keys(section(&stats, "memo"), &tier),
+            documented_stats_keys(&design, "cache"),
+            "memo tier {tier} does not report the cache counters"
         );
     }
     let output = mojo_hpc(&["run", "--all", removed_flag, "simd"]);
@@ -580,13 +588,21 @@ fn live_stats() -> Value {
     }
 }
 
-/// The field names of the `section` object of a `stats` object.
-fn section_keys(stats: &Value, section: &str) -> Vec<String> {
-    let Value::Object(fields) = stats else {
-        panic!("expected an object, got {stats:?}");
-    };
-    match fields.iter().find(|(k, _)| k == section) {
-        Some((_, Value::Object(fields))) => fields.iter().map(|(k, _)| k.clone()).collect(),
-        other => panic!("expected '{section}' to be an object, got {other:?}"),
+/// The field names of the `name` object of a `stats` object.
+fn section_keys(stats: &Value, name: &str) -> Vec<String> {
+    match section(stats, name) {
+        Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+        other => panic!("expected '{name}' to be an object, got {other:?}"),
     }
+}
+
+/// The `name` field of the object `value`.
+fn section<'a>(value: &'a Value, name: &str) -> &'a Value {
+    let Value::Object(fields) = value else {
+        panic!("expected an object, got {value:?}");
+    };
+    let field = fields.iter().find(|(k, _)| k == name);
+    &field
+        .unwrap_or_else(|| panic!("no '{name}' in {value:?}"))
+        .1
 }

@@ -7,8 +7,9 @@
 //! seam), overlapping multi-point sweeps sent concurrently in opposite
 //! orders must compute each point once without deadlocking, hostile
 //! parameters must be refused with an error reply without growing the
-//! daemon, and an over-long request line must be refused without growing
-//! the daemon.
+//! daemon, an over-long request line must be refused without growing the
+//! daemon, and distinct Hartree–Fock sizes must not grow it past the memo
+//! budget.
 
 use mojo_hpc::report::serve::MAX_REQUEST_BYTES;
 use serde::value::Value;
@@ -651,6 +652,85 @@ fn distinct_sweep_points_do_not_grow_the_daemon() {
         growth_kib < 12 * 1024,
         "serve grew by {growth_kib} KiB over {} distinct points ({before} -> {after} KiB)",
         BATCHES * BATCH
+    );
+    server.shutdown();
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn distinct_hartree_fock_sizes_do_not_grow_the_daemon() {
+    // Every size is a distinct cost-model-only Hartree–Fock point whose
+    // helium system (a natoms² density plus one factor per atom pair,
+    // 12·natoms² B: 38.9 MB at 1800 atoms, 87.5 MB at 2700) the memo keeps
+    // for its four platforms. The ten systems add up to 617 MB; a daemon
+    // whose memo keeps every one of them grows past it.
+    const SIZES: [u64; 10] = [1800, 1900, 2000, 2100, 2200, 2300, 2400, 2500, 2600, 2700];
+    let budget_kib = mojo_hpc::kernels::cache::MEMO_BUDGET_BYTES / 1024;
+    let server = Server::start(&[]);
+    let mut client = server.connect();
+    let before = vm_rss_kib(server.child.id());
+    let mut peak_growth_kib = 0;
+    for size in SIZES {
+        let (header, _) = client.request(&format!(
+            r#"{{"cmd":"sweep","workload":"hartree-fock","sizes":[{size}],"format":"json"}}"#
+        ));
+        assert_eq!(
+            str_field(&header, "status"),
+            "ok",
+            "size {size}: {header:?}"
+        );
+        peak_growth_kib = peak_growth_kib.max(vm_rss_kib(server.child.id()).saturating_sub(before));
+    }
+    // Margin: the helium tier keeps at most the budget (256 MiB); on top of
+    // it the daemon holds the system being generated until its admission
+    // evicts older ones (at most 87.5 MB here) and allocator slack. Over
+    // these sizes the bounded daemon's growth peaked at 255.8–256.1 MiB and
+    // a daemon that kept every system grew by 590.4–590.6 MiB (3 release
+    // and 3 debug runs each, 2 vCPU). 96 MiB over the budget clears the
+    // first by 95 MiB and fails the second by 238 MiB.
+    assert!(
+        peak_growth_kib < budget_kib + 96 * 1024,
+        "serve grew by {peak_growth_kib} KiB over {} distinct Hartree–Fock sizes",
+        SIZES.len()
+    );
+    let stats = client.stats();
+    let Value::Object(memo) = field(&stats, "memo") else {
+        panic!("memo is not an object: {stats:?}")
+    };
+    let tiers = memo
+        .iter()
+        .map(|(name, counters)| (name.as_str(), counters));
+    for (tier, counters) in tiers.chain([("cache", field(&stats, "cache"))]) {
+        assert!(
+            as_u64(field(counters, "bytes")) <= as_u64(field(counters, "max_bytes")),
+            "{tier} is over its byte budget: {counters:?}"
+        );
+    }
+    assert!(
+        counter(field(&stats, "memo"), "helium_system", "evictions") > 0,
+        "the helium tier never reached its budget: {stats:?}"
+    );
+    // Every point, served out of the result cache, matches the CLI bytes.
+    let list: Vec<String> = SIZES.iter().map(u64::to_string).collect();
+    let (header, payload) = client.request(&format!(
+        r#"{{"cmd":"sweep","workload":"hartree-fock","sizes":[{}],"format":"json"}}"#,
+        list.join(",")
+    ));
+    assert!(bool_field(&header, "cached"), "{header:?}");
+    let out = scratch("hartree-fock-sizes");
+    assert_eq!(
+        payload,
+        cli_baseline(&[
+            "sweep",
+            "hartree-fock",
+            "--sizes",
+            &list.join(","),
+            "--format",
+            "json",
+            "--out",
+            out.to_str().unwrap(),
+        ]),
+        "the payload is not byte-identical to the CLI stdout"
     );
     server.shutdown();
 }
