@@ -189,9 +189,14 @@ fn run_all_json_is_byte_identical_across_thread_counts_and_matches_goldens() {
     std::fs::remove_dir_all(&out).ok();
 }
 
-/// The committed sweep goldens for the §15 composite workloads: the exact
-/// CLI invocation that regenerates each fixture pair.
-const SWEEP_GOLDENS: [(&str, &[&str]); 2] = [
+/// The committed sweep goldens: the fixture name and the exact CLI
+/// invocation that regenerates each fixture pair. A sweep writes
+/// `sweep_<workload>_sweep.csv` and `sweep_<workload>.json`; the fixtures
+/// are those files renamed to `<fixture>_sweep.csv` and `<fixture>.json`.
+/// The §15 composites, both stencil precisions, every BabelStream operation,
+/// the Dot reduction at `n = 2^20` (its three distinct grids read three
+/// distinct errors there) and a reduced miniBUDE deck.
+const SWEEP_GOLDENS: [(&str, &[&str]); 7] = [
     (
         "sweep_jacobi",
         &["sweep", "jacobi", "--sizes", "8,12,16", "iters=200"],
@@ -199,6 +204,35 @@ const SWEEP_GOLDENS: [(&str, &[&str]); 2] = [
     (
         "sweep_framestream",
         &["sweep", "framestream", "--sizes", "4096,16384", "frames=32"],
+    ),
+    (
+        "sweep_stencil_fp32",
+        &["sweep", "stencil", "--sizes", "16,24", "precision=fp32"],
+    ),
+    (
+        "sweep_stencil_fp64",
+        &["sweep", "stencil", "--sizes", "16,24", "precision=fp64"],
+    ),
+    (
+        "sweep_babelstream",
+        &["sweep", "babelstream", "--sizes", "4096,65536", "op=all"],
+    ),
+    (
+        "sweep_babelstream_dot",
+        &["sweep", "babelstream", "--sizes", "1048576", "op=dot"],
+    ),
+    (
+        "sweep_minibude",
+        &[
+            "sweep",
+            "minibude",
+            "--sizes",
+            "1,4,8",
+            "wg=8",
+            "poses=128",
+            "natlig=8",
+            "natpro=64",
+        ],
     ),
 ];
 
@@ -224,12 +258,16 @@ fn assert_sweep_matches_golden(tag: &str, id: &str, args: &[&str], threads: Opti
             String::from_utf8_lossy(&output.stderr)
         );
     }
-    for name in [format!("{id}_sweep.csv"), format!("{id}.json")] {
-        let expected = std::fs::read(golden.join(&name)).expect("read sweep golden");
-        let actual = std::fs::read(out.join(&name)).expect("read generated sweep file");
+    let stem = format!("sweep_{}", args[1].replace('-', "_"));
+    for (produced, fixture) in [
+        (format!("{stem}_sweep.csv"), format!("{id}_sweep.csv")),
+        (format!("{stem}.json"), format!("{id}.json")),
+    ] {
+        let expected = std::fs::read(golden.join(&fixture)).expect("read sweep golden");
+        let actual = std::fs::read(out.join(&produced)).expect("read generated sweep file");
         assert!(
             actual == expected,
-            "{name} differs from the committed golden (regenerate \
+            "{fixture} differs from the committed golden (regenerate \
              tests/golden/sweep/ with the invocation in SWEEP_GOLDENS if the \
              change is intended)"
         );
