@@ -19,37 +19,22 @@ pub use cost::stream_cost;
 pub use portable::{run, run as run_portable, run as run_vendor};
 pub use reference::{expected_values, output_array};
 
-use crate::common::WorkloadRun;
-use gpu_sim::SimError;
-use vendor_models::kernel_class::StreamOp;
-use vendor_models::Platform;
-
-/// Runs all five operations in presentation order.
-pub fn run_all(
-    platform: &Platform,
-    config: &BabelStreamConfig,
-) -> Result<Vec<WorkloadRun>, SimError> {
-    StreamOp::ALL
-        .iter()
-        .map(|&op| run(platform, op, config))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_spec::Precision;
+    use vendor_models::kernel_class::StreamOp;
+    use vendor_models::Platform;
 
     #[test]
     fn all_ops_verify_on_all_platforms() {
         let config = BabelStreamConfig::validation(1 << 14, Precision::Fp64);
         for platform in Platform::paper_platforms() {
-            for run_result in run_all(&platform, &config).unwrap() {
+            for op in StreamOp::ALL {
                 assert!(
-                    run_result.verification.is_verified(),
-                    "{} {} should verify",
-                    platform.label(),
-                    run_result.kernel
+                    run(&platform, op, &config).unwrap().verification.is_verified(),
+                    "{} {op} should verify",
+                    platform.label()
                 );
             }
         }
@@ -114,6 +99,8 @@ mod vendor {
     mod tests {
         use super::super::*;
         use gpu_spec::Precision;
+        use vendor_models::kernel_class::StreamOp;
+        use vendor_models::Platform;
 
         #[test]
         fn cuda_baseline_verifies_all_ops() {

@@ -13,10 +13,15 @@
 use super::config::{BabelStreamConfig, INIT_A, INIT_B, INIT_C, SCALAR};
 use super::cost::stream_cost;
 use super::reference::expected_values;
+use super::workload::{metric_op, parse_ops, BabelStreamWorkload};
 use crate::cache;
 use crate::common::{Verification, WorkloadRun};
 use crate::real::Real;
+use crate::workload::{run_on, Analytic, Family, Params, WorkloadError};
+use gpu_sim::error::SimResult;
 use gpu_sim::{Dim3, PooledString, SimError};
+use gpu_spec::Precision;
+use hpc_metrics::babelstream_bandwidth_gbs;
 use portable_kernel::prelude::*;
 use rayon::prelude::*;
 use vendor_models::kernel_class::StreamOp;
@@ -28,34 +33,56 @@ pub fn run(
     op: StreamOp,
     config: &BabelStreamConfig,
 ) -> Result<WorkloadRun, SimError> {
-    let cost = stream_cost(platform, op, config);
-    let class = KernelClass::Stream {
-        op,
-        precision: config.precision,
-    };
-    let profile = platform.execution_profile(&class);
-    let timing = cache::timing_model(platform).estimate(&cost, &profile);
+    run_on::<BabelStreamWorkload>(platform, config, op)
+}
 
-    let verification = if config.validate {
+impl Family for BabelStreamWorkload {
+    type Config = BabelStreamConfig;
+    type Kernel = StreamOp;
+
+    fn config(params: &Params) -> Result<BabelStreamConfig, WorkloadError> {
+        super::workload::config(params)
+    }
+
+    fn kernels(params: &Params) -> Result<&'static [StreamOp], WorkloadError> {
+        parse_ops(params.text("op"))
+    }
+
+    fn launch(platform: &Platform, config: &BabelStreamConfig, op: StreamOp) -> LaunchConfig {
+        let n = config.n as u64;
+        match op {
+            StreamOp::Dot => heuristics::dot_launch(platform.backend, &platform.spec, n),
+            _ => heuristics::stream_launch(n),
+        }
+    }
+
+    fn execute(
+        platform: &Platform,
+        config: &BabelStreamConfig,
+        op: StreamOp,
+    ) -> SimResult<Verification> {
+        if !config.validate {
+            return Ok(Verification::Skipped {
+                reason: PooledString::from("functional execution disabled for this configuration"),
+            });
+        }
         match config.precision {
-            gpu_spec::Precision::Fp32 => execute::<f32>(platform, op, config)?,
-            gpu_spec::Precision::Fp64 => execute::<f64>(platform, op, config)?,
+            Precision::Fp32 => execute::<f32>(platform, op, config),
+            Precision::Fp64 => execute::<f64>(platform, op, config),
         }
-    } else {
-        Verification::Skipped {
-            reason: PooledString::from("functional execution disabled for this configuration"),
-        }
-    };
+    }
 
-    Ok(WorkloadRun {
-        backend: profile.backend,
-        device: platform.spec.name,
-        kernel: op.label(),
-        cost,
-        profile,
-        timing,
-        verification,
-    })
+    fn time(platform: &Platform, config: &BabelStreamConfig, op: StreamOp) -> Analytic {
+        let class = KernelClass::Stream {
+            op,
+            precision: config.precision,
+        };
+        (stream_cost(platform, op, config), class, op.label())
+    }
+
+    fn fom(config: &BabelStreamConfig, op: StreamOp, seconds: f64) -> f64 {
+        babelstream_bandwidth_gbs(metric_op(op), config.n as u64, config.precision, seconds)
+    }
 }
 
 /// The Dot kernel expressed as bulk-synchronous phases (each phase boundary is
@@ -128,7 +155,7 @@ fn execute<T: Real>(
     c.fill(T::from_f64(INIT_C));
     let scalar = T::from_f64(SCALAR);
 
-    let launch = heuristics::stream_launch(n as u64);
+    let launch = BabelStreamWorkload::launch(platform, config, op);
     let expected = expected_values(op, config);
 
     let observed: f64 = match op {
@@ -173,8 +200,7 @@ fn execute<T: Real>(
             verify_constant(&a, expected, n)?
         }
         StreamOp::Dot => {
-            let dot_launch = heuristics::dot_launch(platform.backend, &platform.spec, n as u64);
-            let num_blocks = dot_launch.num_blocks() as usize;
+            let num_blocks = launch.num_blocks() as usize;
             let sums = LayoutTensor::new(
                 ctx.enqueue_create_buffer::<T>(num_blocks)?,
                 Layout::row_major_1d(num_blocks),
@@ -185,7 +211,7 @@ fn execute<T: Real>(
                 sums: sums.clone(),
                 n,
             };
-            ctx.enqueue_cooperative(dot_launch, &kernel)?;
+            ctx.enqueue_cooperative(launch, &kernel)?;
             // Host-side reduction of the per-block partials, reading straight
             // from the device buffer; the fixed-chunk pairwise tree keeps the
             // sum bitwise-stable across thread counts.

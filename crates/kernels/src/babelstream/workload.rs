@@ -4,11 +4,9 @@
 use super::{BabelStreamConfig, PAPER_VECTOR_SIZE};
 use crate::stencil7::workload::parse_precision;
 use crate::workload::{
-    check_int_range, paper_platform_pairs, Measurement, ParamSpec, Params, Workload, WorkloadError,
-    WorkloadOutput,
+    check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
 };
-use gpu_sim::PooledVec;
-use hpc_metrics::{babelstream_bandwidth_gbs, BabelStreamOp};
+use hpc_metrics::BabelStreamOp;
 use vendor_models::kernel_class::StreamOp;
 
 /// Largest vector size the driver executes functionally: the operations are
@@ -108,26 +106,7 @@ impl Workload for BabelStreamWorkload {
     }
 
     fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        self.validate(params)?;
-        let config = config(params)?;
-        let ops = parse_ops(params.text("op"))?;
-        let mut measurements = PooledVec::new();
-        for platform in paper_platform_pairs() {
-            for &op in ops {
-                let run = super::run(platform, op, &config)?;
-                let fom = babelstream_bandwidth_gbs(
-                    metric_op(op),
-                    config.n as u64,
-                    config.precision,
-                    run.seconds(),
-                );
-                measurements.push(Measurement::from_run(&run, fom));
-            }
-        }
-        Ok(WorkloadOutput {
-            params: params.clone(),
-            measurements,
-        })
+        run_family(self, params)
     }
 }
 

@@ -10,43 +10,61 @@
 use super::config::{frame_value, FrameStreamConfig, ACC_INIT, ALPHA, BETA};
 use super::cost::framestream_cost;
 use super::reference::expected_final;
+use super::workload::FrameStreamWorkload;
 use crate::cache;
 use crate::common::{Verification, WorkloadRun};
+use crate::workload::{run_on, Analytic, Family, Params, WorkloadError};
+use gpu_sim::error::SimResult;
 use gpu_sim::{PooledString, SimError};
+use hpc_metrics::framestream_bandwidth_gbs;
 use portable_kernel::prelude::*;
 use rayon::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// Runs the frame stream on `platform`.
 pub fn run(platform: &Platform, config: &FrameStreamConfig) -> Result<WorkloadRun, SimError> {
-    let cost = framestream_cost(config);
-    let class = KernelClass::Stream {
-        op: vendor_models::kernel_class::StreamOp::Triad,
-        precision: gpu_spec::Precision::Fp64,
-    };
-    let profile = platform.execution_profile(&class);
-    let timing = cache::timing_model(platform).estimate(&cost, &profile);
+    run_on::<FrameStreamWorkload>(platform, config, ())
+}
 
-    let verification = if config.should_execute() {
-        execute(platform, config)?
-    } else {
-        Verification::Skipped {
-            reason: PooledString::from_fmt(format_args!(
-                "{} streamed elements exceed the functional-execution budget; cost model only",
-                config.streamed_elements()
-            )),
+impl Family for FrameStreamWorkload {
+    type Config = FrameStreamConfig;
+    type Kernel = ();
+
+    fn config(params: &Params) -> Result<FrameStreamConfig, WorkloadError> {
+        super::workload::config(params)
+    }
+
+    fn kernels(_: &Params) -> Result<&'static [()], WorkloadError> {
+        Ok(&[()])
+    }
+
+    fn launch(_: &Platform, config: &FrameStreamConfig, _: ()) -> LaunchConfig {
+        heuristics::stream_launch(config.n as u64)
+    }
+
+    fn execute(platform: &Platform, config: &FrameStreamConfig, _: ()) -> SimResult<Verification> {
+        if !config.should_execute() {
+            return Ok(Verification::Skipped {
+                reason: PooledString::from_fmt(format_args!(
+                    "{} streamed elements exceed the functional-execution budget; cost model only",
+                    config.streamed_elements()
+                )),
+            });
         }
-    };
+        execute(platform, config)
+    }
 
-    Ok(WorkloadRun {
-        backend: profile.backend,
-        device: platform.spec.name,
-        kernel: "framestream",
-        cost,
-        profile,
-        timing,
-        verification,
-    })
+    fn time(_: &Platform, config: &FrameStreamConfig, _: ()) -> Analytic {
+        let class = KernelClass::Stream {
+            op: vendor_models::kernel_class::StreamOp::Triad,
+            precision: gpu_spec::Precision::Fp64,
+        };
+        (framestream_cost(config), class, "framestream")
+    }
+
+    fn fom(config: &FrameStreamConfig, _: (), seconds: f64) -> f64 {
+        framestream_bandwidth_gbs(config.n as u64, config.frames as u64, seconds)
+    }
 }
 
 fn execute(platform: &Platform, config: &FrameStreamConfig) -> Result<Verification, SimError> {
@@ -56,7 +74,7 @@ fn execute(platform: &Platform, config: &FrameStreamConfig) -> Result<Verificati
     let acc = LayoutTensor::new(ctx.enqueue_create_buffer::<f64>(n)?, layout)?;
     let frame = LayoutTensor::new(ctx.enqueue_create_buffer::<f64>(n)?, layout)?;
 
-    let launch = heuristics::stream_launch(n as u64);
+    let launch = FrameStreamWorkload::launch(platform, config, ());
     let fill = |tensor: &LayoutTensor<f64>, value: f64| {
         let tensor = tensor.clone();
         ctx.enqueue_function(launch, move |t| {

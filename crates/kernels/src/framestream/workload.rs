@@ -3,11 +3,8 @@
 
 use super::FrameStreamConfig;
 use crate::workload::{
-    check_int_range, paper_platform_pairs, Measurement, ParamSpec, Params, Workload, WorkloadError,
-    WorkloadOutput,
+    check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
 };
-use gpu_sim::PooledVec;
-use hpc_metrics::framestream_bandwidth_gbs;
 
 /// Decodes a validated parameter assignment into a stream configuration.
 /// Functional validation is gated on the streamed-element budget inside
@@ -60,19 +57,7 @@ impl Workload for FrameStreamWorkload {
     }
 
     fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        self.validate(params)?;
-        let config = config(params)?;
-        let mut measurements = PooledVec::new();
-        for platform in paper_platform_pairs() {
-            let run = super::run(platform, &config)?;
-            let fom =
-                framestream_bandwidth_gbs(config.n as u64, config.frames as u64, run.seconds());
-            measurements.push(Measurement::from_run(&run, fom));
-        }
-        Ok(WorkloadOutput {
-            params: params.clone(),
-            measurements,
-        })
+        run_family(self, params)
     }
 }
 

@@ -12,43 +12,60 @@ use super::cost::hartree_fock_cost;
 use super::geometry::HeliumSystem;
 use super::reference::quartet_eri;
 use super::triangular::pair_decode;
+use super::workload::HartreeFockWorkload;
 use crate::cache;
 use crate::common::{compare_slices, Verification, WorkloadRun};
+use crate::workload::{run_on, Analytic, Family, Params, WorkloadError};
+use gpu_sim::error::SimResult;
 use gpu_sim::{PooledString, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// Runs the Hartree–Fock kernel on `platform`.
 pub fn run(platform: &Platform, config: &HartreeFockConfig) -> Result<WorkloadRun, SimError> {
-    let system = cache::helium_system(config);
-    let cost = hartree_fock_cost(config, &system);
-    let class = KernelClass::HartreeFock {
-        natoms: config.natoms,
-        ngauss: config.ngauss,
-    };
-    let profile = platform.execution_profile(&class);
-    let timing = cache::timing_model(platform).estimate(&cost, &profile);
+    run_on::<HartreeFockWorkload>(platform, config, ())
+}
 
-    let verification = if config.should_execute() {
-        execute(platform, config, &system)?
-    } else {
-        Verification::Skipped {
-            reason: PooledString::from_fmt(format_args!(
-                "natoms = {} exceeds the functional-execution limit; cost model only",
-                config.natoms
-            )),
+impl Family for HartreeFockWorkload {
+    type Config = HartreeFockConfig;
+    type Kernel = ();
+
+    fn config(params: &Params) -> Result<HartreeFockConfig, WorkloadError> {
+        super::workload::config(params)
+    }
+
+    fn kernels(_: &Params) -> Result<&'static [()], WorkloadError> {
+        Ok(&[()])
+    }
+
+    fn launch(_: &Platform, config: &HartreeFockConfig, _: ()) -> LaunchConfig {
+        heuristics::hartree_fock_launch(config.nquartets())
+    }
+
+    fn execute(platform: &Platform, config: &HartreeFockConfig, _: ()) -> SimResult<Verification> {
+        if !config.should_execute() {
+            return Ok(Verification::Skipped {
+                reason: PooledString::from_fmt(format_args!(
+                    "natoms = {} exceeds the functional-execution limit; cost model only",
+                    config.natoms
+                )),
+            });
         }
-    };
+        execute(platform, config, &cache::helium_system(config))
+    }
 
-    Ok(WorkloadRun {
-        backend: profile.backend,
-        device: platform.spec.name,
-        kernel: "hartree_fock",
-        cost,
-        profile,
-        timing,
-        verification,
-    })
+    fn time(_: &Platform, config: &HartreeFockConfig, _: ()) -> Analytic {
+        let class = KernelClass::HartreeFock {
+            natoms: config.natoms,
+            ngauss: config.ngauss,
+        };
+        let cost = hartree_fock_cost(config, &cache::helium_system(config));
+        (cost, class, "hartree_fock")
+    }
+
+    fn fom(_: &HartreeFockConfig, _: (), seconds: f64) -> f64 {
+        seconds * 1e3
+    }
 }
 
 fn execute(
@@ -73,7 +90,7 @@ fn execute(
     )?;
 
     let nquartets = config.nquartets();
-    let launch = heuristics::hartree_fock_launch(nquartets);
+    let launch = HartreeFockWorkload::launch(platform, config, ());
     let tol = config.screening_tol;
 
     let (fock_k, dens_k, schwarz_k) = (fock.clone(), dens.clone(), schwarz.clone());

@@ -3,8 +3,8 @@
 
 use super::{run_sampled, HartreeFockConfig, DEFAULT_SAMPLES, DEFAULT_SHARDS};
 use crate::workload::{
-    check_int_range, paper_platform_pairs, Measurement, ParamSpec, Params, Workload, WorkloadError,
-    WorkloadOutput,
+    check_int_range, paper_platform_pairs, run_family, Measurement, ParamSpec, Params, Workload,
+    WorkloadError, WorkloadOutput,
 };
 use gpu_sim::{PooledString, PooledVec};
 
@@ -96,18 +96,7 @@ impl Workload for HartreeFockWorkload {
     }
 
     fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        self.validate(params)?;
-        let config = config(params)?;
-        let mut measurements = PooledVec::new();
-        for platform in paper_platform_pairs() {
-            let run = super::run(platform, &config)?;
-            let fom = run.millis();
-            measurements.push(Measurement::from_run(&run, fom));
-        }
-        Ok(WorkloadOutput {
-            params: params.clone(),
-            measurements,
-        })
+        run_family(self, params)
     }
 }
 

@@ -9,10 +9,15 @@
 
 use super::config::{JacobiConfig, SIXTH};
 use super::cost::jacobi_cost;
+use super::planned_iters;
 use super::reference::residual_rms;
+use super::workload::JacobiWorkload;
 use crate::cache;
 use crate::common::{compare_with_reference, Verification, WorkloadRun};
+use crate::workload::{run_on, Analytic, Family, Params, WorkloadError};
+use gpu_sim::error::SimResult;
 use gpu_sim::{PooledString, SimError};
+use hpc_metrics::jacobi_bandwidth_gbs;
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
@@ -42,34 +47,47 @@ fn jacobi_kernel(
 
 /// Runs the Jacobi solve on `platform`.
 pub fn run(platform: &Platform, config: &JacobiConfig) -> Result<WorkloadRun, SimError> {
-    let iters = super::planned_iters(config);
-    let cost = jacobi_cost(config, iters);
-    let class = KernelClass::Stencil7 {
-        precision: gpu_spec::Precision::Fp64,
-    };
-    let profile = platform.execution_profile(&class);
-    let timing = cache::timing_model(platform).estimate(&cost, &profile);
+    run_on::<JacobiWorkload>(platform, config, ())
+}
 
-    let verification = if config.should_execute() {
-        execute(platform, config)?
-    } else {
-        Verification::Skipped {
-            reason: PooledString::from_fmt(format_args!(
-                "L = {} exceeds the functional-execution limit; cost model only",
-                config.l
-            )),
+impl Family for JacobiWorkload {
+    type Config = JacobiConfig;
+    type Kernel = ();
+
+    fn config(params: &Params) -> Result<JacobiConfig, WorkloadError> {
+        super::workload::config(params)
+    }
+
+    fn kernels(_: &Params) -> Result<&'static [()], WorkloadError> {
+        Ok(&[()])
+    }
+
+    fn launch(_: &Platform, config: &JacobiConfig, _: ()) -> LaunchConfig {
+        heuristics::stencil_launch(config.l as u32, config.block_x)
+    }
+
+    fn execute(platform: &Platform, config: &JacobiConfig, _: ()) -> SimResult<Verification> {
+        if !config.should_execute() {
+            return Ok(Verification::Skipped {
+                reason: PooledString::from_fmt(format_args!(
+                    "L = {} exceeds the functional-execution limit; cost model only",
+                    config.l
+                )),
+            });
         }
-    };
+        execute(platform, config)
+    }
 
-    Ok(WorkloadRun {
-        backend: profile.backend,
-        device: platform.spec.name,
-        kernel: "jacobi",
-        cost,
-        profile,
-        timing,
-        verification,
-    })
+    fn time(_: &Platform, config: &JacobiConfig, _: ()) -> Analytic {
+        let class = KernelClass::Stencil7 {
+            precision: gpu_spec::Precision::Fp64,
+        };
+        (jacobi_cost(config, planned_iters(config)), class, "jacobi")
+    }
+
+    fn fom(config: &JacobiConfig, _: (), seconds: f64) -> f64 {
+        jacobi_bandwidth_gbs(config.l as u64, planned_iters(config) as u64, seconds)
+    }
 }
 
 fn execute(platform: &Platform, config: &JacobiConfig) -> Result<Verification, SimError> {
@@ -86,7 +104,7 @@ fn execute(platform: &Platform, config: &JacobiConfig) -> Result<Verification, S
     let mut u_tensor = LayoutTensor::new(d_u, layout)?;
     let mut f_tensor = LayoutTensor::new(d_f, layout)?;
 
-    let launch = heuristics::stencil_launch(l as u32, config.block_x);
+    let launch = JacobiWorkload::launch(platform, config, ());
     for _ in 0..reference.iters_run {
         let (f_k, u_k) = (f_tensor.clone(), u_tensor.clone());
         ctx.enqueue_function(launch, move |t| {

@@ -1,13 +1,10 @@
 //! The `jacobi` scenario: the iterative solver behind the [`Workload`]
 //! interface.
 
-use super::{planned_iters, JacobiConfig, MAX_JACOBI_ITERS};
+use super::{JacobiConfig, MAX_JACOBI_ITERS};
 use crate::workload::{
-    check_int_range, paper_platform_pairs, Measurement, ParamSpec, Params, Workload, WorkloadError,
-    WorkloadOutput,
+    check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
 };
-use gpu_sim::PooledVec;
-use hpc_metrics::jacobi_bandwidth_gbs;
 
 /// Decodes a validated parameter assignment into a solver configuration.
 /// Functional validation is gated on [`super::MAX_FUNCTIONAL_L_JACOBI`]
@@ -60,19 +57,7 @@ impl Workload for JacobiWorkload {
     }
 
     fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        self.validate(params)?;
-        let config = config(params)?;
-        let iters = planned_iters(&config);
-        let mut measurements = PooledVec::new();
-        for platform in paper_platform_pairs() {
-            let run = super::run(platform, &config)?;
-            let fom = jacobi_bandwidth_gbs(config.l as u64, iters as u64, run.seconds());
-            measurements.push(Measurement::from_run(&run, fom));
-        }
-        Ok(WorkloadOutput {
-            params: params.clone(),
-            measurements,
-        })
+        run_family(self, params)
     }
 }
 

@@ -12,39 +12,63 @@
 use super::config::MiniBudeConfig;
 use super::cost::fasten_cost;
 use super::reference::{pair_energy, transform_point, HALF};
+use super::workload::MiniBudeWorkload;
 use crate::cache;
 use crate::common::{compare_slices_f32, Verification, WorkloadRun};
+use crate::workload::{run_on, Analytic, Family, Params, WorkloadError};
+use gpu_sim::error::SimResult;
 use gpu_sim::{PooledString, SimError};
+use hpc_metrics::{minibude_gflops, MiniBudeSizes};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// Runs the fasten kernel on `platform`.
 pub fn run(platform: &Platform, config: &MiniBudeConfig) -> Result<WorkloadRun, SimError> {
-    let cost = fasten_cost(config);
-    let class = KernelClass::BudeFasten {
-        ppwi: config.ppwi,
-        wg: config.wg,
-    };
-    let profile = platform.execution_profile(&class);
-    let timing = cache::timing_model(platform).estimate(&cost, &profile);
+    run_on::<MiniBudeWorkload>(platform, config, ())
+}
 
-    let verification = if config.should_execute() {
-        execute(platform, config)?
-    } else {
-        Verification::Skipped {
-            reason: PooledString::from("functional execution disabled (executed_poses = 0)"),
+impl Family for MiniBudeWorkload {
+    type Config = MiniBudeConfig;
+    type Kernel = ();
+
+    fn config(params: &Params) -> Result<MiniBudeConfig, WorkloadError> {
+        super::workload::config(params)
+    }
+
+    fn kernels(_: &Params) -> Result<&'static [()], WorkloadError> {
+        Ok(&[()])
+    }
+
+    fn launch(_: &Platform, config: &MiniBudeConfig, _: ()) -> LaunchConfig {
+        heuristics::bude_launch(config.executed_poses as u64, config.ppwi, config.wg)
+    }
+
+    fn execute(platform: &Platform, config: &MiniBudeConfig, _: ()) -> SimResult<Verification> {
+        if !config.should_execute() {
+            return Ok(Verification::Skipped {
+                reason: PooledString::from("functional execution disabled (executed_poses = 0)"),
+            });
         }
-    };
+        execute(platform, config)
+    }
 
-    Ok(WorkloadRun {
-        backend: profile.backend,
-        device: platform.spec.name,
-        kernel: "fasten",
-        cost,
-        profile,
-        timing,
-        verification,
-    })
+    fn time(_: &Platform, config: &MiniBudeConfig, _: ()) -> Analytic {
+        let class = KernelClass::BudeFasten {
+            ppwi: config.ppwi,
+            wg: config.wg,
+        };
+        (fasten_cost(config), class, "fasten")
+    }
+
+    fn fom(config: &MiniBudeConfig, _: (), seconds: f64) -> f64 {
+        let sizes = MiniBudeSizes {
+            nligands: config.natlig as u64,
+            nproteins: config.natpro as u64,
+            poses: config.nposes as u64,
+            ppwi: config.ppwi as u64,
+        };
+        minibude_gflops(&sizes, seconds)
+    }
 }
 
 /// Device-side views shared by every PPWI instantiation.
@@ -158,7 +182,7 @@ fn execute(platform: &Platform, config: &MiniBudeConfig) -> Result<Verification,
         num_transforms: nposes,
     };
 
-    let launch = heuristics::bude_launch(nposes as u64, config.ppwi, config.wg);
+    let launch = MiniBudeWorkload::launch(platform, config, ());
     dispatch_ppwi(&ctx, launch, config.ppwi, &args)?;
     ctx.synchronize();
 

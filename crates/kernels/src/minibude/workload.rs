@@ -4,11 +4,8 @@
 use super::config::DEFAULT_EXECUTED_POSES;
 use super::MiniBudeConfig;
 use crate::workload::{
-    check_int_range, paper_platform_pairs, Measurement, ParamSpec, Params, Workload, WorkloadError,
-    WorkloadOutput,
+    check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
 };
-use gpu_sim::PooledVec;
-use hpc_metrics::{minibude_gflops, MiniBudeSizes};
 
 /// The synthetic-deck seed every preset shares (the deck shape, not its
 /// contents, is what the paper's figures depend on).
@@ -96,24 +93,7 @@ impl Workload for MiniBudeWorkload {
     }
 
     fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        self.validate(params)?;
-        let config = config(params)?;
-        let sizes = MiniBudeSizes {
-            nligands: config.natlig as u64,
-            nproteins: config.natpro as u64,
-            poses: config.nposes as u64,
-            ppwi: config.ppwi as u64,
-        };
-        let mut measurements = PooledVec::new();
-        for platform in paper_platform_pairs() {
-            let run = super::run(platform, &config)?;
-            let fom = minibude_gflops(&sizes, run.seconds());
-            measurements.push(Measurement::from_run(&run, fom));
-        }
-        Ok(WorkloadOutput {
-            params: params.clone(),
-            measurements,
-        })
+        run_family(self, params)
     }
 }
 

@@ -9,10 +9,15 @@
 
 use super::config::StencilConfig;
 use super::cost::stencil_cost;
+use super::workload::StencilWorkload;
 use crate::cache;
 use crate::common::{compare_with_reference, Verification, WorkloadRun};
 use crate::real::Real;
+use crate::workload::{run_on, Analytic, Family, Params, WorkloadError};
+use gpu_sim::error::SimResult;
 use gpu_sim::{PooledString, SimError};
+use gpu_spec::Precision;
+use hpc_metrics::stencil_bandwidth_gbs;
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
@@ -46,36 +51,50 @@ fn laplacian_kernel<T: Real>(
 
 /// Runs the stencil on `platform`, returning the full run record.
 pub fn run(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, SimError> {
-    let cost = stencil_cost(config);
-    let class = KernelClass::Stencil7 {
-        precision: config.precision,
-    };
-    let profile = platform.execution_profile(&class);
-    let timing = cache::timing_model(platform).estimate(&cost, &profile);
+    run_on::<StencilWorkload>(platform, config, ())
+}
 
-    let verification = if config.should_execute() {
+impl Family for StencilWorkload {
+    type Config = StencilConfig;
+    type Kernel = ();
+
+    fn config(params: &Params) -> Result<StencilConfig, WorkloadError> {
+        super::workload::config(params)
+    }
+
+    fn kernels(_: &Params) -> Result<&'static [()], WorkloadError> {
+        Ok(&[()])
+    }
+
+    fn launch(_: &Platform, config: &StencilConfig, _: ()) -> LaunchConfig {
+        heuristics::stencil_launch(config.l as u32, config.block_x)
+    }
+
+    fn execute(platform: &Platform, config: &StencilConfig, _: ()) -> SimResult<Verification> {
+        if !config.should_execute() {
+            return Ok(Verification::Skipped {
+                reason: PooledString::from_fmt(format_args!(
+                    "L = {} exceeds the functional-execution limit; cost model only",
+                    config.l
+                )),
+            });
+        }
         match config.precision {
-            gpu_spec::Precision::Fp32 => execute::<f32>(platform, config)?,
-            gpu_spec::Precision::Fp64 => execute::<f64>(platform, config)?,
+            Precision::Fp32 => execute::<f32>(platform, config),
+            Precision::Fp64 => execute::<f64>(platform, config),
         }
-    } else {
-        Verification::Skipped {
-            reason: PooledString::from_fmt(format_args!(
-                "L = {} exceeds the functional-execution limit; cost model only",
-                config.l
-            )),
-        }
-    };
+    }
 
-    Ok(WorkloadRun {
-        backend: profile.backend,
-        device: platform.spec.name,
-        kernel: "laplacian",
-        cost,
-        profile,
-        timing,
-        verification,
-    })
+    fn time(_: &Platform, config: &StencilConfig, _: ()) -> Analytic {
+        let class = KernelClass::Stencil7 {
+            precision: config.precision,
+        };
+        (stencil_cost(config), class, "laplacian")
+    }
+
+    fn fom(config: &StencilConfig, _: (), seconds: f64) -> f64 {
+        stencil_bandwidth_gbs(config.l as u64, config.precision, seconds)
+    }
 }
 
 fn execute<T: Real + cache::StencilGridCache>(
@@ -94,7 +113,7 @@ fn execute<T: Real + cache::StencilGridCache>(
     let u_tensor = LayoutTensor::new(d_u, layout)?;
     let f_tensor = LayoutTensor::new(d_f, layout)?;
 
-    let launch = heuristics::stencil_launch(l as u32, config.block_x);
+    let launch = StencilWorkload::launch(platform, config, ());
     let (f_k, u_k) = (f_tensor.clone(), u_tensor.clone());
     let (cx, cy, cz, cc) = (
         T::from_f64(invhx2),

@@ -3,12 +3,9 @@
 
 use super::{StencilConfig, MAX_FUNCTIONAL_L};
 use crate::workload::{
-    check_int_range, paper_platform_pairs, Measurement, ParamSpec, Params, Workload, WorkloadError,
-    WorkloadOutput,
+    check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
 };
-use gpu_sim::PooledVec;
 use gpu_spec::Precision;
-use hpc_metrics::stencil_bandwidth_gbs;
 
 /// Parses a `fp32`/`fp64` keyword.
 pub fn parse_precision(keyword: &str) -> Result<Precision, WorkloadError> {
@@ -79,18 +76,7 @@ impl Workload for StencilWorkload {
     }
 
     fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        self.validate(params)?;
-        let config = config(params)?;
-        let mut measurements = PooledVec::new();
-        for platform in paper_platform_pairs() {
-            let run = super::run(platform, &config)?;
-            let fom = stencil_bandwidth_gbs(config.l as u64, config.precision, run.seconds());
-            measurements.push(Measurement::from_run(&run, fom));
-        }
-        Ok(WorkloadOutput {
-            params: params.clone(),
-            measurements,
-        })
+        run_family(self, params)
     }
 }
 

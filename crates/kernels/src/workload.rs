@@ -3,12 +3,21 @@
 //!
 //! A [`Workload`] is a named, self-describing scenario engine: it publishes
 //! its tunable parameters ([`ParamSpec`]) with defaults, validates a concrete
-//! assignment ([`Params`]), and runs the underlying kernel drivers across the
+//! assignment ([`Params`]), and runs the underlying kernels across the
 //! paper's portable/vendor platform pairs, returning uniform
 //! [`Measurement`] rows. The report crate's registry, the `mojo-hpc sweep`
 //! command and the `serve` daemon all drive kernels through this layer, so a
 //! paper figure is just a preset parameter assignment and a new scenario is a
 //! parameter choice rather than a new driver.
+//!
+//! The six timing workloads are [`Family`] impls run by one generic driver,
+//! [`run_family`]. A family supplies its configuration, its kernels, the
+//! launch its single kernel body runs, that body ([`Family::execute`]) and
+//! the analytic inputs of the timing model ([`Family::time`]). The driver
+//! executes the body once per distinct (kernel, launch) and builds every
+//! platform's row from that platform's timing plus the shared verification,
+//! so rows of one launch carry one verification by construction. Every
+//! family's public single-platform `run` is [`run_on`].
 //!
 //! | Name | Kernel | Figure of merit | Sweep axis |
 //! |---|---|---|---|
@@ -20,11 +29,15 @@
 //! | `jacobi` | [`crate::jacobi`] | `bandwidth_gbs` (§15) | `l` |
 //! | `framestream` | [`crate::framestream`] | `bandwidth_gbs` (§15) | `n` |
 
+use crate::cache;
 use crate::common::{Verification, WorkloadRun};
-use gpu_sim::{PooledString, PooledVec, SimError};
+use gpu_sim::error::SimResult;
+use gpu_sim::{
+    ExecutionProfile, KernelCost, LaunchConfig, LaunchTiming, PooledString, PooledVec, SimError,
+};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-use vendor_models::Platform;
+use vendor_models::{KernelClass, Platform};
 
 /// A typed parameter value: workloads are tuned by unsigned integers
 /// (problem sizes, counts) and keywords (precisions, operation names).
@@ -252,20 +265,6 @@ pub struct Measurement {
     pub verification: PooledString,
 }
 
-impl Measurement {
-    /// Builds a measurement from a driver run record and its figure of merit.
-    pub fn from_run(run: &WorkloadRun, fom: f64) -> Measurement {
-        Measurement {
-            device: run.device,
-            backend: run.backend,
-            kernel: run.kernel,
-            seconds: run.seconds(),
-            fom,
-            verification: render_verification(&run.verification),
-        }
-    }
-}
-
 /// Renders a verification outcome as a short deterministic token, in pooled
 /// storage: the steady state is a shelf pop, not an allocation.
 pub fn render_verification(verification: &Verification) -> PooledString {
@@ -344,6 +343,121 @@ pub trait Workload: Sync {
     fn default_params(&self) -> Params {
         Params::defaults(&self.params())
     }
+}
+
+/// What [`Family::time`] returns: the launch cost, the kernel class that
+/// selects the platform's execution profile, and the row's kernel label.
+pub type Analytic = (KernelCost, KernelClass, &'static str);
+
+/// What one kernel family supplies to the generic driver: its
+/// configuration, its kernels, the launch and body that produce a
+/// verification, and the analytic inputs of each platform's timing.
+///
+/// The body is the same on every platform; only the launch shape may
+/// depend on the platform (the BabelStream Dot grid does), so the
+/// verification depends only on the configuration and the launch.
+pub trait Family: Workload {
+    /// The family's driver configuration.
+    type Config;
+    /// One kernel of the family: a `StreamOp` for BabelStream, `()` for
+    /// the single-kernel families.
+    type Kernel: Copy + 'static;
+
+    /// Decodes a validated parameter assignment.
+    fn config(params: &Params) -> Result<Self::Config, WorkloadError>;
+
+    /// The kernels one point runs, in row order.
+    fn kernels(params: &Params) -> Result<&'static [Self::Kernel], WorkloadError>;
+
+    /// The launch the functional body runs on `platform`.
+    fn launch(platform: &Platform, config: &Self::Config, kernel: Self::Kernel) -> LaunchConfig;
+
+    /// Runs the functional body on `platform` and verifies it against the
+    /// reference, or returns the family's `Skipped` reason above its
+    /// functional limit.
+    fn execute(
+        platform: &Platform,
+        config: &Self::Config,
+        kernel: Self::Kernel,
+    ) -> SimResult<Verification>;
+
+    /// The analytic inputs of the timing model on `platform`.
+    fn time(platform: &Platform, config: &Self::Config, kernel: Self::Kernel) -> Analytic;
+
+    /// The figure of merit of a run that took `seconds`.
+    fn fom(config: &Self::Config, kernel: Self::Kernel, seconds: f64) -> f64;
+}
+
+/// The analytic half of a run on `platform`: the family's cost under the
+/// platform's execution profile and timing model, with the kernel label.
+fn timed<F: Family>(
+    platform: &Platform,
+    config: &F::Config,
+    kernel: F::Kernel,
+) -> (KernelCost, ExecutionProfile, LaunchTiming, &'static str) {
+    let (cost, class, label) = F::time(platform, config, kernel);
+    let profile = platform.execution_profile(&class);
+    let timing = cache::timing_model(platform).estimate(&cost, &profile);
+    (cost, profile, timing, label)
+}
+
+/// The one single-platform composition: a family's analytic timing on
+/// `platform` plus its functional body. Every family's public `run` is this.
+pub fn run_on<F: Family>(
+    platform: &Platform,
+    config: &F::Config,
+    kernel: F::Kernel,
+) -> Result<WorkloadRun, SimError> {
+    let (cost, profile, timing, label) = timed::<F>(platform, config, kernel);
+    Ok(WorkloadRun {
+        backend: profile.backend,
+        device: platform.spec.name,
+        kernel: label,
+        cost,
+        profile,
+        timing,
+        verification: F::execute(platform, config, kernel)?,
+    })
+}
+
+/// Runs one point of a family on every paper platform.
+///
+/// The functional body runs once per distinct (kernel, launch), in order of
+/// first appearance; a row whose launch an earlier platform already ran
+/// takes that row's verification. Each row's timing is its own platform's.
+/// Rows are platform-major, then kernel, and the bookkeeping is the rows
+/// themselves, so a warm run allocates nothing.
+pub fn run_family<F: Family>(family: &F, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
+    family.validate(params)?;
+    let config = F::config(params)?;
+    let kernels = F::kernels(params)?;
+    let platforms = paper_platform_pairs();
+    let mut measurements: PooledVec<Measurement> = PooledVec::new();
+    for (p, platform) in platforms.iter().enumerate() {
+        for (k, &kernel) in kernels.iter().enumerate() {
+            let launch = F::launch(platform, &config, kernel);
+            let earlier = platforms[..p]
+                .iter()
+                .position(|other| F::launch(other, &config, kernel) == launch);
+            let verification = match earlier {
+                Some(q) => measurements[q * kernels.len() + k].verification.clone(),
+                None => render_verification(&F::execute(platform, &config, kernel)?),
+            };
+            let (_, profile, timing, label) = timed::<F>(platform, &config, kernel);
+            measurements.push(Measurement {
+                device: platform.spec.name,
+                backend: profile.backend,
+                kernel: label,
+                seconds: timing.seconds,
+                fom: F::fom(&config, kernel, timing.seconds),
+                verification,
+            });
+        }
+    }
+    Ok(WorkloadOutput {
+        params: params.clone(),
+        measurements,
+    })
 }
 
 /// Checks that an integer parameter lies in `[min, max]`.
@@ -456,6 +570,162 @@ mod tests {
             assert!(!workload.bench_sizes().is_empty());
         }
         assert!(find("frobnicate").is_none());
+    }
+
+    /// A family whose body counts its runs and returns the launch's block
+    /// count as its error, so a row shows which launch verified it.
+    struct Fake;
+
+    thread_local! {
+        static EXECUTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Workload for Fake {
+        fn name(&self) -> &'static str {
+            "fake"
+        }
+        fn description(&self) -> &'static str {
+            "driver test family"
+        }
+        fn fom_label(&self) -> &'static str {
+            "seconds"
+        }
+        fn size_param(&self) -> &'static str {
+            "n"
+        }
+        fn params(&self) -> Vec<ParamSpec> {
+            vec![
+                ParamSpec::int("n", 4096, "elements"),
+                ParamSpec::text("grid", "shared", "shared|backend"),
+                ParamSpec::int("fail", 0, "1 = the body fails"),
+            ]
+        }
+        fn bench_sizes(&self) -> &'static [u64] {
+            &[4096]
+        }
+        fn validate(&self, _: &Params) -> Result<(), WorkloadError> {
+            Ok(())
+        }
+        fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
+            run_family(self, params)
+        }
+    }
+
+    impl Family for Fake {
+        type Config = (u64, bool, bool);
+        type Kernel = u8;
+
+        fn config(params: &Params) -> Result<(u64, bool, bool), WorkloadError> {
+            let per_backend = params.text("grid") == "backend";
+            Ok((params.int("n"), per_backend, params.int("fail") == 1))
+        }
+        fn kernels(_: &Params) -> Result<&'static [u8], WorkloadError> {
+            Ok(&[0, 1])
+        }
+        fn launch(platform: &Platform, config: &(u64, bool, bool), kernel: u8) -> LaunchConfig {
+            // Kernel 1 takes a per-backend grid like the Dot reduction: one
+            // grid for both portable platforms, one per vendor platform.
+            if kernel == 1 && config.1 && !platform.backend.is_portable() {
+                LaunchConfig::new(platform.spec.topology.num_compute_units, 256)
+            } else {
+                LaunchConfig::cover_1d(config.0, 256)
+            }
+        }
+        fn execute(
+            platform: &Platform,
+            config: &(u64, bool, bool),
+            kernel: u8,
+        ) -> SimResult<Verification> {
+            EXECUTIONS.with(|n| n.set(n.get() + 1));
+            if config.2 {
+                return Err(SimError::InvalidParameter("fake body failed".into()));
+            }
+            Ok(Verification::Passed {
+                max_abs_error: Self::launch(platform, config, kernel).num_blocks() as f64,
+            })
+        }
+        fn time(_: &Platform, config: &(u64, bool, bool), _: u8) -> Analytic {
+            let launch = LaunchConfig::cover_1d(config.0, 256);
+            let cost = KernelCost::builder(
+                "fake",
+                gpu_spec::Precision::Fp64,
+                launch,
+                gpu_sim::stats::AccessPattern::Stream,
+            )
+            .dram_traffic(config.0 * 8, config.0 * 8)
+            .build();
+            let class = KernelClass::Stream {
+                op: vendor_models::StreamOp::Copy,
+                precision: gpu_spec::Precision::Fp64,
+            };
+            (cost, class, "fake")
+        }
+        fn fom(_: &(u64, bool, bool), _: u8, seconds: f64) -> f64 {
+            seconds
+        }
+    }
+
+    /// Runs the fake family at `encoding`, returning the rows and the
+    /// number of times its body ran.
+    fn run_fake(encoding: &str) -> (Result<WorkloadOutput, WorkloadError>, usize) {
+        let mut params = Fake.default_params();
+        params.apply_encoding(encoding).unwrap();
+        EXECUTIONS.with(|n| n.set(0));
+        let output = Fake.run(&params);
+        (output, EXECUTIONS.with(|n| n.get()))
+    }
+
+    #[test]
+    fn the_driver_executes_once_per_distinct_launch() {
+        // Kernels 0 and 1 share one launch across the four platforms.
+        let (output, executions) = run_fake("grid=shared");
+        assert_eq!(output.unwrap().measurements.len(), 8);
+        assert_eq!(executions, 2);
+        // Kernel 1 on a per-backend grid: once for both portable platforms,
+        // once each for CUDA and HIP; each row reads its own grid's result.
+        let (output, executions) = run_fake("grid=backend");
+        assert_eq!(executions, 1 + 3);
+        let rows = output.unwrap().measurements;
+        let per_backend: Vec<&str> = rows
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .map(|m| &*m.verification)
+            .collect();
+        let units = |p: usize| paper_platform_pairs()[p].spec.topology.num_compute_units;
+        assert_eq!(
+            per_backend,
+            [
+                "passed(max_abs_err=1.600e1)".to_string(),
+                format!("passed(max_abs_err={:.3e})", f64::from(units(1))),
+                "passed(max_abs_err=1.600e1)".to_string(),
+                format!("passed(max_abs_err={:.3e})", f64::from(units(3))),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_driver_keeps_platform_major_row_order() {
+        let (output, _) = run_fake("grid=backend");
+        let rows = output.unwrap().measurements;
+        let platforms = paper_platform_pairs();
+        for (i, row) in rows.iter().enumerate() {
+            let platform = &platforms[i / 2];
+            assert_eq!(row.device, platform.spec.name);
+            assert_eq!(row.backend, platform.backend.label());
+            // Each row is timed on its own platform.
+            let timed = run_on::<Fake>(platform, &(4096, true, false), (i % 2) as u8).unwrap();
+            assert_eq!(row.seconds, timed.seconds());
+            assert_eq!(row.verification, render_verification(&timed.verification));
+        }
+    }
+
+    #[test]
+    fn an_execute_error_propagates_as_a_workload_error() {
+        let (output, executions) = run_fake("fail=1");
+        let expected = WorkloadError::from(SimError::InvalidParameter("fake body failed".into()));
+        assert_eq!(output.unwrap_err(), expected);
+        assert_eq!(executions, 1, "the first failure stops the run");
     }
 
     #[test]
