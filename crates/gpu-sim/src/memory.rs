@@ -117,11 +117,6 @@ impl Device {
         self.inner.usage.lock().high_water
     }
 
-    /// Bytes of device memory still available.
-    pub fn available_bytes(&self) -> u64 {
-        self.inner.spec.memory_bytes - self.allocated_bytes()
-    }
-
     /// Allocates an uninitialised (zero-filled) buffer of `len` elements,
     /// mirroring `ctx.enqueue_create_buffer[dtype](len)`.
     ///

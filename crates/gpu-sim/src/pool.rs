@@ -226,7 +226,7 @@ pub(crate) fn discard(block: Block) {
 /// A snapshot of the pool counters (DESIGN.md §11 telemetry schema).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PoolStats {
-    /// Total blocks checked out since process start (or [`reset_stats`]).
+    /// Total blocks checked out since process start.
     pub checkouts: u64,
     /// Checkouts served by popping a shelved block (no allocator traffic).
     pub hits: u64,
@@ -279,17 +279,6 @@ pub fn stats() -> PoolStats {
         outstanding_bytes: OUTSTANDING_BYTES.load(Ordering::Relaxed),
         high_water_bytes: HIGH_WATER_BYTES.load(Ordering::Relaxed),
     }
-}
-
-/// Zeroes the cumulative counters and re-bases the high-water mark at the
-/// current outstanding footprint. For tests and bench warm-up boundaries.
-pub fn reset_stats() {
-    CHECKOUTS.store(0, Ordering::Relaxed);
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    RECYCLED_BYTES.store(0, Ordering::Relaxed);
-    FRESH_BYTES.store(0, Ordering::Relaxed);
-    HIGH_WATER_BYTES.store(OUTSTANDING_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// A growable array over pooled storage: the `Vec<T>` of the steady-state

@@ -62,11 +62,6 @@ pub struct ComputeTopology {
 }
 
 impl ComputeTopology {
-    /// Maximum number of threads resident on the whole device.
-    pub fn max_resident_threads(&self) -> u64 {
-        u64::from(self.num_compute_units) * u64::from(self.max_threads_per_unit)
-    }
-
     /// Occupancy (0..=1) achievable by a kernel that needs
     /// `registers_per_thread` registers and blocks of `block_size` threads.
     ///

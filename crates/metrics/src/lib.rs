@@ -12,7 +12,8 @@
 //! and Section 4.1 aggregates them into the application-efficiency
 //! performance-portability metric Φ, Eq. (4) ([`portability`]).
 //! [`roofline`] produces the roofline ceilings of Fig. 2, [`stats`]
-//! summarises repeated runs, and [`output`] writes CSV/JSON experiment files.
+//! summarises repeated runs, and [`output`] renders and writes CSV
+//! experiment tables.
 
 #![warn(missing_docs)]
 

@@ -1,11 +1,10 @@
-//! Experiment output: CSV series and JSON manifests.
+//! Experiment output: CSV tables and their default directory.
 //!
 //! The paper's artifact produces CSV files that its Python plotting scripts
-//! consume; this module writes equivalent CSVs (plus JSON manifests, which are
-//! easier to post-process) under `target/experiments/` so every bench leaves a
-//! machine-readable record next to the human-readable console output.
+//! consume; this module renders equivalent CSVs, which the report crate
+//! writes under `target/experiments/` next to the human-readable console
+//! output.
 
-use serde::Serialize;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -86,25 +85,6 @@ impl CsvTable {
 pub fn experiments_dir() -> PathBuf {
     let base = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
     PathBuf::from(base).join("experiments")
-}
-
-/// Writes any serialisable value as pretty JSON under the experiments
-/// directory, returning the path written.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
-    let path = experiments_dir().join(format!("{name}.json"));
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let json = serde_json::to_string_pretty(value).expect("value must serialise");
-    fs::write(&path, json)?;
-    Ok(path)
-}
-
-/// Writes a CSV table under the experiments directory, returning the path.
-pub fn write_csv(name: &str, table: &CsvTable) -> std::io::Result<PathBuf> {
-    let path = experiments_dir().join(format!("{name}.csv"));
-    table.write_to(&path)?;
-    Ok(path)
 }
 
 #[cfg(test)]

@@ -2,11 +2,10 @@
 //!
 //! The paper's Hartree–Fock kernel (Listing 5) issues its Fock-matrix updates
 //! as `Atomic.fetch_add(fock.ptr.offset(i*natoms + j), value)`. The Rust
-//! analogue routes the same operation through [`LayoutTensor`] /
-//! [`DeviceBuffer`] so portable kernels read one way regardless of backend.
+//! analogue routes the same operation through [`LayoutTensor`] so portable
+//! kernels read one way regardless of backend.
 
 use crate::tensor::LayoutTensor;
-use gpu_sim::memory::DeviceBuffer;
 
 /// Namespace struct for portable atomic operations.
 pub struct Atomic;
@@ -23,12 +22,6 @@ impl Atomic {
     #[inline]
     pub fn fetch_add_f32(tensor: &LayoutTensor<f32>, offset: usize, value: f32) -> f32 {
         tensor.atomic_add_linear(offset, value)
-    }
-
-    /// Atomically adds `value` to a raw device buffer element.
-    #[inline]
-    pub fn fetch_add_buffer_f64(buffer: &DeviceBuffer<f64>, index: usize, value: f64) -> f64 {
-        buffer.atomic_add(index, value)
     }
 }
 
@@ -77,8 +70,8 @@ mod tests {
         Atomic::fetch_add_f32(&t32, 0, 2.0);
         assert_eq!(t32.get(0), 2.0);
 
-        let buf = dev.alloc::<f64>(2).unwrap();
-        Atomic::fetch_add_buffer_f64(&buf, 1, 5.0);
-        assert_eq!(buf.read(1), 5.0);
+        let t64 = LayoutTensor::new(dev.alloc::<f64>(2).unwrap(), Layout::row_major_1d(2)).unwrap();
+        Atomic::fetch_add_f64(&t64, 1, 5.0);
+        assert_eq!(t64.get(1), 5.0);
     }
 }

@@ -69,12 +69,6 @@ impl<T: DeviceScalar> LayoutTensor<T> {
         self.buffer.read(self.layout.offset_2d(i, j))
     }
 
-    /// Writes element `(i, j)` of a rank-2 tensor.
-    #[inline]
-    pub fn set2(&self, i: usize, j: usize, value: T) {
-        self.buffer.write(self.layout.offset_2d(i, j), value)
-    }
-
     /// Reads element `(i, j, k)` of a rank-3 tensor.
     #[inline]
     pub fn get3(&self, i: usize, j: usize, k: usize) -> T {
@@ -134,12 +128,6 @@ impl LayoutTensor<f64> {
     #[inline]
     pub fn atomic_add_linear(&self, offset: usize, value: f64) -> f64 {
         self.buffer.atomic_add(offset, value)
-    }
-
-    /// Atomically adds `value` to element `(i, j)` of a rank-2 tensor.
-    #[inline]
-    pub fn atomic_add2(&self, i: usize, j: usize, value: f64) -> f64 {
-        self.buffer.atomic_add(self.layout.offset_2d(i, j), value)
     }
 }
 
@@ -271,7 +259,7 @@ mod tests {
         use rayon::prelude::*;
         let tr = &t;
         (0..1000).into_par_iter().for_each(|_| {
-            tr.atomic_add2(1, 1, 1.0);
+            tr.atomic_add_linear(3, 1.0);
             tr.atomic_add_linear(0, 0.5);
         });
         assert_eq!(t.get2(1, 1), 1000.0);
