@@ -32,7 +32,10 @@ mod tests {
         for platform in Platform::paper_platforms() {
             for op in StreamOp::ALL {
                 assert!(
-                    run(&platform, op, &config).unwrap().verification.is_verified(),
+                    run(&platform, op, &config)
+                        .unwrap()
+                        .verification
+                        .is_verified(),
                     "{} {op} should verify",
                     platform.label()
                 );

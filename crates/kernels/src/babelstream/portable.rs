@@ -102,6 +102,10 @@ impl<T: Real> CoopKernel for DotKernel<T> {
         block_dim.total() as usize
     }
 
+    // The scheduler calls this once per thread per phase; without the hint,
+    // whether it inlines into that loop depends on codegen-unit placement,
+    // and the Dot launch runs about 3x slower when it does not.
+    #[inline]
     fn phase(
         &self,
         phase: usize,

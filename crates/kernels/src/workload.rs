@@ -10,14 +10,14 @@
 //! paper figure is just a preset parameter assignment and a new scenario is a
 //! parameter choice rather than a new driver.
 //!
-//! The six timing workloads are [`Family`] impls run by one generic driver,
-//! [`run_family`]. A family supplies its configuration, its kernels, the
-//! launch its single kernel body runs, that body ([`Family::execute`]) and
-//! the analytic inputs of the timing model ([`Family::time`]). The driver
+//! The six timing workloads are `Family` impls run by one generic driver,
+//! `run_family`. A family supplies its configuration, its kernels, the
+//! launch its single kernel body runs, that body (`Family::execute`) and
+//! the analytic inputs of the timing model (`Family::time`). The driver
 //! executes the body once per distinct (kernel, launch) and builds every
 //! platform's row from that platform's timing plus the shared verification,
 //! so rows of one launch carry one verification by construction. Every
-//! family's public single-platform `run` is [`run_on`].
+//! family's public single-platform `run` is `run_on`.
 //!
 //! | Name | Kernel | Figure of merit | Sweep axis |
 //! |---|---|---|---|
@@ -345,9 +345,9 @@ pub trait Workload: Sync {
     }
 }
 
-/// What [`Family::time`] returns: the launch cost, the kernel class that
+/// What `Family::time` returns: the launch cost, the kernel class that
 /// selects the platform's execution profile, and the row's kernel label.
-pub type Analytic = (KernelCost, KernelClass, &'static str);
+pub(crate) type Analytic = (KernelCost, KernelClass, &'static str);
 
 /// What one kernel family supplies to the generic driver: its
 /// configuration, its kernels, the launch and body that produce a
@@ -356,7 +356,7 @@ pub type Analytic = (KernelCost, KernelClass, &'static str);
 /// The body is the same on every platform; only the launch shape may
 /// depend on the platform (the BabelStream Dot grid does), so the
 /// verification depends only on the configuration and the launch.
-pub trait Family: Workload {
+pub(crate) trait Family: Workload {
     /// The family's driver configuration.
     type Config;
     /// One kernel of the family: a `StreamOp` for BabelStream, `()` for
@@ -403,7 +403,7 @@ fn timed<F: Family>(
 
 /// The one single-platform composition: a family's analytic timing on
 /// `platform` plus its functional body. Every family's public `run` is this.
-pub fn run_on<F: Family>(
+pub(crate) fn run_on<F: Family>(
     platform: &Platform,
     config: &F::Config,
     kernel: F::Kernel,
@@ -427,7 +427,10 @@ pub fn run_on<F: Family>(
 /// takes that row's verification. Each row's timing is its own platform's.
 /// Rows are platform-major, then kernel, and the bookkeeping is the rows
 /// themselves, so a warm run allocates nothing.
-pub fn run_family<F: Family>(family: &F, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
+pub(crate) fn run_family<F: Family>(
+    family: &F,
+    params: &Params,
+) -> Result<WorkloadOutput, WorkloadError> {
     family.validate(params)?;
     let config = F::config(params)?;
     let kernels = F::kernels(params)?;
