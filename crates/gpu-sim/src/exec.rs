@@ -64,17 +64,6 @@ impl ThreadCtx {
     pub fn threads_in_grid_x(&self) -> u64 {
         u64::from(self.block_dim.x) * u64::from(self.grid_dim.x)
     }
-
-    /// Fully linearised global thread id (x fastest, then y, then z).
-    #[inline]
-    pub fn global_linear(&self) -> u64 {
-        let gx = self.global_x();
-        let gy = self.global_y();
-        let gz = self.global_z();
-        let nx = u64::from(self.block_dim.x) * u64::from(self.grid_dim.x);
-        let ny = u64::from(self.block_dim.y) * u64::from(self.grid_dim.y);
-        gx + nx * (gy + ny * gz)
-    }
 }
 
 /// Runs every thread of one block sequentially, in linear order (x fastest),
@@ -140,22 +129,6 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), cfg.total_threads());
-    }
-
-    #[test]
-    fn global_linear_ids_are_unique_and_dense() {
-        let cfg = LaunchConfig::new((3u32, 2u32, 2u32), (4u32, 2u32, 1u32));
-        let total = cfg.total_threads() as usize;
-        let mut seen = vec![0u32; total];
-        {
-            let slice = UnsafeSlice::new(&mut seen);
-            launch_flat(&cfg, |ctx| {
-                let id = ctx.global_linear() as usize;
-                // Each id is written by exactly one thread.
-                slice.write(id, slice.read(id) + 1);
-            });
-        }
-        assert!(seen.iter().all(|&c| c == 1), "every id hit exactly once");
     }
 
     #[test]

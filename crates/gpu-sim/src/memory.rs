@@ -17,7 +17,7 @@
 
 use crate::atomics;
 use crate::error::{SimError, SimResult};
-use crate::pool::{self, PooledVec};
+use crate::pool;
 use gpu_spec::{GpuSpec, Precision};
 use parking_lot::Mutex;
 use std::ptr::NonNull;
@@ -316,11 +316,6 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         self.storage().len == 0
     }
 
-    /// Size of the allocation in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.storage().bytes
-    }
-
     /// Reads element `i`.
     ///
     /// # Panics
@@ -383,17 +378,6 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         (0..self.len()).map(|i| self.read(i)).collect()
     }
 
-    /// Copies the buffer back to the host into a reusable pooled vector —
-    /// the steady-state variant of [`copy_to_host`](Self::copy_to_host):
-    /// a warm `out` of the right capacity makes the transfer allocation-free.
-    pub fn copy_to_host_into(&self, out: &mut PooledVec<T>) {
-        out.clear();
-        out.reserve(self.len());
-        for i in 0..self.len() {
-            out.push(self.read(i));
-        }
-    }
-
     /// Start of the backing storage, for pointer-identity reuse tests.
     #[cfg(test)]
     fn storage_ptr(&self) -> *const T {
@@ -448,7 +432,6 @@ mod tests {
         let dev = device();
         let buf = dev.alloc_from_host(&[1.0f64, 2.0, 3.0]).unwrap();
         assert_eq!(buf.len(), 3);
-        assert_eq!(buf.size_bytes(), 24);
         assert_eq!(buf.copy_to_host(), vec![1.0, 2.0, 3.0]);
         assert!(!buf.is_empty());
     }
@@ -514,19 +497,6 @@ mod tests {
             assert_eq!(buf.read(N - 1), 1.5);
             assert_eq!(buf.read(0), 0.0, "pooled storage is re-zeroed");
         }
-    }
-
-    #[test]
-    fn copy_to_host_into_reuses_the_output_buffer() {
-        let dev = device();
-        let buf = dev.alloc_from_host(&[1.0f64, 2.0, 3.0]).unwrap();
-        let mut out = crate::pool::PooledVec::new();
-        buf.copy_to_host_into(&mut out);
-        assert_eq!(out.as_slice(), &[1.0, 2.0, 3.0]);
-        let cap = out.capacity();
-        buf.copy_to_host_into(&mut out);
-        assert_eq!(out.capacity(), cap);
-        assert_eq!(out.as_slice(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

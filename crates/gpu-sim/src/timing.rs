@@ -133,11 +133,6 @@ impl LaunchTiming {
     pub fn millis(&self) -> f64 {
         self.seconds * 1e3
     }
-
-    /// Duration in microseconds.
-    pub fn micros(&self) -> f64 {
-        self.seconds * 1e6
-    }
 }
 
 /// The timing model for one simulated device.
@@ -233,14 +228,6 @@ impl JitterModel {
             outlier_probability: 0.01,
             outlier_slowdown: 1.12,
         }
-    }
-
-    /// Configures the probability and magnitude of slow outliers
-    /// (the MI300A stencil plot in the paper shows such outliers).
-    pub fn with_outliers(mut self, probability: f64, slowdown: f64) -> Self {
-        self.outlier_probability = probability;
-        self.outlier_slowdown = slowdown;
-        self
     }
 
     /// Draws the multiplicative factor for one run (>= ~1 - sigma).
@@ -433,7 +420,6 @@ mod tests {
             bottleneck: Bottleneck::Memory,
         };
         assert!((t.millis() - 1.5).abs() < 1e-12);
-        assert!((t.micros() - 1500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -450,9 +436,11 @@ mod tests {
 
     #[test]
     fn jitter_with_outliers_produces_occasional_slow_runs() {
-        let mut m = JitterModel::new(0.01, 7).with_outliers(0.2, 1.5);
-        let samples: Vec<f64> = (0..500).map(|_| m.sample()).collect();
-        let outliers = samples.iter().filter(|&&s| s > 1.3).count();
+        // One run in a hundred is 12 % slow; ±1 % noise keeps the rest
+        // below 1.01.
+        let mut m = JitterModel::new(0.01, 7);
+        let samples: Vec<f64> = (0..2000).map(|_| m.sample()).collect();
+        let outliers = samples.iter().filter(|&&s| s > 1.1).count();
         assert!(outliers > 0, "expected some outliers");
         assert!(outliers < 250, "outliers should stay a minority");
     }

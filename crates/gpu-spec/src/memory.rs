@@ -73,11 +73,6 @@ impl MemoryHierarchy {
         [self.l1, self.l2, self.hbm]
     }
 
-    /// Peak device-memory bandwidth in GB/s (the roofline memory ceiling).
-    pub fn peak_bandwidth_gbs(&self) -> f64 {
-        self.hbm.bandwidth_gbs
-    }
-
     /// Validates internal consistency: capacities and bandwidths must decrease
     /// (bandwidth) / increase (capacity) monotonically moving away from the cores.
     pub fn validate(&self) -> Result<(), String> {
@@ -176,6 +171,5 @@ mod tests {
         let h = sample();
         let names: Vec<_> = h.levels().iter().map(|l| l.name.name()).collect();
         assert_eq!(names, vec!["L1", "L2", "HBM"]);
-        assert!((h.peak_bandwidth_gbs() - 3_900.0).abs() < 1e-12);
     }
 }

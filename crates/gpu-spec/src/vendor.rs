@@ -20,16 +20,6 @@ pub enum Vendor {
 }
 
 impl Vendor {
-    /// Name of the vendor-native programming model used as the baseline on
-    /// this architecture ("CUDA", "HIP", or "native").
-    pub fn native_model(&self) -> &'static str {
-        match self {
-            Vendor::Nvidia => "CUDA",
-            Vendor::Amd => "HIP",
-            Vendor::Generic => "native",
-        }
-    }
-
     /// The SIMT execution width the vendor's hardware schedules at:
     /// 32-thread warps on NVIDIA, 64-thread wavefronts on AMD CDNA.
     pub fn simt_width(&self) -> u32 {
@@ -37,25 +27,6 @@ impl Vendor {
             Vendor::Nvidia => 32,
             Vendor::Amd => 64,
             Vendor::Generic => 32,
-        }
-    }
-
-    /// The name the vendor gives its streaming processor cluster
-    /// (SM on NVIDIA, CU on AMD).
-    pub fn compute_unit_name(&self) -> &'static str {
-        match self {
-            Vendor::Nvidia => "SM",
-            Vendor::Amd => "CU",
-            Vendor::Generic => "PU",
-        }
-    }
-
-    /// The profiling tool the paper used on this architecture.
-    pub fn profiler_name(&self) -> &'static str {
-        match self {
-            Vendor::Nvidia => "Nsight Compute (ncu)",
-            Vendor::Amd => "rocprof",
-            Vendor::Generic => "sim-prof",
         }
     }
 }
@@ -73,12 +44,6 @@ impl fmt::Display for Vendor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn native_models_match_paper() {
-        assert_eq!(Vendor::Nvidia.native_model(), "CUDA");
-        assert_eq!(Vendor::Amd.native_model(), "HIP");
-    }
 
     #[test]
     fn simt_widths() {
@@ -99,13 +64,5 @@ mod tests {
         let s = serde_json::to_string(&v).unwrap();
         let back: Vendor = serde_json::from_str(&s).unwrap();
         assert_eq!(v, back);
-    }
-
-    #[test]
-    fn unit_names_and_profilers() {
-        assert_eq!(Vendor::Nvidia.compute_unit_name(), "SM");
-        assert_eq!(Vendor::Amd.compute_unit_name(), "CU");
-        assert!(Vendor::Nvidia.profiler_name().contains("ncu"));
-        assert!(Vendor::Amd.profiler_name().contains("rocprof"));
     }
 }

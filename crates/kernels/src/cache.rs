@@ -42,8 +42,9 @@ use vendor_models::Platform;
 /// The other tiers stay below it: the l = 192 stencil grid or reference is
 /// 192³ · 8 B = 56.6 MB, and a 4096-atom sampled plan at 2²⁰ probes is its
 /// 134.2 MB expected Fock matrix plus 24 B per probe, 159.4 MB. A miniBUDE
-/// deck grows with `poses` (24 B per pose); one over 11 million poses is
-/// larger than the budget and is regenerated per platform.
+/// deck grows with `poses` (24 B per pose), and `validate` refuses more
+/// than [`crate::minibude::workload::MAX_POSES`] (11,184,810), the most
+/// that fit this budget.
 pub const MEMO_BUDGET_BYTES: u64 = 256 << 20;
 
 thread_local! {

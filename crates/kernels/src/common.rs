@@ -3,7 +3,6 @@
 
 use gpu_sim::timing::JitterModel;
 use gpu_sim::{ExecutionProfile, KernelCost, LaunchTiming, PooledString};
-use hpc_metrics::RunStats;
 
 /// Outcome of comparing a simulated kernel's output with the CPU reference.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,23 +59,27 @@ impl WorkloadRun {
     pub fn millis(&self) -> f64 {
         self.timing.millis()
     }
+}
 
-    /// Draws `iterations` jittered per-run durations (seconds), discarding a
-    /// warm-up iteration first, the way the paper's methodology prescribes
-    /// ("we discarded the first step in our measurements").
-    pub fn sample_durations(&self, iterations: usize, sigma: f64, seed: u64) -> Vec<f64> {
-        let mut jitter = JitterModel::new(sigma, seed ^ fxhash(self.backend, self.kernel));
-        // Warm-up draw, discarded.
-        let _ = jitter.sample();
-        (0..iterations)
-            .map(|_| jitter.jitter_seconds(self.timing.seconds))
-            .collect()
-    }
-
-    /// Summary statistics of `iterations` jittered runs.
-    pub fn duration_stats(&self, iterations: usize, sigma: f64, seed: u64) -> RunStats {
-        RunStats::from_samples(&self.sample_durations(iterations, sigma, seed))
-    }
+/// Draws `iterations` jittered per-run durations (seconds) around a
+/// kernel's modelled `seconds`, discarding a warm-up iteration first, the
+/// way the paper's methodology prescribes ("we discarded the first step in
+/// our measurements"). The stream is seeded from `seed` and the backend and
+/// kernel labels, so each (backend, kernel) pair draws its own samples.
+pub fn jittered_durations(
+    backend: &str,
+    kernel: &str,
+    seconds: f64,
+    iterations: usize,
+    sigma: f64,
+    seed: u64,
+) -> Vec<f64> {
+    let mut jitter = JitterModel::new(sigma, seed ^ fxhash(backend, kernel));
+    // Warm-up draw, discarded.
+    let _ = jitter.sample();
+    (0..iterations)
+        .map(|_| jitter.jitter_seconds(seconds))
+        .collect()
 }
 
 /// Small deterministic string hash so different backend/kernel combinations
@@ -206,13 +209,13 @@ mod tests {
     #[test]
     fn sampled_durations_are_deterministic_and_near_the_estimate() {
         let run = dummy_run();
-        let a = run.sample_durations(50, 0.02, 7);
-        let b = run.sample_durations(50, 0.02, 7);
-        assert_eq!(a, b);
+        let sample = || jittered_durations(run.backend, run.kernel, run.seconds(), 50, 0.02, 7);
+        let a = sample();
+        assert_eq!(a, sample());
         for d in &a {
             assert!((d / run.seconds() - 1.0).abs() < 0.2);
         }
-        let stats = run.duration_stats(50, 0.02, 7);
+        let stats = hpc_metrics::RunStats::from_samples(&a);
         assert_eq!(stats.count, 50);
         assert!(stats.min > 0.0);
     }
@@ -220,11 +223,9 @@ mod tests {
     #[test]
     fn different_kernels_get_different_jitter_streams() {
         let run = dummy_run();
-        let mut other = dummy_run();
-        other.kernel = "add";
         assert_ne!(
-            run.sample_durations(10, 0.02, 7),
-            other.sample_durations(10, 0.02, 7)
+            jittered_durations("Mojo", "copy", run.seconds(), 10, 0.02, 7),
+            jittered_durations("Mojo", "add", run.seconds(), 10, 0.02, 7)
         );
     }
 

@@ -20,11 +20,13 @@
 //! * a **CPU reference** used to validate every simulated result,
 //! * an analytic **cost model** (bytes, FLOPs, atomics) that the unit tests
 //!   cross-check against instrumented counts on small problems,
-//! * a host driver returning a [`common::WorkloadRun`] that the report
-//!   crate turns into the paper's tables and figures,
+//! * a host driver returning a [`common::WorkloadRun`] (the analytic
+//!   timing plus the functional verification) on one platform,
 //! * a [`workload`] adapter exposing the drivers as a named, parameterizable
 //!   [`workload::Workload`] — the layer the experiment registry, the
-//!   `mojo-hpc sweep` engine and the `serve` daemon share.
+//!   `mojo-hpc sweep` engine and the `serve` daemon share. Its analytic
+//!   half, [`workload::timed`], is what the report crate turns into the
+//!   paper's tables and figures.
 
 #![warn(missing_docs)]
 

@@ -75,11 +75,6 @@ impl MiniBudeConfig {
     pub fn paper_ppwi_sweep() -> [u32; 8] {
         [1, 2, 4, 8, 16, 32, 64, 128]
     }
-
-    /// The work-group sizes the paper evaluates.
-    pub fn paper_wg_values() -> [u32; 2] {
-        [8, 64]
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +114,6 @@ mod tests {
             MiniBudeConfig::paper_ppwi_sweep(),
             [1, 2, 4, 8, 16, 32, 64, 128]
         );
-        assert_eq!(MiniBudeConfig::paper_wg_values(), [8, 64]);
     }
 
     #[test]

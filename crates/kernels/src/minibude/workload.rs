@@ -7,6 +7,13 @@ use crate::workload::{
     check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
 };
 
+/// Largest `poses` the workload accepts: a deck holds six `f32` transforms
+/// per pose, so this is the most that fit one memo tier
+/// ([`crate::cache::MEMO_BUDGET_BYTES`]), 11,184,810. A larger deck is
+/// refused before any of it is allocated.
+pub const MAX_POSES: u64 =
+    crate::cache::MEMO_BUDGET_BYTES / (6 * std::mem::size_of::<f32>() as u64);
+
 /// The synthetic-deck seed every preset shares (the deck shape, not its
 /// contents, is what the paper's figures depend on).
 pub const DECK_SEED: u64 = 0x00b0de;
@@ -56,7 +63,7 @@ impl Workload for MiniBudeWorkload {
                 "poses per work-item (a power of two in 1..128, the paper's sweep)",
             ),
             ParamSpec::int("wg", 64, "work-group (thread block) size"),
-            ParamSpec::int("poses", 65_536, "total pose count"),
+            ParamSpec::int("poses", 65_536, "total pose count (at most 11184810)"),
             ParamSpec::int("natlig", 26, "ligand atom count"),
             ParamSpec::int("natpro", 938, "protein atom count"),
         ]
@@ -83,7 +90,7 @@ impl Workload for MiniBudeWorkload {
             )));
         }
         check_int_range(params, "wg", 1, 1024)?;
-        check_int_range(params, "poses", 1, 1 << 30)?;
+        check_int_range(params, "poses", 1, MAX_POSES)?;
         check_int_range(params, "natlig", 1, 1 << 16)?;
         check_int_range(params, "natpro", 1, 1 << 20)?;
         if params.int("poses") < params.int("ppwi") {
@@ -118,6 +125,7 @@ mod tests {
             "wg=2048",
             "natlig=0",
             "poses=4,ppwi=8",
+            "poses=11184811",
         ] {
             let mut params = MiniBudeWorkload.default_params();
             params.apply_encoding(bad).unwrap();

@@ -10,14 +10,16 @@
 //! paper figure is just a preset parameter assignment and a new scenario is a
 //! parameter choice rather than a new driver.
 //!
-//! The six timing workloads are `Family` impls run by one generic driver,
+//! The six timing workloads are [`Family`] impls run by one generic driver,
 //! `run_family`. A family supplies its configuration, its kernels, the
-//! launch its single kernel body runs, that body (`Family::execute`) and
-//! the analytic inputs of the timing model (`Family::time`). The driver
+//! launch its single kernel body runs, that body ([`Family::execute`]) and
+//! the analytic inputs of the timing model ([`Family::time`]). The driver
 //! executes the body once per distinct (kernel, launch) and builds every
 //! platform's row from that platform's timing plus the shared verification,
 //! so rows of one launch carry one verification by construction. Every
-//! family's public single-platform `run` is `run_on`.
+//! family's public single-platform `run` is `run_on`. The analytic half
+//! alone is [`timed`]: the paper experiments render it at their registry
+//! presets with [`Family::fom`] and never run a body.
 //!
 //! | Name | Kernel | Figure of merit | Sweep axis |
 //! |---|---|---|---|
@@ -345,9 +347,9 @@ pub trait Workload: Sync {
     }
 }
 
-/// What `Family::time` returns: the launch cost, the kernel class that
+/// What [`Family::time`] returns: the launch cost, the kernel class that
 /// selects the platform's execution profile, and the row's kernel label.
-pub(crate) type Analytic = (KernelCost, KernelClass, &'static str);
+pub type Analytic = (KernelCost, KernelClass, &'static str);
 
 /// What one kernel family supplies to the generic driver: its
 /// configuration, its kernels, the launch and body that produce a
@@ -356,7 +358,7 @@ pub(crate) type Analytic = (KernelCost, KernelClass, &'static str);
 /// The body is the same on every platform; only the launch shape may
 /// depend on the platform (the BabelStream Dot grid does), so the
 /// verification depends only on the configuration and the launch.
-pub(crate) trait Family: Workload {
+pub trait Family: Workload {
     /// The family's driver configuration.
     type Config;
     /// One kernel of the family: a `StreamOp` for BabelStream, `()` for
@@ -388,17 +390,32 @@ pub(crate) trait Family: Workload {
     fn fom(config: &Self::Config, kernel: Self::Kernel, seconds: f64) -> f64;
 }
 
+/// The analytic half of one kernel on one platform: what the timing model
+/// says, with no functional body run.
+#[derive(Debug, Clone)]
+pub struct Timed {
+    /// Analytic launch cost.
+    pub cost: KernelCost,
+    /// The platform's execution profile for the kernel's class.
+    pub profile: ExecutionProfile,
+    /// Simulated kernel timing.
+    pub timing: LaunchTiming,
+    /// The row's kernel label.
+    pub kernel: &'static str,
+}
+
 /// The analytic half of a run on `platform`: the family's cost under the
 /// platform's execution profile and timing model, with the kernel label.
-fn timed<F: Family>(
-    platform: &Platform,
-    config: &F::Config,
-    kernel: F::Kernel,
-) -> (KernelCost, ExecutionProfile, LaunchTiming, &'static str) {
+pub fn timed<F: Family>(platform: &Platform, config: &F::Config, kernel: F::Kernel) -> Timed {
     let (cost, class, label) = F::time(platform, config, kernel);
     let profile = platform.execution_profile(&class);
     let timing = cache::timing_model(platform).estimate(&cost, &profile);
-    (cost, profile, timing, label)
+    Timed {
+        cost,
+        profile,
+        timing,
+        kernel: label,
+    }
 }
 
 /// The one single-platform composition: a family's analytic timing on
@@ -408,14 +425,14 @@ pub(crate) fn run_on<F: Family>(
     config: &F::Config,
     kernel: F::Kernel,
 ) -> Result<WorkloadRun, SimError> {
-    let (cost, profile, timing, label) = timed::<F>(platform, config, kernel);
+    let timed = timed::<F>(platform, config, kernel);
     Ok(WorkloadRun {
-        backend: profile.backend,
+        backend: timed.profile.backend,
         device: platform.spec.name,
-        kernel: label,
-        cost,
-        profile,
-        timing,
+        kernel: timed.kernel,
+        cost: timed.cost,
+        profile: timed.profile,
+        timing: timed.timing,
         verification: F::execute(platform, config, kernel)?,
     })
 }
@@ -446,13 +463,14 @@ pub(crate) fn run_family<F: Family>(
                 Some(q) => measurements[q * kernels.len() + k].verification.clone(),
                 None => render_verification(&F::execute(platform, &config, kernel)?),
             };
-            let (_, profile, timing, label) = timed::<F>(platform, &config, kernel);
+            let timed = timed::<F>(platform, &config, kernel);
+            let seconds = timed.timing.seconds;
             measurements.push(Measurement {
                 device: platform.spec.name,
-                backend: profile.backend,
-                kernel: label,
-                seconds: timing.seconds,
-                fom: F::fom(&config, kernel, timing.seconds),
+                backend: timed.profile.backend,
+                kernel: timed.kernel,
+                seconds,
+                fom: F::fom(&config, kernel, seconds),
                 verification,
             });
         }

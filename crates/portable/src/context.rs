@@ -9,13 +9,11 @@
 use gpu_sim::memory::{DeviceBuffer, DeviceScalar};
 use gpu_sim::{launch_flat, CoopKernel, CoopLaunch, Device, LaunchConfig, SimError, ThreadCtx};
 use gpu_spec::GpuSpec;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The host-side handle to a simulated GPU.
 #[derive(Debug)]
 pub struct DeviceContext {
     device: Device,
-    launches: AtomicU64,
 }
 
 impl DeviceContext {
@@ -23,16 +21,12 @@ impl DeviceContext {
     pub fn new(spec: GpuSpec) -> Self {
         DeviceContext {
             device: Device::new(spec),
-            launches: AtomicU64::new(0),
         }
     }
 
     /// Creates a context over an existing simulated device.
     pub fn from_device(device: Device) -> Self {
-        DeviceContext {
-            device,
-            launches: AtomicU64::new(0),
-        }
+        DeviceContext { device }
     }
 
     /// The simulated device behind this context.
@@ -43,11 +37,6 @@ impl DeviceContext {
     /// The hardware description of the device.
     pub fn spec(&self) -> &GpuSpec {
         self.device.spec()
-    }
-
-    /// Number of kernels launched through this context so far.
-    pub fn launch_count(&self) -> u64 {
-        self.launches.load(Ordering::Relaxed)
     }
 
     /// Allocates a zero-initialised device buffer of `len` elements,
@@ -77,7 +66,6 @@ impl DeviceContext {
         F: Fn(ThreadCtx) + Sync,
     {
         config.validate(self.device.spec())?;
-        self.launches.fetch_add(1, Ordering::Relaxed);
         launch_flat(&config, kernel);
         Ok(())
     }
@@ -90,7 +78,6 @@ impl DeviceContext {
         kernel: &K,
     ) -> Result<(), SimError> {
         config.validate(self.device.spec())?;
-        self.launches.fetch_add(1, Ordering::Relaxed);
         CoopLaunch::run(&config, kernel);
         Ok(())
     }
@@ -107,6 +94,7 @@ mod tests {
     use crate::layout::Layout;
     use crate::tensor::LayoutTensor;
     use gpu_spec::presets;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn listing1_fill_one() {
@@ -128,7 +116,6 @@ mod tests {
         ctx.synchronize();
 
         assert!(u_tensor.to_host().iter().all(|&v| v == 1.0));
-        assert_eq!(ctx.launch_count(), 1);
     }
 
     #[test]
@@ -143,9 +130,12 @@ mod tests {
     #[test]
     fn invalid_launch_is_rejected_and_not_counted() {
         let ctx = DeviceContext::new(presets::test_device());
-        let res = ctx.enqueue_function(LaunchConfig::new(1u32, 4096u32), |_c| {});
+        let threads = AtomicU64::new(0);
+        let res = ctx.enqueue_function(LaunchConfig::new(1u32, 4096u32), |_c| {
+            threads.fetch_add(1, Ordering::Relaxed);
+        });
         assert!(res.is_err());
-        assert_eq!(ctx.launch_count(), 0);
+        assert_eq!(threads.into_inner(), 0, "a rejected launch runs no thread");
     }
 
     #[test]
@@ -158,10 +148,13 @@ mod tests {
     #[test]
     fn multiple_launches_are_counted() {
         let ctx = DeviceContext::new(presets::test_device());
+        let threads = AtomicU64::new(0);
         for _ in 0..3 {
-            ctx.enqueue_function(LaunchConfig::cover_1d(128, 64), |_c| {})
-                .unwrap();
+            ctx.enqueue_function(LaunchConfig::cover_1d(128, 64), |_c| {
+                threads.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
         }
-        assert_eq!(ctx.launch_count(), 3);
+        assert_eq!(threads.into_inner(), 3 * 128, "every launch runs in full");
     }
 }

@@ -83,12 +83,6 @@ impl Layout {
         (i * self.dims[1] + j) * self.dims[2] + k
     }
 
-    /// Whether a 3-D index is inside the extents.
-    #[inline]
-    pub fn contains_3d(&self, i: usize, j: usize, k: usize) -> bool {
-        i < self.dims[0] && j < self.dims[1] && k < self.dims[2]
-    }
-
     /// Inverse of [`Layout::offset_3d`]: recovers `(i, j, k)` from a linear
     /// offset.
     pub fn delinearize_3d(&self, offset: usize) -> (usize, usize, usize) {
@@ -154,11 +148,7 @@ mod tests {
         for off in 0..l.len() {
             let (i, j, k) = l.delinearize_3d(off);
             assert_eq!(l.offset_3d(i, j, k), off);
-            assert!(l.contains_3d(i, j, k));
         }
-        assert!(!l.contains_3d(5, 0, 0));
-        assert!(!l.contains_3d(0, 7, 0));
-        assert!(!l.contains_3d(0, 0, 3));
     }
 
     #[test]

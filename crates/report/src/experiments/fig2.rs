@@ -6,13 +6,18 @@ use gpu_sim::ProfileReport;
 use gpu_spec::{presets, Precision};
 use hpc_metrics::output::CsvTable;
 use hpc_metrics::{Roofline, RooflinePoint};
-use science_kernels::{babelstream, hartree_fock, minibude, stencil7};
+use science_kernels::babelstream::{workload::BabelStreamWorkload, BabelStreamConfig};
+use science_kernels::hartree_fock::{workload::HartreeFockWorkload, HartreeFockConfig};
+use science_kernels::minibude::{workload::MiniBudeWorkload, MiniBudeConfig};
+use science_kernels::stencil7::{workload::StencilWorkload, StencilConfig};
+use science_kernels::workload::{timed, Timed};
 use vendor_models::kernel_class::StreamOp;
 use vendor_models::Platform;
 
 /// Regenerates Figure 2: measured `(arithmetic intensity, FLOP/s)` points for
 /// the four kernels against the H100 roofline, using the vendor (CUDA)
-/// baselines exactly as the paper's NSight roofline does.
+/// baselines exactly as the paper's NSight roofline does. The figure has no
+/// registry preset, so its paper configurations are literal here.
 pub fn run() -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig2",
@@ -20,41 +25,44 @@ pub fn run() -> ExperimentReport {
     );
     let platform = Platform::cuda_h100(false);
     let spec = presets::h100_nvl();
-
-    let mut points: Vec<(RooflinePoint, Precision)> = Vec::new();
-
-    let stencil_config = stencil7::StencilConfig::paper(512, Precision::Fp64);
-    let stencil = stencil7::run(&platform, &stencil_config).expect("stencil run");
-    points.push((
-        roofline_point("seven-point stencil", &spec, &stencil),
-        Precision::Fp64,
-    ));
-
-    let stream_config = babelstream::BabelStreamConfig::paper(Precision::Fp64);
-    let triad = babelstream::run(&platform, StreamOp::Triad, &stream_config).expect("triad run");
-    points.push((
-        roofline_point("BabelStream Triad", &spec, &triad),
-        Precision::Fp64,
-    ));
-    let dot = babelstream::run(&platform, StreamOp::Dot, &stream_config).expect("dot run");
-    points.push((
-        roofline_point("BabelStream Dot", &spec, &dot),
-        Precision::Fp64,
-    ));
-
-    let bude_config = minibude::MiniBudeConfig {
-        executed_poses: 0,
-        ..minibude::MiniBudeConfig::paper(8, 64)
+    let roofline_point = |label: &str, timed: Timed| {
+        let (ai, flops) = ProfileReport::derive(&spec, &timed.cost, &timed.profile, &timed.timing)
+            .roofline_point();
+        RooflinePoint::new(label, ai, flops)
     };
-    let bude = minibude::run(&Platform::cuda_h100(true), &bude_config).expect("fasten run");
-    points.push((
-        roofline_point("miniBUDE fasten", &spec, &bude),
-        Precision::Fp32,
-    ));
 
-    let hf_config = hartree_fock::HartreeFockConfig::paper(256, 3);
-    let hf = hartree_fock::run(&platform, &hf_config).expect("hartree-fock run");
-    points.push((roofline_point("Hartree-Fock", &spec, &hf), Precision::Fp64));
+    let stencil = StencilConfig::paper(512, Precision::Fp64);
+    let stream = BabelStreamConfig::paper(Precision::Fp64);
+    let bude = MiniBudeConfig::paper(8, 64);
+    let hf = HartreeFockConfig::paper(256, 3);
+    let points = [
+        (
+            "seven-point stencil",
+            timed::<StencilWorkload>(&platform, &stencil, ()),
+            Precision::Fp64,
+        ),
+        (
+            "BabelStream Triad",
+            timed::<BabelStreamWorkload>(&platform, &stream, StreamOp::Triad),
+            Precision::Fp64,
+        ),
+        (
+            "BabelStream Dot",
+            timed::<BabelStreamWorkload>(&platform, &stream, StreamOp::Dot),
+            Precision::Fp64,
+        ),
+        (
+            "miniBUDE fasten",
+            timed::<MiniBudeWorkload>(&Platform::cuda_h100(true), &bude, ()),
+            Precision::Fp32,
+        ),
+        (
+            "Hartree-Fock",
+            timed::<HartreeFockWorkload>(&platform, &hf, ()),
+            Precision::Fp64,
+        ),
+    ]
+    .map(|(label, timed, precision)| (roofline_point(label, timed), precision));
 
     let mut table = AsciiTable::new([
         "Kernel",
@@ -113,16 +121,6 @@ pub fn run() -> ExperimentReport {
     report.push_table("points", csv);
     report.push_table("ceiling", ceiling);
     report
-}
-
-fn roofline_point(
-    label: &str,
-    spec: &gpu_spec::GpuSpec,
-    run: &science_kernels::WorkloadRun,
-) -> RooflinePoint {
-    let profile = ProfileReport::derive(spec, &run.cost, &run.profile, &run.timing);
-    let (ai, flops) = profile.roofline_point();
-    RooflinePoint::new(label, ai, flops)
 }
 
 #[cfg(test)]

@@ -1,28 +1,20 @@
 //! Figure 3 — seven-point stencil bandwidth, Mojo vs CUDA (H100) and
 //! Mojo vs HIP (MI300A).
 
-use super::support::{h100_pair, mi300a_pair, stencil_fom, RUNS_PER_CONFIG, STENCIL_JITTER};
+use super::support::{columns, Row, RUNS_PER_CONFIG, STENCIL_JITTER, SUBFIGURES};
 use crate::registry::ExperimentId;
 use crate::render::Series;
 use crate::report::ExperimentReport;
 use hpc_metrics::output::CsvTable;
-use hpc_metrics::{stencil_bandwidth_gbs, RunStats};
-use science_kernels::stencil7::{self, workload as stencil_workload, StencilConfig};
-use vendor_models::Platform;
+use hpc_metrics::RunStats;
+use science_kernels::stencil7::workload::StencilWorkload;
+use science_kernels::workload::{paper_platform_pairs, Family};
 
-/// The problem sizes and precisions swept in Figure 3, decoded from the
-/// registry's workload presets — the figure is the `stencil` scenario engine
-/// run at four pinned parameter assignments.
-pub fn configurations() -> Vec<StencilConfig> {
-    ExperimentId::Fig3
-        .spec()
-        .workload
-        .expect("fig3 measures the stencil workload")
-        .resolve()
-        .expect("fig3 presets validate")
-        .iter()
-        .map(|params| stencil_workload::config(params).expect("fig3 presets decode"))
-        .collect()
+/// The figure's rows: its registry presets timed on each paper platform,
+/// one column per platform (Mojo and CUDA on the H100, Mojo and HIP on the
+/// MI300A).
+pub fn rows() -> Vec<Vec<Row<StencilWorkload>>> {
+    columns(ExperimentId::Fig3, paper_platform_pairs())
 }
 
 /// Regenerates Figure 3 (both subfigures).
@@ -40,39 +32,32 @@ pub fn run() -> ExperimentReport {
         "bandwidth_gbs",
     ]);
 
-    for (subfigure, (portable, vendor)) in
-        [("(a) H100", h100_pair()), ("(b) MI300A", mi300a_pair())]
-    {
+    let rows = rows();
+    for (subfigure, pair) in SUBFIGURES.into_iter().zip(rows.chunks(2)) {
         report.push_line(format!("Figure 3{subfigure}"));
         let mut series: Vec<Series> = Vec::new();
-        for platform in [&portable, &vendor] {
-            let mut s = Series::new(platform.backend.label());
-            for config in configurations() {
-                let run = stencil7::run(platform, &config).expect("stencil run");
+        for column in pair {
+            let mut s = Series::new(column[0].backend());
+            for row in column {
+                let config = &row.config;
                 // Repeated jittered measurements (the paper plots the scatter
                 // of at least 100 runs); the series carries the mean.
-                let samples = run.sample_durations(RUNS_PER_CONFIG, STENCIL_JITTER, 2025);
-                for (i, seconds) in samples.iter().enumerate() {
+                let samples = row.samples(RUNS_PER_CONFIG, STENCIL_JITTER, 2025);
+                for (i, &seconds) in samples.iter().enumerate() {
                     csv.push_row([
-                        platform.spec.name.to_string(),
-                        platform.backend.label().to_string(),
+                        row.device.to_string(),
+                        row.backend().to_string(),
                         format!("{}", config.l),
                         config.precision.label().to_string(),
                         format!("{i}"),
-                        format!(
-                            "{}",
-                            stencil_bandwidth_gbs(config.l as u64, config.precision, *seconds)
-                        ),
+                        format!("{}", StencilWorkload::fom(config, (), seconds)),
                     ]);
                 }
                 let stats = RunStats::from_samples(&samples);
-                let mean_bw = stencil_bandwidth_gbs(config.l as u64, config.precision, stats.mean);
                 s.push(
                     format!("L={} {}", config.l, config.precision.label()),
-                    mean_bw,
+                    StencilWorkload::fom(config, (), stats.mean),
                 );
-                // Spot figure of merit from the nominal run for the console text.
-                let _ = stencil_fom(&run, &config);
             }
             series.push(s);
         }
@@ -83,42 +68,44 @@ pub fn run() -> ExperimentReport {
     report
 }
 
-/// The portable-to-vendor mean bandwidth ratio for a given device pair,
-/// problem size and precision (used by Table 5 and by tests).
-pub fn efficiency(portable: &Platform, vendor: &Platform, config: &StencilConfig) -> f64 {
-    let p = stencil7::run(portable, config).expect("portable stencil run");
-    let v = stencil7::run(vendor, config).expect("vendor stencil run");
-    stencil_fom(&p, config) / stencil_fom(&v, config)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::support::ratio;
     use super::*;
     use gpu_spec::Precision;
 
     #[test]
     fn fig3_configurations_come_from_the_registry_presets() {
-        let configs = configurations();
-        assert_eq!(
-            configs,
-            vec![
-                StencilConfig::paper(512, Precision::Fp32),
-                StencilConfig::paper(512, Precision::Fp64),
-                StencilConfig::paper(1024, Precision::Fp32),
-                StencilConfig::paper(1024, Precision::Fp64),
-            ]
-        );
+        for column in rows() {
+            let points: Vec<(usize, Precision, u32)> = column
+                .iter()
+                .map(|row| (row.config.l, row.config.precision, row.config.block_x))
+                .collect();
+            assert_eq!(
+                points,
+                [
+                    (512, Precision::Fp32, 512),
+                    (512, Precision::Fp64, 512),
+                    (1024, Precision::Fp32, 1024),
+                    (1024, Precision::Fp64, 1024),
+                ]
+            );
+            // Every paper size is above the functional limit: the figure is
+            // the cost model alone.
+            assert!(column.iter().all(|row| !row.config.should_execute()));
+        }
     }
 
     #[test]
     fn fig3_shows_the_87_percent_gap_on_h100_and_parity_on_mi300a() {
-        let (mojo_h, cuda) = h100_pair();
-        let fp64 = StencilConfig::paper(512, Precision::Fp64);
-        let eff = efficiency(&mojo_h, &cuda, &fp64);
+        let rows = rows();
+        let fp64_512 = |row: &Row<StencilWorkload>| {
+            row.config.l == 512 && row.config.precision == Precision::Fp64
+        };
+        let eff = ratio(&rows[0], &rows[1], fp64_512);
         assert!((eff - 0.87).abs() < 0.03, "H100 FP64 efficiency {eff}");
 
-        let (mojo_m, hip) = mi300a_pair();
-        let eff = efficiency(&mojo_m, &hip, &fp64);
+        let eff = ratio(&rows[2], &rows[3], fp64_512);
         assert!((eff - 1.0).abs() < 0.02, "MI300A FP64 efficiency {eff}");
     }
 

@@ -1,28 +1,19 @@
 //! Figure 4 — BabelStream bandwidth for the five operations, Mojo vs CUDA
 //! (H100) and Mojo vs HIP (MI300A).
 
-use super::support::{h100_pair, mi300a_pair, stream_fom, RUNS_PER_CONFIG, STREAM_JITTER};
+use super::support::{columns, Row, RUNS_PER_CONFIG, STREAM_JITTER, SUBFIGURES};
 use crate::registry::ExperimentId;
 use crate::render::Series;
 use crate::report::ExperimentReport;
 use hpc_metrics::output::CsvTable;
 use hpc_metrics::RunStats;
-use science_kernels::babelstream::{self, workload as stream_workload, BabelStreamConfig};
-use vendor_models::kernel_class::StreamOp;
-use vendor_models::Platform;
+use science_kernels::babelstream::workload::BabelStreamWorkload;
+use science_kernels::workload::paper_platform_pairs;
 
-/// The paper's 2^25-element FP64 configuration, decoded from the registry's
-/// workload preset (the figure is the `babelstream` scenario engine run at
-/// one pinned assignment).
-pub fn configuration() -> BabelStreamConfig {
-    let params = ExperimentId::Fig4
-        .spec()
-        .workload
-        .expect("fig4 measures the babelstream workload")
-        .resolve()
-        .expect("fig4 preset validates")
-        .remove(0);
-    stream_workload::config(&params).expect("fig4 preset decodes")
+/// The figure's rows: the registry preset's five operations timed on each
+/// paper platform, one column per platform.
+pub fn rows() -> Vec<Vec<Row<BabelStreamWorkload>>> {
+    columns(ExperimentId::Fig4, paper_platform_pairs())
 }
 
 /// Regenerates Figure 4 (both subfigures) at the paper's 2^25-element size.
@@ -31,27 +22,25 @@ pub fn run() -> ExperimentReport {
         "fig4",
         "Mojo vs CUDA/HIP BabelStream effective bandwidth (Eq. 2), n = 2^25 FP64",
     );
-    let config = configuration();
     let mut csv = CsvTable::new(["device", "backend", "op", "mean_bandwidth_gbs", "std_gbs"]);
 
-    for (subfigure, (portable, vendor)) in
-        [("(a) H100", h100_pair()), ("(b) MI300A", mi300a_pair())]
-    {
+    let rows = rows();
+    for (subfigure, pair) in SUBFIGURES.into_iter().zip(rows.chunks(2)) {
         report.push_line(format!("Figure 4{subfigure}"));
         let mut series = Vec::new();
-        for platform in [&portable, &vendor] {
-            let mut s = Series::new(platform.backend.label());
-            for op in StreamOp::ALL {
-                let run = babelstream::run(platform, op, &config).expect("babelstream run");
-                let samples = run.sample_durations(RUNS_PER_CONFIG, STREAM_JITTER, 41);
+        for column in pair {
+            let mut s = Series::new(column[0].backend());
+            for row in column {
+                let samples = row.samples(RUNS_PER_CONFIG, STREAM_JITTER, 41);
                 let stats = RunStats::from_samples(&samples);
-                let mean_bw = stream_fom(&run, op, &config) * run.seconds() / stats.mean;
+                let mean_bw = row.fom * row.timed.timing.seconds / stats.mean;
                 let std_bw = mean_bw * stats.coefficient_of_variation();
-                s.push(op.label(), mean_bw);
+                let op = row.kernel.label();
+                s.push(op, mean_bw);
                 csv.push_row([
-                    platform.spec.name.to_string(),
-                    platform.backend.label().to_string(),
-                    op.label().to_string(),
+                    row.device.to_string(),
+                    row.backend().to_string(),
+                    op.to_string(),
                     format!("{mean_bw}"),
                     format!("{std_bw}"),
                 ]);
@@ -65,30 +54,33 @@ pub fn run() -> ExperimentReport {
     report
 }
 
-/// The portable-to-vendor bandwidth ratio for one operation on one device
-/// pair (used by Table 5 and the tests).
-pub fn efficiency(portable: &Platform, vendor: &Platform, op: StreamOp) -> f64 {
-    let config = configuration();
-    let p = babelstream::run(portable, op, &config).expect("portable run");
-    let v = babelstream::run(vendor, op, &config).expect("vendor run");
-    stream_fom(&p, op, &config) / stream_fom(&v, op, &config)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::support::ratio;
     use super::*;
     use gpu_spec::Precision;
+    use vendor_models::kernel_class::StreamOp;
 
     #[test]
     fn fig4_configuration_comes_from_the_registry_preset() {
-        assert_eq!(configuration(), BabelStreamConfig::paper(Precision::Fp64));
+        for column in rows() {
+            let ops: Vec<StreamOp> = column.iter().map(|row| row.kernel).collect();
+            assert_eq!(ops, StreamOp::ALL);
+            for row in &column {
+                assert_eq!(row.config.n, 1 << 25);
+                assert_eq!(row.config.precision, Precision::Fp64);
+                // 2^25 elements is above the functional limit: the figure is
+                // the cost model alone.
+                assert!(!row.config.validate);
+            }
+        }
     }
 
     #[test]
     fn fig4_shows_mojo_ahead_except_for_dot_on_h100() {
-        let (mojo, cuda) = h100_pair();
+        let rows = rows();
         for op in StreamOp::ALL {
-            let eff = efficiency(&mojo, &cuda, op);
+            let eff = ratio(&rows[0], &rows[1], |row| row.kernel == op);
             if op == StreamOp::Dot {
                 assert!((eff - 0.78).abs() < 0.05, "Dot efficiency {eff}");
             } else {
@@ -99,9 +91,9 @@ mod tests {
 
     #[test]
     fn fig4_shows_parity_on_mi300a() {
-        let (mojo, hip) = mi300a_pair();
+        let rows = rows();
         for op in StreamOp::ALL {
-            let eff = efficiency(&mojo, &hip, op);
+            let eff = ratio(&rows[2], &rows[3], |row| row.kernel == op);
             assert!((eff - 1.0).abs() < 0.02, "{op} efficiency {eff}");
         }
     }

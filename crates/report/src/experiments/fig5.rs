@@ -1,27 +1,22 @@
 //! Figure 5 — instruction-mix comparison of the Triad kernel (the paper's
 //! SASS listing, reproduced as an instruction-mix diff; see DESIGN.md).
 
-use super::support::MetricRow;
+use super::support::{columns, MetricRow};
+use crate::registry::ExperimentId;
 use crate::render::AsciiTable;
 use crate::report::ExperimentReport;
 use gpu_sim::isa::{InstructionMix, MixComparison};
-use gpu_spec::Precision;
 use hpc_metrics::output::CsvTable;
-use science_kernels::babelstream::{self, BabelStreamConfig};
-use vendor_models::kernel_class::StreamOp;
-use vendor_models::Platform;
+use science_kernels::babelstream::workload::BabelStreamWorkload;
+use science_kernels::workload::paper_platform_pairs;
 
-/// Builds the Mojo-vs-CUDA instruction-mix comparison for Triad.
+/// Builds the Mojo-vs-CUDA instruction-mix comparison for Triad, the
+/// registry preset's one operation, on the H100.
 pub fn comparison() -> MixComparison {
-    let config = BabelStreamConfig::paper(Precision::Fp64);
-    let mojo = babelstream::run(&Platform::portable_h100(), StreamOp::Triad, &config)
-        .expect("portable triad");
-    let cuda = babelstream::run(&Platform::cuda_h100(false), StreamOp::Triad, &config)
-        .expect("cuda triad");
-    MixComparison::new(
-        InstructionMix::derive(&mojo.cost, &mojo.profile),
-        InstructionMix::derive(&cuda.cost, &cuda.profile),
-    )
+    let columns = columns::<BabelStreamWorkload>(ExperimentId::Fig5, &paper_platform_pairs()[..2]);
+    let mix =
+        |p: usize| InstructionMix::derive(&columns[p][0].timed.cost, &columns[p][0].timed.profile);
+    MixComparison::new(mix(0), mix(1))
 }
 
 /// Regenerates Figure 5.

@@ -1,11 +1,11 @@
 //! Figure 7 — miniBUDE GFLOP/s vs PPWI on the AMD MI300A:
 //! Mojo vs HIP with and without fast-math, for work-group sizes 8 and 64.
 
-use super::fig6::sweep;
-use crate::render::Series;
+use super::fig6::render;
+use super::support::{columns, Row};
+use crate::registry::ExperimentId;
 use crate::report::ExperimentReport;
-use hpc_metrics::output::CsvTable;
-use science_kernels::minibude::MiniBudeConfig;
+use science_kernels::minibude::workload::MiniBudeWorkload;
 use vendor_models::Platform;
 
 /// Backends compared on the MI300A in Figure 7.
@@ -17,53 +17,45 @@ pub fn mi300a_backends() -> Vec<Platform> {
     ]
 }
 
+/// The figure's rows: the registry's PPWI presets at both work-group sizes
+/// timed on each MI300A backend, one column per backend.
+pub fn rows() -> Vec<Vec<Row<MiniBudeWorkload>>> {
+    columns(ExperimentId::Fig7, &mi300a_backends())
+}
+
 /// Regenerates Figure 7 (both work-group sizes).
 pub fn run() -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "fig7",
-        "miniBUDE GFLOP/s (Eq. 3) vs PPWI on the AMD MI300A, bm1 deck",
-    );
-    let mut csv = CsvTable::new(["device", "backend", "wg", "ppwi", "gflops"]);
-    for wg in MiniBudeConfig::paper_wg_values() {
-        report.push_line(format!("Figure 7 (wg = {wg})"));
-        let series = sweep(&mi300a_backends(), wg, &mut csv);
-        report.push_line(Series::render_group(&series, "GF/s", 40));
-    }
-    report.push_table("gflops", csv);
-    report
+    render(ExperimentId::Fig7, "Figure 7", &rows())
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::support::ratio;
     use super::*;
 
     #[test]
     fn fig7_mojo_underperforms_both_hip_variants() {
-        let mut csv = CsvTable::new(["device", "backend", "wg", "ppwi", "gflops"]);
-        for wg in [8u32, 64] {
-            let series = sweep(&mi300a_backends(), wg, &mut csv);
-            // series[0] = Mojo, [1] = HIP fast-math, [2] = HIP.
-            for i in 0..series[0].points.len() {
-                let mojo = series[0].points[i].1;
-                assert!(
-                    series[1].points[i].1 > mojo,
-                    "HIP-ff should beat Mojo (wg {wg})"
-                );
-                assert!(
-                    series[2].points[i].1 > mojo,
-                    "HIP should beat Mojo (wg {wg})"
-                );
-            }
+        let rows = rows();
+        // rows[0] = Mojo, [1] = HIP fast-math, [2] = HIP.
+        for (i, mojo) in rows[0].iter().enumerate() {
+            let wg = mojo.config.wg;
+            assert!(
+                rows[1][i].fom > mojo.fom,
+                "HIP-ff should beat Mojo (wg {wg})"
+            );
+            assert!(rows[2][i].fom > mojo.fom, "HIP should beat Mojo (wg {wg})");
         }
+        assert_eq!(rows[0].len(), 16);
     }
 
     #[test]
     fn fig7_efficiency_matches_table5_band() {
         // Table 5: miniBUDE efficiency on the MI300A is 0.38 for both listed
         // configurations; allow a generous band around it.
-        let mut csv = CsvTable::new(["device", "backend", "wg", "ppwi", "gflops"]);
-        let series = sweep(&mi300a_backends(), 64, &mut csv);
-        let eff = series[0].points[2].1 / series[1].points[2].1; // PPWI = 4
+        let rows = rows();
+        let eff = ratio(&rows[0], &rows[1], |row| {
+            row.config.ppwi == 4 && row.config.wg == 64
+        });
         assert!((0.25..=0.5).contains(&eff), "MI300A efficiency {eff}");
     }
 

@@ -1,14 +1,10 @@
-//! Helpers shared by the experiment modules: the platform sets each figure
-//! compares and figure-of-merit extraction from workload runs.
+//! Helpers shared by the experiment modules: the analytic rows a kernel
+//! experiment renders, timed at its registry presets, and the sampling
+//! constants of the jittered plots.
 
-use hpc_metrics::{
-    babelstream_bandwidth_gbs, minibude_gflops, stencil_bandwidth_gbs, BabelStreamOp, MiniBudeSizes,
-};
-use science_kernels::babelstream::BabelStreamConfig;
-use science_kernels::minibude::MiniBudeConfig;
-use science_kernels::stencil7::StencilConfig;
-use science_kernels::WorkloadRun;
-use vendor_models::kernel_class::StreamOp;
+use crate::registry::ExperimentId;
+use science_kernels::common::jittered_durations;
+use science_kernels::workload::{timed, Family, Timed};
 use vendor_models::Platform;
 
 /// Number of repeated (jittered) measurements per configuration, mirroring
@@ -23,94 +19,136 @@ pub const STENCIL_JITTER: f64 = 0.035;
 /// variability thanks to the simple 1-D access pattern).
 pub const STREAM_JITTER: f64 = 0.008;
 
+/// The subfigure captions of the paper platform pairs, one per device.
+pub const SUBFIGURES: [&str; 2] = ["(a) H100", "(b) MI300A"];
+
 /// One rendered metric row of a profiling table: label plus a per-record
 /// extractor.
 pub type MetricRow<T> = (&'static str, fn(&T) -> String);
 
-/// The portable-vs-vendor platform pairs compared on each device.
-pub fn h100_pair() -> (Platform, Platform) {
-    (Platform::portable_h100(), Platform::cuda_h100(false))
+/// One analytic row of a kernel experiment: a registry preset's
+/// configuration and kernel, timed on one platform, with its figure of
+/// merit.
+pub struct Row<F: Family> {
+    /// The platform's device name.
+    pub device: &'static str,
+    /// The preset's decoded configuration.
+    pub config: F::Config,
+    /// The kernel of the preset this row times.
+    pub kernel: F::Kernel,
+    /// The analytic half on the row's platform.
+    pub timed: Timed,
+    /// The family's figure of merit at the modelled duration.
+    pub fom: f64,
 }
 
-/// The portable-vs-vendor platform pair on the MI300A.
-pub fn mi300a_pair() -> (Platform, Platform) {
-    (Platform::portable_mi300a(), Platform::hip_mi300a(false))
+impl<F: Family> Row<F> {
+    /// The backend label ("Mojo", "CUDA", "HIP fast-math", …).
+    pub fn backend(&self) -> &'static str {
+        self.timed.profile.backend
+    }
+
+    /// `iterations` jittered repeats of the modelled duration, seeded per
+    /// backend and kernel.
+    pub fn samples(&self, iterations: usize, sigma: f64, seed: u64) -> Vec<f64> {
+        let seconds = self.timed.timing.seconds;
+        jittered_durations(
+            self.backend(),
+            self.timed.kernel,
+            seconds,
+            iterations,
+            sigma,
+            seed,
+        )
+    }
 }
 
-/// Effective stencil bandwidth (Eq. 1) of a run in GB/s.
-pub fn stencil_fom(run: &WorkloadRun, config: &StencilConfig) -> f64 {
-    stencil_bandwidth_gbs(config.l as u64, config.precision, run.seconds())
+/// Times every registry preset of `id` on each of `platforms` with the
+/// family's analytic half: one column per platform, each in preset order
+/// (a preset's kernels in the family's order). No functional body runs.
+pub fn columns<F: Family>(id: ExperimentId, platforms: &[Platform]) -> Vec<Vec<Row<F>>>
+where
+    F::Config: Copy,
+{
+    let preset = id
+        .spec()
+        .workload
+        .expect("a kernel experiment names its workload");
+    let mut points = Vec::new();
+    for params in preset.resolve().expect("registry presets validate") {
+        let config = F::config(&params).expect("registry presets decode");
+        let kernels = F::kernels(&params).expect("registry presets name their kernels");
+        points.extend(kernels.iter().map(|&kernel| (config, kernel)));
+    }
+    platforms
+        .iter()
+        .map(|platform| {
+            points
+                .iter()
+                .map(|&(config, kernel)| {
+                    let timed = timed::<F>(platform, &config, kernel);
+                    Row {
+                        device: platform.spec.name,
+                        config,
+                        kernel,
+                        fom: F::fom(&config, kernel, timed.timing.seconds),
+                        timed,
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
-/// Effective BabelStream bandwidth (Eq. 2) of a run in GB/s.
-pub fn stream_fom(run: &WorkloadRun, op: StreamOp, config: &BabelStreamConfig) -> f64 {
-    babelstream_bandwidth_gbs(
-        to_metric_op(op),
-        config.n as u64,
-        config.precision,
-        run.seconds(),
-    )
-}
-
-/// miniBUDE GFLOP/s (Eq. 3) of a run.
-pub fn bude_fom(run: &WorkloadRun, config: &MiniBudeConfig) -> f64 {
-    let sizes = MiniBudeSizes {
-        nligands: config.natlig as u64,
-        nproteins: config.natpro as u64,
-        poses: config.nposes as u64,
-        ppwi: config.ppwi as u64,
-    };
-    minibude_gflops(&sizes, run.seconds())
-}
-
-/// Maps the kernel-side operation enum onto the metric-side one (shared
-/// with the workload layer's figure-of-merit computation).
-pub fn to_metric_op(op: StreamOp) -> BabelStreamOp {
-    science_kernels::babelstream::workload::metric_op(op)
+/// The portable-to-vendor figure-of-merit ratio at the first row `at`
+/// selects in each column.
+pub fn ratio<F: Family>(
+    portable: &[Row<F>],
+    vendor: &[Row<F>],
+    at: impl Fn(&Row<F>) -> bool,
+) -> f64 {
+    let fom = |column: &[Row<F>]| column.iter().find(|row| at(row)).expect("a preset row").fom;
+    fom(portable) / fom(vendor)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_spec::Precision;
+    use science_kernels::babelstream::workload::BabelStreamWorkload;
+    use science_kernels::minibude::workload::MiniBudeWorkload;
+    use science_kernels::stencil7::workload::StencilWorkload;
+    use science_kernels::workload::paper_platform_pairs;
+    use vendor_models::kernel_class::StreamOp;
 
     #[test]
     fn platform_pairs_are_portable_vs_native() {
-        let (mojo, cuda) = h100_pair();
-        assert!(mojo.backend.is_portable());
-        assert!(cuda.is_vendor_baseline());
-        let (mojo, hip) = mi300a_pair();
-        assert!(mojo.backend.is_portable());
-        assert!(hip.is_vendor_baseline());
+        for pair in paper_platform_pairs().chunks(2) {
+            assert!(pair[0].backend.is_portable());
+            assert!(pair[1].is_vendor_baseline());
+        }
     }
 
     #[test]
     fn stream_op_mapping_is_total_and_consistent() {
         for op in StreamOp::ALL {
-            assert_eq!(to_metric_op(op).label(), op.label());
+            assert_eq!(
+                science_kernels::babelstream::workload::metric_op(op).label(),
+                op.label()
+            );
         }
     }
 
     #[test]
     fn figures_of_merit_are_positive() {
-        let config = StencilConfig::paper(512, Precision::Fp64);
-        let run = science_kernels::stencil7::run(&Platform::cuda_h100(false), &config).unwrap();
-        assert!(stencil_fom(&run, &config) > 100.0);
+        let platforms = paper_platform_pairs();
+        let stencil = columns::<StencilWorkload>(ExperimentId::Fig3, &platforms[1..2]);
+        assert!(stencil[0].iter().all(|row| row.fom > 100.0));
 
-        let sconfig = BabelStreamConfig::paper(Precision::Fp64);
-        let srun = science_kernels::babelstream::run(
-            &Platform::portable_h100(),
-            StreamOp::Triad,
-            &sconfig,
-        )
-        .unwrap();
-        assert!(stream_fom(&srun, StreamOp::Triad, &sconfig) > 1000.0);
+        let stream = columns::<BabelStreamWorkload>(ExperimentId::Fig4, &platforms[..1]);
+        let triad = stream[0].iter().find(|row| row.kernel == StreamOp::Triad);
+        assert!(triad.expect("fig4 times Triad").fom > 1000.0);
 
-        let bconfig = MiniBudeConfig {
-            executed_poses: 0,
-            ..MiniBudeConfig::paper(8, 64)
-        };
-        let brun = science_kernels::minibude::run(&Platform::cuda_h100(true), &bconfig).unwrap();
-        assert!(bude_fom(&brun, &bconfig) > 100.0);
+        let bude = columns::<MiniBudeWorkload>(ExperimentId::Fig6, &[Platform::cuda_h100(true)]);
+        assert!(bude[0].iter().all(|row| row.fom > 100.0));
     }
 }

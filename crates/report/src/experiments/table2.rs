@@ -1,26 +1,26 @@
 //! Table 2 — seven-point stencil NCU profiling metrics, Mojo vs CUDA.
 
-use super::support::MetricRow;
+use super::support::{columns, MetricRow};
+use crate::registry::ExperimentId;
 use crate::render::AsciiTable;
 use crate::report::ExperimentReport;
 use gpu_sim::ProfileReport;
 use gpu_spec::{presets, Precision};
 use hpc_metrics::output::CsvTable;
-use science_kernels::stencil7::{self, StencilConfig};
-use vendor_models::Platform;
+use science_kernels::stencil7::workload::StencilWorkload;
+use science_kernels::stencil7::StencilConfig;
+use science_kernels::workload::paper_platform_pairs;
 
-/// The two cases profiled in Table 2: FP64 at L=512 and FP32 at L=1024.
-pub fn cases() -> [(StencilConfig, &'static str); 2] {
-    [
-        (
-            StencilConfig::paper(512, Precision::Fp64),
-            "Double Precision L=512 (512x1x1)",
-        ),
-        (
-            StencilConfig::paper(1024, Precision::Fp32),
-            "Single Precision L=1024 (1024x1x1)",
-        ),
-    ]
+/// The label of a profiled case, e.g. "Double Precision L=512 (512x1x1)".
+fn case_label(config: &StencilConfig) -> String {
+    let precision = match config.precision {
+        Precision::Fp32 => "Single",
+        Precision::Fp64 => "Double",
+    };
+    format!(
+        "{precision} Precision L={} ({}x1x1)",
+        config.l, config.block_x
+    )
 }
 
 /// Regenerates Table 2.
@@ -46,11 +46,14 @@ pub fn run() -> ExperimentReport {
         "stg",
     ]);
 
-    for (config, label) in cases() {
-        report.push_line(label);
+    // The two registry presets (FP64 at L=512, FP32 at L=1024) on the H100
+    // pair: Mojo and CUDA.
+    let columns = columns::<StencilWorkload>(ExperimentId::Table2, &paper_platform_pairs()[..2]);
+    for (mojo, cuda) in columns[0].iter().zip(&columns[1]) {
+        let label = case_label(&mojo.config);
+        report.push_line(&label);
         let mut table = AsciiTable::new(["ncu metric", "Mojo", "CUDA"]);
-        let mojo = stencil7::run(&Platform::portable_h100(), &config).expect("portable run");
-        let cuda = stencil7::run(&Platform::cuda_h100(false), &config).expect("cuda run");
+        let (mojo, cuda) = (&mojo.timed, &cuda.timed);
         let mojo_prof = ProfileReport::derive(&spec, &mojo.cost, &mojo.profile, &mojo.timing);
         let cuda_prof = ProfileReport::derive(&spec, &cuda.cost, &cuda.profile, &cuda.timing);
 
@@ -73,7 +76,7 @@ pub fn run() -> ExperimentReport {
 
         for (backend, prof) in [("Mojo", &mojo_prof), ("CUDA", &cuda_prof)] {
             csv.push_row([
-                label.to_string(),
+                label.clone(),
                 backend.to_string(),
                 format!("{}", prof.duration_ms),
                 format!("{}", prof.compute_sm_pct),

@@ -1,15 +1,16 @@
 //! Table 3 — BabelStream NCU profiling metrics (Copy, Mul, Add, Dot), Mojo
 //! vs CUDA on the H100.
 
-use super::support::MetricRow;
+use super::support::{columns, MetricRow};
+use crate::registry::ExperimentId;
 use crate::render::AsciiTable;
 use crate::report::ExperimentReport;
 use gpu_sim::ProfileReport;
-use gpu_spec::{presets, Precision};
+use gpu_spec::presets;
 use hpc_metrics::output::CsvTable;
-use science_kernels::babelstream::{self, BabelStreamConfig};
+use science_kernels::babelstream::workload::BabelStreamWorkload;
+use science_kernels::workload::paper_platform_pairs;
 use vendor_models::kernel_class::StreamOp;
-use vendor_models::Platform;
 
 /// The operations profiled in Table 3.
 pub const PROFILED_OPS: [StreamOp; 4] =
@@ -23,7 +24,6 @@ pub fn run() -> ExperimentReport {
     );
     report.push_line("[profile constants: EXPERIMENTS.md \u{00a7} BabelStream]");
     let spec = presets::h100_nvl();
-    let config = BabelStreamConfig::paper(Precision::Fp64);
     let mut header = vec!["ncu metric".to_string()];
     for op in PROFILED_OPS {
         header.push(format!("{op} Mojo"));
@@ -41,10 +41,17 @@ pub fn run() -> ExperimentReport {
         "stg",
     ]);
 
-    let mut profiles: Vec<(StreamOp, ProfileReport, ProfileReport)> = Vec::new();
-    for op in PROFILED_OPS {
-        let mojo = babelstream::run(&Platform::portable_h100(), op, &config).expect("mojo run");
-        let cuda = babelstream::run(&Platform::cuda_h100(false), op, &config).expect("cuda run");
+    let mut profiles: Vec<(ProfileReport, ProfileReport)> = Vec::new();
+    // The registry preset's operations on the H100 pair (Mojo and CUDA),
+    // less Triad, which the paper does not profile.
+    let columns =
+        columns::<BabelStreamWorkload>(ExperimentId::Table3, &paper_platform_pairs()[..2]);
+    for (mojo, cuda) in columns[0].iter().zip(&columns[1]) {
+        if !PROFILED_OPS.contains(&mojo.kernel) {
+            continue;
+        }
+        let op = mojo.kernel;
+        let (mojo, cuda) = (&mojo.timed, &cuda.timed);
         let mojo_prof = ProfileReport::derive(&spec, &mojo.cost, &mojo.profile, &mojo.timing);
         let cuda_prof = ProfileReport::derive(&spec, &cuda.cost, &cuda.profile, &cuda.timing);
         for (backend, prof) in [("Mojo", &mojo_prof), ("CUDA", &cuda_prof)] {
@@ -59,7 +66,7 @@ pub fn run() -> ExperimentReport {
                 format!("{}", prof.store_global),
             ]);
         }
-        profiles.push((op, mojo_prof, cuda_prof));
+        profiles.push((mojo_prof, cuda_prof));
     }
 
     let rows: [MetricRow<ProfileReport>; 6] = [
@@ -72,7 +79,7 @@ pub fn run() -> ExperimentReport {
     ];
     for (name, extract) in rows {
         let mut row = vec![name.to_string()];
-        for (_, mojo_prof, cuda_prof) in &profiles {
+        for (mojo_prof, cuda_prof) in &profiles {
             row.push(extract(mojo_prof));
             row.push(extract(cuda_prof));
         }

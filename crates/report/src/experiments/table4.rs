@@ -1,11 +1,13 @@
 //! Table 4 — Hartree–Fock kernel wall-clock times, Mojo vs CUDA (H100) and
 //! Mojo vs HIP (MI300A).
 
+use super::support::columns;
+use crate::registry::ExperimentId;
 use crate::render::AsciiTable;
 use crate::report::ExperimentReport;
 use hpc_metrics::output::CsvTable;
-use science_kernels::hartree_fock::{self, HartreeFockConfig};
-use vendor_models::Platform;
+use science_kernels::hartree_fock::workload::HartreeFockWorkload;
+use science_kernels::workload::paper_platform_pairs;
 
 /// One row of Table 4: durations in milliseconds per platform.
 #[derive(Debug, Clone)]
@@ -24,25 +26,23 @@ pub struct HartreeFockRow {
     pub hip_ms: f64,
 }
 
-/// Computes every row of Table 4.
+/// Computes every row of Table 4: the registry presets timed on each paper
+/// platform, in preset order.
 pub fn rows() -> Vec<HartreeFockRow> {
-    HartreeFockConfig::paper_cases()
+    let columns = columns::<HartreeFockWorkload>(ExperimentId::Table4, paper_platform_pairs());
+    // Each column is one platform: Mojo and CUDA on the H100, Mojo and HIP
+    // on the MI300A. The figure of merit is the duration in milliseconds.
+    let ms = |platform: usize, case: usize| columns[platform][case].fom;
+    columns[0]
         .iter()
-        .map(|&(natoms, ngauss)| {
-            let config = HartreeFockConfig::paper(natoms, ngauss);
-            let time = |platform: &Platform| {
-                hartree_fock::run(platform, &config)
-                    .expect("hartree-fock run")
-                    .millis()
-            };
-            HartreeFockRow {
-                natoms,
-                ngauss,
-                mojo_h100_ms: time(&Platform::portable_h100()),
-                cuda_ms: time(&Platform::cuda_h100(false)),
-                mojo_mi300a_ms: time(&Platform::portable_mi300a()),
-                hip_ms: time(&Platform::hip_mi300a(false)),
-            }
+        .enumerate()
+        .map(|(case, row)| HartreeFockRow {
+            natoms: row.config.natoms,
+            ngauss: row.config.ngauss,
+            mojo_h100_ms: ms(0, case),
+            cuda_ms: ms(1, case),
+            mojo_mi300a_ms: ms(2, case),
+            hip_ms: ms(3, case),
         })
         .collect()
 }

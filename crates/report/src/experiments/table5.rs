@@ -1,61 +1,57 @@
 //! Table 5 — the performance-portability metric Φ per proxy application.
 
+use super::support::{ratio, Row};
 use super::{fig3, fig4, fig6, fig7, table4};
 use crate::report::ExperimentReport;
 use gpu_spec::Precision;
 use hpc_metrics::output::CsvTable;
 use hpc_metrics::{efficiency, PortabilityTable};
-use science_kernels::stencil7::StencilConfig;
+use science_kernels::babelstream::workload::BabelStreamWorkload;
+use science_kernels::minibude::workload::MiniBudeWorkload;
+use science_kernels::stencil7::workload::StencilWorkload;
 use vendor_models::kernel_class::StreamOp;
-use vendor_models::Platform;
 
-/// Builds all four application blocks of Table 5.
+/// Builds all four application blocks of Table 5 from the rows of the
+/// experiments they summarise. Each ratio is Mojo over the vendor baseline
+/// on one device: columns 0/1 are the H100 pair and 2/3 the MI300A pair in
+/// Figures 3 and 4; Figures 6 and 7 hold Mojo in column 0 and the fast-math
+/// vendor baseline in column 1.
 pub fn portability_tables() -> Vec<PortabilityTable> {
-    let (mojo_h100, cuda) = (Platform::portable_h100(), Platform::cuda_h100(false));
-    let (mojo_mi, hip) = (Platform::portable_mi300a(), Platform::hip_mi300a(false));
-
     // 7-point stencil: FP32 and FP64 bandwidth ratios (L = 512).
+    let fig3 = fig3::rows();
     let mut stencil = PortabilityTable::new("7-point stencil");
     for precision in [Precision::Fp32, Precision::Fp64] {
-        let config = StencilConfig::paper(512, precision);
+        let at =
+            |row: &Row<StencilWorkload>| row.config.l == 512 && row.config.precision == precision;
         stencil.push(
             precision.label(),
-            Some(fig3::efficiency(&mojo_h100, &cuda, &config)),
-            Some(fig3::efficiency(&mojo_mi, &hip, &config)),
+            Some(ratio(&fig3[0], &fig3[1], at)),
+            Some(ratio(&fig3[2], &fig3[3], at)),
         );
     }
 
     // BabelStream: per-operation bandwidth ratios.
+    let fig4 = fig4::rows();
     let mut stream = PortabilityTable::new("BabelStream");
     for op in StreamOp::ALL {
+        let at = |row: &Row<BabelStreamWorkload>| row.kernel == op;
         stream.push(
             op.label(),
-            Some(fig4::efficiency(&mojo_h100, &cuda, op)),
-            Some(fig4::efficiency(&mojo_mi, &hip, op)),
+            Some(ratio(&fig4[0], &fig4[1], at)),
+            Some(ratio(&fig4[2], &fig4[3], at)),
         );
     }
 
     // miniBUDE: the two configurations Table 5 lists, against the fast-math
     // vendor baselines (the best vendor result).
+    let (h100, mi300a) = (fig6::rows(), fig7::rows());
     let mut bude = PortabilityTable::new("miniBUDE");
-    {
-        let mut csv = CsvTable::new(["device", "backend", "wg", "ppwi", "gflops"]);
-        let h100 = fig6::sweep(&fig6::h100_backends(), 8, &mut csv);
-        let mi300a = fig6::sweep(&fig7::mi300a_backends(), 8, &mut csv);
-        // PPWI = 8 is index 3 of the sweep.
+    for (ppwi, wg) in [(8, 8), (4, 64)] {
+        let at = |row: &Row<MiniBudeWorkload>| row.config.ppwi == ppwi && row.config.wg == wg;
         bude.push(
-            "PPWI=8 wg=8",
-            Some(h100[0].points[3].1 / h100[1].points[3].1),
-            Some(mi300a[0].points[3].1 / mi300a[1].points[3].1),
-        );
-        let mut csv = CsvTable::new(["device", "backend", "wg", "ppwi", "gflops"]);
-        let h100 = fig6::sweep(&fig6::h100_backends(), 64, &mut csv);
-        let mi300a = fig6::sweep(&fig7::mi300a_backends(), 64, &mut csv);
-        // PPWI = 4 is index 2 of the sweep.
-        bude.push(
-            "PPWI=4 wg=64",
-            Some(h100[0].points[2].1 / h100[1].points[2].1),
-            Some(mi300a[0].points[2].1 / mi300a[1].points[2].1),
+            format!("PPWI={ppwi} wg={wg}"),
+            Some(ratio(&h100[0], &h100[1], at)),
+            Some(ratio(&mi300a[0], &mi300a[1], at)),
         );
     }
 

@@ -301,9 +301,11 @@ pub fn run_experiment(id: ExperimentId) -> ExperimentReport {
 /// Runs every experiment and returns the reports in presentation order.
 ///
 /// The experiments are independent of one another, so they are dispatched
-/// concurrently over the persistent rayon pool; shared inputs (the helium
-/// systems, the miniBUDE deck, stencil grids) are generated once through
-/// `science_kernels::cache` no matter which experiment reaches them first.
+/// concurrently over the persistent rayon pool. They are analytic and run
+/// no kernel body, so the only input they share is the helium system of
+/// each Hartree–Fock point (Table 4, Table 5, Figure 2), generated once
+/// through `science_kernels::cache` no matter which experiment reaches it
+/// first.
 /// Output order — and, because the timing model is analytic and the jitter
 /// models are seeded, output *content* — is identical to a serial run.
 pub fn all_experiments() -> Vec<ExperimentReport> {

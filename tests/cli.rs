@@ -234,14 +234,16 @@ fn sweep_usage_errors_exit_2() {
         "{}",
         stderr(&bad_param)
     );
-    // Hartree-Fock counts large enough to exhaust the host are refused up
-    // front instead of aborting the process mid-allocation.
+    // Hartree-Fock counts and miniBUDE decks large enough to exhaust the
+    // host are refused up front instead of aborting the process
+    // mid-allocation.
     for line in [
         "sweep hartree-fock --sizes 65536",
         "sweep hartree-fock-sampled --sizes 4097",
         "sweep hartree-fock-sampled --sizes 1024 shards=4294967296",
         "sweep hartree-fock-sampled --sizes 1024 samples=4294967296",
         "sweep hartree-fock-sampled --sizes 64 samples=8 shards=9",
+        "sweep minibude --sizes 8 poses=11184811",
     ] {
         let output = mojo_hpc(&line.split_whitespace().collect::<Vec<_>>());
         assert_eq!(output.status.code(), Some(2), "{line}: {}", stderr(&output));
