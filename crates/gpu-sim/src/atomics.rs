@@ -46,43 +46,6 @@ pub unsafe fn fetch_add_f32(ptr: *mut f32, value: f32) -> f32 {
     }
 }
 
-/// A standalone atomic accumulator cell used by host-side reductions
-/// (e.g. summing per-block partial results without a second kernel).
-#[derive(Debug, Default)]
-pub struct AtomicCell {
-    bits: AtomicU64,
-}
-
-impl AtomicCell {
-    /// Creates a cell holding `value`.
-    pub fn new(value: f64) -> Self {
-        AtomicCell {
-            bits: AtomicU64::new(value.to_bits()),
-        }
-    }
-
-    /// Atomically adds `value`, returning the previous value.
-    pub fn fetch_add(&self, value: f64) -> f64 {
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let current_f = f64::from_bits(current);
-            let new = f64::to_bits(current_f + value);
-            match self
-                .bits
-                .compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => return current_f,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Reads the current value.
-    pub fn load(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,23 +86,5 @@ mod tests {
         let prev = unsafe { fetch_add_f64(&mut value, 5.0) };
         assert_eq!(prev, 10.0);
         assert_eq!(value, 15.0);
-    }
-
-    #[test]
-    fn atomic_cell_parallel_sum() {
-        let cell = AtomicCell::new(0.0);
-        (0..5_000).into_par_iter().for_each(|_| {
-            cell.fetch_add(2.0);
-        });
-        assert_eq!(cell.load(), 10_000.0);
-    }
-
-    #[test]
-    fn atomic_cell_default_is_zero() {
-        let cell = AtomicCell::default();
-        assert_eq!(cell.load(), 0.0);
-        let prev = cell.fetch_add(1.5);
-        assert_eq!(prev, 0.0);
-        assert_eq!(cell.load(), 1.5);
     }
 }

@@ -44,14 +44,13 @@ pub mod slice;
 pub mod stats;
 pub mod timing;
 
-pub use atomics::AtomicCell;
 pub use coop::{CoopKernel, CoopLaunch, PhaseOutcome};
 pub use dim::{Dim3, LaunchConfig};
 pub use error::SimError;
 pub use exec::{launch_flat, ThreadCtx};
 pub use memory::{Device, DeviceBuffer};
 pub use pool::{PoolStats, PooledString, PooledVec};
-pub use profiler::{MemoryReport, ProfileReport};
+pub use profiler::ProfileReport;
 pub use slice::UnsafeSlice;
 pub use stats::{AccessPattern, FlopCounts, KernelCost};
 pub use timing::{Bottleneck, ExecutionProfile, LaunchTiming, TimingModel};

@@ -266,6 +266,19 @@ impl PoolStats {
             high_water_bytes: self.high_water_bytes,
         }
     }
+
+    /// Adds another process's window into this one, for fleet-wide
+    /// telemetry: the counters and outstanding bytes add, the high-water
+    /// mark takes the larger of the two.
+    pub fn accumulate(&mut self, other: &PoolStats) {
+        self.checkouts += other.checkouts;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.recycled_bytes += other.recycled_bytes;
+        self.fresh_bytes += other.fresh_bytes;
+        self.outstanding_bytes += other.outstanding_bytes;
+        self.high_water_bytes = self.high_water_bytes.max(other.high_water_bytes);
+    }
 }
 
 /// Snapshots the global pool counters.

@@ -9,11 +9,9 @@
 //! the simulated duration — which is what [`ProfileReport`] does.
 
 use crate::isa::InstructionMix;
-use crate::pool::PoolStats;
 use crate::stats::KernelCost;
 use crate::timing::{ExecutionProfile, LaunchTiming};
 use gpu_spec::GpuSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// NCU reports the utilisation of the busiest pipe among several (ALU, FMA,
@@ -121,55 +119,6 @@ impl fmt::Display for ProfileReport {
         writeln!(f, "  Registers            {:>10}", self.registers)?;
         writeln!(f, "  Load Global (LDG)    {:>10.1}", self.load_global)?;
         write!(f, "  Store Global (STG)   {:>10.1}", self.store_global)
-    }
-}
-
-/// Memory-system telemetry for one run window, derived from the process-wide
-/// buffer pool's counters. NCU has no analogue for this table — it describes
-/// the *simulator's* allocator behaviour (how much of the working set was
-/// recycled versus freshly mapped), which is the steady-state contract the
-/// memory architecture is built around.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MemoryReport {
-    /// Pool counter deltas over the observed window.
-    pub pool: PoolStats,
-}
-
-impl MemoryReport {
-    /// Snapshots the pool counters; subtract two snapshots with [`Self::since`]
-    /// to report on a window.
-    pub fn capture() -> Self {
-        MemoryReport {
-            pool: crate::pool::stats(),
-        }
-    }
-
-    /// The telemetry accumulated between `earlier` and `self`.
-    pub fn since(&self, earlier: &MemoryReport) -> Self {
-        MemoryReport {
-            pool: self.pool.since(&earlier.pool),
-        }
-    }
-}
-
-impl fmt::Display for MemoryReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "pool")?;
-        writeln!(f, "  Checkouts            {:>10}", self.pool.checkouts)?;
-        writeln!(f, "  Shelf hits           {:>10}", self.pool.hits)?;
-        writeln!(f, "  Shelf misses         {:>10}", self.pool.misses)?;
-        writeln!(
-            f,
-            "  Hit rate (%)         {:>10.1}",
-            100.0 * self.pool.hit_rate()
-        )?;
-        writeln!(f, "  Recycled bytes       {:>10}", self.pool.recycled_bytes)?;
-        writeln!(f, "  Fresh bytes          {:>10}", self.pool.fresh_bytes)?;
-        write!(
-            f,
-            "  High water bytes     {:>10}",
-            self.pool.high_water_bytes
-        )
     }
 }
 
@@ -316,15 +265,21 @@ mod tests {
 
     #[test]
     fn memory_report_windows_subtract_counters() {
-        let before = MemoryReport::capture();
+        let before = crate::pool::stats();
         // Force at least one pool checkout so the window is non-trivial.
         let v: crate::pool::PooledVec<u8> = crate::pool::PooledVec::with_capacity(1 << 14);
         drop(v);
-        let delta = MemoryReport::capture().since(&before);
-        assert!(delta.pool.checkouts >= 1);
-        let rendered = delta.to_string();
-        for needle in ["Checkouts", "Hit rate", "Recycled bytes", "High water"] {
-            assert!(rendered.contains(needle), "missing row {needle}");
-        }
+        let after = crate::pool::stats();
+        let delta = after.since(&before);
+        assert!(delta.checkouts >= 1);
+        // The gauges are not differenced: they keep the later snapshot's.
+        assert_eq!(delta.high_water_bytes, after.high_water_bytes);
+        assert_eq!(delta.outstanding_bytes, after.outstanding_bytes);
+        // A fleet of two such windows: counters add, the high water is the
+        // larger mark, not the sum.
+        let mut fleet = delta;
+        fleet.accumulate(&delta);
+        assert_eq!(fleet.checkouts, 2 * delta.checkouts);
+        assert_eq!(fleet.high_water_bytes, delta.high_water_bytes);
     }
 }

@@ -46,13 +46,6 @@ pub struct CacheLevel {
     pub line_bytes: u32,
 }
 
-impl CacheLevel {
-    /// Time in seconds to move `bytes` through this level at peak bandwidth.
-    pub fn transfer_time_s(&self, bytes: u64) -> f64 {
-        bytes as f64 / (self.bandwidth_gbs * 1e9)
-    }
-}
-
 /// The full memory hierarchy of a device: L1 (per-SM, aggregated), L2
 /// (device-wide), and HBM (device memory).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -156,14 +149,6 @@ mod tests {
         let mut h = sample();
         h.shared_per_block_bytes = 0;
         assert!(h.validate().is_err());
-    }
-
-    #[test]
-    fn transfer_time_scales_linearly() {
-        let hbm = sample().hbm;
-        let t1 = hbm.transfer_time_s(1_000_000);
-        let t2 = hbm.transfer_time_s(2_000_000);
-        assert!((t2 / t1 - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Roofline {
         point.arithmetic_intensity < self.ridge_point()
     }
 
-    /// Fraction of the attainable ceiling a measured point reaches (0..=1+).
-    pub fn efficiency_of(&self, point: &RooflinePoint) -> f64 {
-        point.achieved_flops / self.attainable(point.arithmetic_intensity)
-    }
-
     /// Samples the ceiling at logarithmically spaced intensities, for plotting.
     pub fn ceiling_series(
         &self,
@@ -120,13 +115,6 @@ mod tests {
         assert!((low - 0.01 * roof.peak_bandwidth).abs() < 1.0);
         let high = roof.attainable(1e6);
         assert!((high - roof.peak_flops).abs() < 1.0);
-    }
-
-    #[test]
-    fn efficiency_of_a_point_on_the_ceiling_is_one() {
-        let roof = Roofline::of(&presets::h100_nvl(), Precision::Fp64);
-        let p = RooflinePoint::new("ideal", 0.5, roof.attainable(0.5));
-        assert!((roof.efficiency_of(&p) - 1.0).abs() < 1e-12);
     }
 
     #[test]

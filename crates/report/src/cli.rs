@@ -7,22 +7,28 @@
 //! * `run --all | <experiment>…` — regenerate experiments (renders to
 //!   stdout, CSV or JSON files under `--out DIR`, `--format csv|json`);
 //! * `sweep <workload> --sizes a,b,c` — run any registered workload at
-//!   custom problem sizes (with optional `key=value` parameter overrides);
-//!   `--preset-out FILE` saves the resolved configuration, `--preset FILE`
-//!   replays one (`sweep hartree-fock-sampled` is the sharded, sampled
-//!   functional validation of the Hartree–Fock kernel up to 4096 atoms);
+//!   custom problem sizes (with optional `key=value` parameter overrides;
+//!   `sweep hartree-fock-sampled` is the sharded, sampled functional
+//!   validation of the Hartree–Fock kernel up to 4096 atoms);
 //! * `shard (run|sweep) … --workers N` — coordinator: spawn `N` worker
 //!   subprocesses of this binary, one shard each, and merge their partial
 //!   JSON documents into output byte-identical to a single-process run
 //!   (protocol: DESIGN.md §10);
 //! * `--shard I/N` on `run`/`sweep` — worker mode: execute shard `I` of the
-//!   command's work items and print a partial-report shard document;
+//!   command's work items and print a partial-report shard document. The
+//!   coordinator passes each worker the wrapped command's resolved
+//!   configuration on its command line: `run <ids…>` or `sweep <workload>
+//!   --sizes a,b,c` with every parameter as a `key=value` assignment;
 //! * `serve --listen HOST:PORT` — the always-on TCP report service: caches
 //!   results under the stable `Params` encoding, coalesces identical
 //!   concurrent requests single-flight, and runs a request's missing points
 //!   on the pool like `sweep` does (protocol: DESIGN.md §13);
 //! * `diff <dir-a> <dir-b>` — byte-compare the `.csv` and `.json` report
 //!   files of two directories.
+//!
+//! `run` and `sweep` share one execution path (a `Job`): the whole job in a
+//! single process, one shard of it in a worker, or a fan-out and merge in
+//! the coordinator.
 //!
 //! Exit codes: `0` success, `1` difference found or validation failed, `2`
 //! usage error. All diagnostics go to stderr; stdout carries only the
@@ -34,13 +40,15 @@ use crate::dispatch::{self, DispatchPolicy, LocalLauncher};
 use crate::registry::{known_ids, run_experiments, ExperimentId, EXPERIMENTS};
 use crate::report::ExperimentReport;
 use crate::serve::{self, ServeConfig};
-use crate::shard::{self, ShardDocument, ShardManifest, ShardPoolCounters, ShardSpec};
+use crate::shard::{self, ShardDocument, ShardManifest, ShardSpec};
 use crate::sweep::{run_sweep, SweepSpec};
+use gpu_sim::PoolStats;
 use hpc_metrics::output;
 use science_kernels::workload;
 use std::borrow::Borrow;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Output rendering of `run` and `sweep`, on the CLI (`--format`) and in
 /// `serve` payloads (the `format` field).
@@ -107,45 +115,41 @@ pub enum Command {
     Help,
 }
 
+/// The flags `run` and `sweep` share.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReportFlags {
+    /// File output directory (`target/experiments` when absent).
+    pub out: Option<PathBuf>,
+    /// Worker-thread override applied before the pool starts.
+    pub threads: Option<usize>,
+    /// Output rendering (CSV files + console text, or JSON); `None` when
+    /// `--format` was not given, which renders CSV.
+    pub format: Option<OutputFormat>,
+    /// Worker mode: compute only this shard of the work items and print a
+    /// shard document instead of reports (DESIGN.md §10).
+    pub shard: Option<ShardSpec>,
+}
+
 /// Arguments of `run` over registry experiments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
     /// Experiments to regenerate, in presentation order.
     pub ids: Vec<ExperimentId>,
-    /// File output directory (`target/experiments` when absent).
-    pub out: Option<PathBuf>,
-    /// Worker-thread override applied before the pool starts.
-    pub threads: Option<usize>,
-    /// Output rendering (CSV files + console text, or JSON).
-    pub format: OutputFormat,
-    /// Worker mode: regenerate only this shard of the id list and print a
-    /// shard document instead of reports (DESIGN.md §10).
-    pub shard: Option<ShardSpec>,
+    /// The flags shared with `sweep`.
+    pub flags: ReportFlags,
 }
 
 /// Arguments of `sweep`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepArgs {
-    /// Registered workload name (absent when `--preset` carries it).
-    pub workload: Option<String>,
-    /// Values of the workload's size parameter, in presentation order
-    /// (absent when `--preset` carries them).
-    pub sizes: Option<Vec<u64>>,
+    /// Registered workload name.
+    pub workload: String,
+    /// Values of the workload's size parameter, in presentation order.
+    pub sizes: Vec<u64>,
     /// `key=value` parameter overrides applied to the workload defaults.
     pub params: Vec<String>,
-    /// File output directory (`target/experiments` when absent).
-    pub out: Option<PathBuf>,
-    /// Worker-thread override applied before the pool starts.
-    pub threads: Option<usize>,
-    /// Output rendering (CSV files + console text, or JSON).
-    pub format: OutputFormat,
-    /// Worker mode: run only this shard of the sweep points and print a
-    /// shard document instead of a report (DESIGN.md §10).
-    pub shard: Option<ShardSpec>,
-    /// Preset file to load the full sweep configuration from.
-    pub preset: Option<PathBuf>,
-    /// File to save the resolved sweep configuration to.
-    pub preset_out: Option<PathBuf>,
+    /// The flags shared with `run`.
+    pub flags: ReportFlags,
 }
 
 /// The most worker subprocesses one `shard` invocation may start. Every
@@ -183,9 +187,6 @@ USAGE:
                             [--format csv|json] [--shard I/N]
   mojo-hpc sweep <workload> --sizes A,B,C [key=value ...] [--out DIR]
                             [--threads N] [--format csv|json] [--shard I/N]
-                            [--preset-out FILE]
-  mojo-hpc sweep --preset FILE [--out DIR] [--threads N] [--format csv|json]
-                            [--shard I/N]
   mojo-hpc shard (run|sweep) <run/sweep arguments> --workers N
                             [--timeout SECS] [--max-attempts N]
   mojo-hpc serve --listen HOST:PORT [--threads N] [--cache-entries N]
@@ -198,8 +199,7 @@ Experiment and sweep renderings go to stdout (byte-identical at every
 (default target/experiments); diagnostics go to stderr. `mojo-hpc list`
 names every workload with its tunable parameters and defaults; `--sizes`
 sweeps the workload's size parameter and `key=value` pins any other.
-`--preset-out` saves a resolved sweep configuration to a file; `--preset`
-replays it. `sweep hartree-fock-sampled` validates the Hartree-Fock kernel
+`sweep hartree-fock-sampled` validates the Hartree-Fock kernel
 functionally up to 4096 atoms by sharded, sampled quartet probes. `run`
 and `sweep` report the buffer-pool's hit rate and traffic on stderr after
 each invocation.
@@ -208,9 +208,11 @@ SCALE-OUT (DESIGN.md \u{a7}10): `mojo-hpc shard run|sweep ... --workers N`
 spawns N worker subprocesses of this binary, partitions the command's work
 items (experiments for run, sweep points for sweep) deterministically, and
 merges the workers' partial JSON documents into output byte-identical to
-the single-process command. `--shard I/N` is the worker-side flag: it runs
-shard I and prints a JSON shard document (manifest + partial reports); it
-cannot be combined with `--format csv`.
+the single-process command. Each worker gets the resolved configuration on
+its command line (for sweep: the workload, --sizes and every parameter as
+key=value). `--shard I/N` is the worker-side flag: it runs shard I and
+prints a JSON shard document (manifest + partial reports); it cannot be
+combined with `--format csv`.
 
 DISPATCHER (DESIGN.md \u{a7}12): all N workers start at once on this host,
 under supervision; N is at most 64. `--timeout SECS` kills a worker
@@ -331,52 +333,72 @@ fn parse_threads(value: &str) -> Result<usize, String> {
     Ok(threads)
 }
 
-/// Parses a `--shard` value, rejecting a repeated flag (two `--shard` flags
-/// would make the worker's coverage ambiguous — overlapping specs are a
-/// usage error).
-fn parse_shard_flag(current: &Option<ShardSpec>, value: &str) -> Result<ShardSpec, String> {
-    if current.is_some() {
-        return Err("--shard given more than once (shards must not overlap)".to_string());
+impl ReportFlags {
+    /// Takes `arg` (and its value from `args`) when it is one of the shared
+    /// flags, returning whether it was. A repeated `--shard` is refused:
+    /// two specs would make the worker's coverage ambiguous.
+    fn take<'a>(
+        &mut self,
+        arg: &str,
+        args: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<bool, String> {
+        match arg {
+            "--out" => self.out = Some(PathBuf::from(flag_value("--out", args)?)),
+            "--threads" => self.threads = Some(parse_threads(flag_value("--threads", args)?)?),
+            "--format" => {
+                self.format = Some(OutputFormat::parse(
+                    flag_value("--format", args)?,
+                    "--format",
+                )?)
+            }
+            "--shard" => {
+                if self.shard.is_some() {
+                    return Err(
+                        "--shard given more than once (shards must not overlap)".to_string()
+                    );
+                }
+                self.shard = Some(ShardSpec::parse(flag_value("--shard", args)?)?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
-    ShardSpec::parse(value)
-}
 
-/// Rejects the `--shard I/N` + `--format csv` combination: a shard worker's
-/// stdout is always one JSON shard document.
-fn check_shard_format(
-    shard: &Option<ShardSpec>,
-    explicit_format: Option<OutputFormat>,
-) -> Result<OutputFormat, String> {
-    if shard.is_some() && explicit_format == Some(OutputFormat::Csv) {
-        return Err(
-            "--shard workers emit a JSON shard document; --format csv cannot be combined \
-             with --shard (the coordinator renders CSV after merging)"
-                .to_string(),
-        );
+    /// Rejects the `--shard I/N` + `--format csv` combination once the line
+    /// is parsed: a shard worker's stdout is always one JSON shard document.
+    fn check(self) -> Result<ReportFlags, String> {
+        if self.shard.is_some() && self.format == Some(OutputFormat::Csv) {
+            return Err(
+                "--shard workers emit a JSON shard document; --format csv cannot be combined \
+                 with --shard (the coordinator renders CSV after merging)"
+                    .to_string(),
+            );
+        }
+        Ok(self)
     }
-    Ok(explicit_format.unwrap_or_default())
+
+    /// The output rendering (CSV unless `--format json`).
+    fn format(&self) -> OutputFormat {
+        self.format.unwrap_or_default()
+    }
+
+    /// The file output directory.
+    fn out_dir(&self) -> PathBuf {
+        self.out.clone().unwrap_or_else(output::experiments_dir)
+    }
 }
 
 fn parse_run(rest: &[&str]) -> Result<Command, String> {
     let mut ids = Vec::new();
     let mut all = false;
-    let mut out = None;
-    let mut threads = None;
-    let mut format = None;
-    let mut shard = None;
+    let mut flags = ReportFlags::default();
     let mut args = rest.iter().copied();
     while let Some(arg) = args.next() {
+        if flags.take(arg, &mut args)? {
+            continue;
+        }
         match arg {
             "--all" => all = true,
-            "--out" => out = Some(PathBuf::from(flag_value("--out", &mut args)?)),
-            "--threads" => threads = Some(parse_threads(flag_value("--threads", &mut args)?)?),
-            "--format" => {
-                format = Some(OutputFormat::parse(
-                    flag_value("--format", &mut args)?,
-                    "--format",
-                )?)
-            }
-            "--shard" => shard = Some(parse_shard_flag(&shard, flag_value("--shard", &mut args)?)?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             id => ids.push(
                 id.parse::<ExperimentId>()
@@ -392,14 +414,8 @@ fn parse_run(rest: &[&str]) -> Result<Command, String> {
     } else if ids.is_empty() {
         return Err("'run' needs --all or at least one experiment id".to_string());
     }
-    let format = check_shard_format(&shard, format)?;
-    Ok(Command::Run(RunArgs {
-        ids,
-        out,
-        threads,
-        format,
-        shard,
-    }))
+    let flags = flags.check()?;
+    Ok(Command::Run(RunArgs { ids, flags }))
 }
 
 /// Parses a `--sizes` value: comma-separated positive integers.
@@ -419,38 +435,18 @@ fn parse_sizes(value: &str) -> Result<Vec<u64>, String> {
     Ok(sizes)
 }
 
-/// The comma-separated list of every registered workload name.
-fn known_workloads() -> String {
-    workload::known_names()
-}
-
 fn parse_sweep(rest: &[&str]) -> Result<Command, String> {
     let mut name = None;
     let mut sizes = None;
     let mut params = Vec::new();
-    let mut out = None;
-    let mut threads = None;
-    let mut format = None;
-    let mut shard = None;
-    let mut preset = None;
-    let mut preset_out = None;
+    let mut flags = ReportFlags::default();
     let mut args = rest.iter().copied();
     while let Some(arg) = args.next() {
+        if flags.take(arg, &mut args)? {
+            continue;
+        }
         match arg {
             "--sizes" => sizes = Some(parse_sizes(flag_value("--sizes", &mut args)?)?),
-            "--out" => out = Some(PathBuf::from(flag_value("--out", &mut args)?)),
-            "--threads" => threads = Some(parse_threads(flag_value("--threads", &mut args)?)?),
-            "--format" => {
-                format = Some(OutputFormat::parse(
-                    flag_value("--format", &mut args)?,
-                    "--format",
-                )?)
-            }
-            "--shard" => shard = Some(parse_shard_flag(&shard, flag_value("--shard", &mut args)?)?),
-            "--preset" => preset = Some(PathBuf::from(flag_value("--preset", &mut args)?)),
-            "--preset-out" => {
-                preset_out = Some(PathBuf::from(flag_value("--preset-out", &mut args)?))
-            }
             assignment if assignment.contains('=') && !assignment.starts_with('-') => {
                 params.push(assignment.to_string());
             }
@@ -467,36 +463,19 @@ fn parse_sweep(rest: &[&str]) -> Result<Command, String> {
             }
         }
     }
-    if preset.is_some() {
-        if name.is_some() || sizes.is_some() || !params.is_empty() {
-            return Err(
-                "--preset pins the workload, sizes and parameters; pass either \
-                 --preset FILE or <workload> --sizes A,B,C [key=value ...]"
-                    .to_string(),
-            );
-        }
-    } else {
-        if name.is_none() {
-            return Err(format!(
-                "'sweep' needs a workload name (known: {})",
-                known_workloads()
-            ));
-        }
-        if sizes.is_none() {
-            return Err("'sweep' needs --sizes A,B,C".to_string());
-        }
-    }
-    let format = check_shard_format(&shard, format)?;
+    let workload = name.ok_or_else(|| {
+        format!(
+            "'sweep' needs a workload name (known: {})",
+            workload::known_names()
+        )
+    })?;
+    let sizes = sizes.ok_or_else(|| "'sweep' needs --sizes A,B,C".to_string())?;
+    let flags = flags.check()?;
     Ok(Command::Sweep(SweepArgs {
-        workload: name,
+        workload,
         sizes,
         params,
-        out,
-        threads,
-        format,
-        shard,
-        preset,
-        preset_out,
+        flags,
     }))
 }
 
@@ -553,20 +532,25 @@ fn parse_shard(rest: &[&str]) -> Result<Command, String> {
             )
         }
     };
-    match &inner {
-        Command::Run(args) if args.shard.is_some() => Err(
+    if report_flags(&inner).shard.is_some() {
+        return Err(
             "--shard is assigned by the shard coordinator; pass --workers N instead".to_string(),
-        ),
-        Command::Sweep(args) if args.shard.is_some() => Err(
-            "--shard is assigned by the shard coordinator; pass --workers N instead".to_string(),
-        ),
-        Command::Run(_) | Command::Sweep(_) => Ok(Command::Shard(ShardArgs {
-            workers,
-            timeout,
-            max_attempts,
-            inner: Box::new(inner),
-        })),
-        _ => Err("'shard' wraps 'run' or 'sweep'".to_string()),
+        );
+    }
+    Ok(Command::Shard(ShardArgs {
+        workers,
+        timeout,
+        max_attempts,
+        inner: Box::new(inner),
+    }))
+}
+
+/// The shared flags of a `run` or `sweep` command.
+fn report_flags(command: &Command) -> &ReportFlags {
+    match command {
+        Command::Run(args) => &args.flags,
+        Command::Sweep(args) => &args.flags,
+        _ => unreachable!("only run and sweep carry report flags"),
     }
 }
 
@@ -579,20 +563,22 @@ fn apply_threads(threads: Option<usize>) {
     }
 }
 
-/// Reports the buffer-pool activity since `before` on stderr — stdout stays
-/// byte-identical to the golden renderings (DESIGN.md §11 telemetry).
-fn report_pool_telemetry(before: &gpu_sim::PoolStats) {
-    let delta = gpu_sim::pool::stats().since(before);
-    if delta.checkouts == 0 {
+/// One pool-telemetry line on stderr — stdout stays byte-identical to the
+/// golden renderings (DESIGN.md §11 telemetry). `workers` names how many
+/// shard workers reported the counters, when a coordinator accumulated
+/// them.
+fn report_pool(pool: &PoolStats, workers: Option<usize>) {
+    if pool.checkouts == 0 {
         return;
     }
+    let fleet = workers.map_or(String::new(), |n| format!("{n} worker(s), "));
     eprintln!(
-        "pool: {} checkout(s), {:.1}% hit rate, {} B recycled, {} B fresh, high water {} B",
-        delta.checkouts,
-        delta.hit_rate() * 100.0,
-        delta.recycled_bytes,
-        delta.fresh_bytes,
-        gpu_sim::pool::stats().high_water_bytes,
+        "pool: {fleet}{} checkout(s), {:.1}% hit rate, {} B recycled, {} B fresh, high water {} B",
+        pool.checkouts,
+        pool.hit_rate() * 100.0,
+        pool.recycled_bytes,
+        pool.fresh_bytes,
+        pool.high_water_bytes,
     );
 }
 
@@ -603,8 +589,7 @@ pub fn execute(command: &Command) -> i32 {
             execute_list();
             0
         }
-        Command::Run(args) => execute_run(args),
-        Command::Sweep(args) => execute_sweep(args),
+        Command::Run(_) | Command::Sweep(_) => execute_report(command),
         Command::Shard(args) => execute_shard(args),
         Command::Serve(config) => execute_serve(config),
         Command::Diff { dir_a, dir_b } => execute_diff(dir_a, dir_b),
@@ -686,185 +671,214 @@ fn write_report_files(report: &ExperimentReport, dir: &Path, format: OutputForma
     }
 }
 
-/// Prints `run` (`array`) or `sweep` reports in the requested format and
-/// writes their files — the shared tail of the single-process and sharded
-/// lanes, so both produce identical stdout and files.
-fn emit_reports(
-    reports: &[ExperimentReport],
-    array: bool,
-    format: OutputFormat,
-    out_dir: &Path,
-) -> i32 {
-    print!("{}", format.render(reports, array));
-    for report in reports {
-        if !write_report_files(report, out_dir, format) {
-            return 1;
+/// The resolved work of a `run` or `sweep` command: the single process
+/// computes all of it, a `--shard I/N` worker one range of it, and the
+/// `shard` coordinator partitions and merges it. Both lanes go through
+/// here, so they share one worker and one coordinator path.
+enum Job<'a> {
+    /// `run`: experiments in presentation order.
+    Run(&'a [ExperimentId]),
+    /// `sweep`: a validated sweep.
+    Sweep(SweepSpec),
+}
+
+impl<'a> Job<'a> {
+    /// Resolves a `run` or `sweep` command; an unknown workload or an
+    /// invalid sweep point is a usage error (exit 2).
+    fn resolve(command: &'a Command) -> Result<Job<'a>, String> {
+        match command {
+            Command::Run(args) => Ok(Job::Run(&args.ids)),
+            Command::Sweep(args) => {
+                let engine = workload::find(&args.workload).ok_or_else(|| {
+                    format!(
+                        "unknown workload '{}' (known: {})",
+                        args.workload,
+                        workload::known_names()
+                    )
+                })?;
+                SweepSpec::new(engine, &args.params, args.sizes.clone())
+                    .map(Job::Sweep)
+                    .map_err(|e| e.to_string())
+            }
+            _ => unreachable!("only run and sweep resolve to a job"),
         }
     }
-    0
-}
 
-fn execute_run(args: &RunArgs) -> i32 {
-    apply_threads(args.threads);
-    if let Some(spec) = &args.shard {
-        return execute_run_shard_worker(args, spec);
+    /// The subcommand, as named in a shard manifest.
+    fn command(&self) -> &'static str {
+        match self {
+            Job::Run(_) => "run",
+            Job::Sweep(_) => "sweep",
+        }
     }
-    let out_dir = args.out.clone().unwrap_or_else(output::experiments_dir);
-    let started = std::time::Instant::now();
-    let pool_before = gpu_sim::pool::stats();
-    let reports = run_experiments(&args.ids);
-    report_pool_telemetry(&pool_before);
-    let code = emit_reports(&reports, true, args.format, &out_dir);
-    if code != 0 {
-        return code;
+
+    /// The work-item labels: experiment ids for `run`, sizes for `sweep`.
+    fn items(&self) -> Vec<String> {
+        match self {
+            Job::Run(ids) => ids.iter().map(|id| id.as_str().to_string()).collect(),
+            Job::Sweep(spec) => spec.sizes.iter().map(u64::to_string).collect(),
+        }
     }
-    eprintln!(
-        "regenerated {} experiment(s) in {:.3} s",
-        reports.len(),
-        started.elapsed().as_secs_f64()
-    );
-    0
-}
 
-/// The worker's pool activity since `before`, for embedding in its shard
-/// manifest — `None` when the shard checked nothing out (empty shards add
-/// no telemetry).
-fn pool_counters_since(before: &gpu_sim::PoolStats) -> Option<ShardPoolCounters> {
-    let counters = ShardPoolCounters::since(before);
-    (counters.checkouts != 0).then_some(counters)
-}
-
-/// Worker mode of `run`: regenerate only this shard of the id list and
-/// print a shard document (manifest + partial reports) on stdout. No files
-/// are written — the coordinator renders and writes the merged output.
-/// Consults the chaos seam first, so the fault-injection harness can
-/// perturb exactly this path (DESIGN.md §12).
-fn execute_run_shard_worker(args: &RunArgs, spec: &ShardSpec) -> i32 {
-    chaos::apply(spec.index);
-    let range = spec.range(args.ids.len());
-    let subset = &args.ids[range.clone()];
-    let pool_before = gpu_sim::pool::stats();
-    let reports = if subset.is_empty() {
-        Vec::new()
-    } else {
-        run_experiments(subset)
-    };
-    let doc = ShardDocument {
-        manifest: ShardManifest {
-            command: "run".to_string(),
-            shard: spec.index,
-            shards: spec.total,
-            start: range.start as u64,
-            count: subset.len() as u64,
-            total: args.ids.len() as u64,
-            items: subset.iter().map(|id| id.as_str().to_string()).collect(),
-            workload: None,
-            params: None,
-            pool: pool_counters_since(&pool_before),
-        },
-        reports,
-    };
-    print!("{}", doc.to_json_pretty());
-    0
-}
-
-/// Resolves a sweep's full configuration: from `--preset FILE` when given,
-/// otherwise from the workload name, `--sizes` and `key=value` overrides.
-/// Errors are usage errors (exit 2).
-fn resolve_sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
-    if let Some(path) = &args.preset {
-        return SweepSpec::load_preset(path);
+    /// The reports of the work items in `range`: one per experiment for
+    /// `run`, one sweep report over the range's points for `sweep`.
+    fn reports(&self, range: Range<usize>) -> Result<Vec<ExperimentReport>, String> {
+        match self {
+            Job::Run(ids) => Ok(run_experiments(&ids[range])),
+            Job::Sweep(spec) => {
+                let part = SweepSpec {
+                    workload: spec.workload,
+                    base: spec.base.clone(),
+                    sizes: spec.sizes[range].to_vec(),
+                };
+                run_sweep(&part)
+                    .map(|report| vec![report])
+                    .map_err(|err| format!("sweep failed: {err}"))
+            }
+        }
     }
-    let name = args
-        .workload
-        .as_deref()
-        .expect("parser requires a workload");
-    let engine = workload::find(name)
-        .ok_or_else(|| format!("unknown workload '{name}' (known: {})", known_workloads()))?;
-    let sizes = args.sizes.clone().expect("parser requires --sizes");
-    SweepSpec::new(engine, &args.params, sizes).map_err(|e| e.to_string())
+
+    /// The command line a worker needs to compute this job: `run <ids…>`,
+    /// or `sweep <workload> --sizes a,b,c` followed by every base
+    /// parameter as a `key=value` assignment, so each worker resolves the
+    /// configuration the coordinator resolved.
+    fn worker_argv(&self) -> Vec<String> {
+        let mut argv = vec![self.command().to_string()];
+        match self {
+            Job::Run(_) => argv.extend(self.items()),
+            Job::Sweep(spec) => {
+                argv.extend([
+                    spec.workload.name().to_string(),
+                    "--sizes".to_string(),
+                    self.items().join(","),
+                ]);
+                let encoding = spec.base.encode();
+                argv.extend(
+                    encoding
+                        .split(',')
+                        .filter(|a| !a.is_empty())
+                        .map(String::from),
+                );
+            }
+        }
+        argv
+    }
+
+    /// The workload name and base encoding a sweep manifest pins.
+    fn pinned(&self) -> (Option<String>, Option<String>) {
+        match self {
+            Job::Run(_) => (None, None),
+            Job::Sweep(spec) => (
+                Some(spec.workload.name().to_string()),
+                Some(spec.base.encode()),
+            ),
+        }
+    }
+
+    /// Merges worker documents into the reports the single process renders.
+    fn merge(&self, docs: &[ShardDocument]) -> Result<Vec<ExperimentReport>, String> {
+        match self {
+            Job::Run(_) => shard::merge_run(docs, &self.items()),
+            Job::Sweep(spec) => shard::merge_sweep(spec, docs).map(|report| vec![report]),
+        }
+    }
+
+    /// Prints the reports in the `--format` rendering and writes their
+    /// files under `--out` — the shared tail of the single-process and sharded lanes, so both
+    /// produce identical stdout and files.
+    fn emit(&self, reports: &[ExperimentReport], flags: &ReportFlags) -> i32 {
+        let format = flags.format();
+        print!("{}", format.render(reports, matches!(self, Job::Run(_))));
+        let dir = flags.out_dir();
+        if reports.iter().all(|r| write_report_files(r, &dir, format)) {
+            0
+        } else {
+            1
+        }
+    }
+
+    /// What a finished invocation covered, for the closing stderr line.
+    fn summary(&self) -> String {
+        match self {
+            Job::Run(ids) => format!("{} experiment(s)", ids.len()),
+            Job::Sweep(spec) => format!("{} sweep point(s)", spec.sizes.len()),
+        }
+    }
 }
 
-fn execute_sweep(args: &SweepArgs) -> i32 {
-    apply_threads(args.threads);
-    let spec = match resolve_sweep_spec(args) {
-        Ok(spec) => spec,
+/// `run` and `sweep`: the whole job in this process, or one shard of it in
+/// worker mode (`--shard I/N`).
+fn execute_report(command: &Command) -> i32 {
+    let flags = report_flags(command);
+    apply_threads(flags.threads);
+    let job = match Job::resolve(command) {
+        Ok(job) => job,
         Err(err) => {
             eprintln!("error: {err}");
             return 2;
         }
     };
-    if let Some(path) = &args.preset_out {
-        if let Err(err) = spec.write_preset(path) {
-            eprintln!("failed to write preset {}: {err}", path.display());
-            return 1;
-        }
-        eprintln!("  [preset] {}", path.display());
+    if let Some(spec) = &flags.shard {
+        return execute_shard_worker(&job, spec);
     }
-    if let Some(shard_spec) = &args.shard {
-        return execute_sweep_shard_worker(&spec, shard_spec);
-    }
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let pool_before = gpu_sim::pool::stats();
-    let report = match run_sweep(&spec) {
-        Ok(report) => report,
+    let reports = match job.reports(0..job.items().len()) {
+        Ok(reports) => reports,
         Err(err) => {
-            eprintln!("sweep failed: {err}");
+            eprintln!("{err}");
             return 1;
         }
     };
-    report_pool_telemetry(&pool_before);
-    let out_dir = args.out.clone().unwrap_or_else(output::experiments_dir);
-    let code = emit_reports(std::slice::from_ref(&report), false, args.format, &out_dir);
-    if code != 0 {
-        return code;
+    report_pool(&gpu_sim::pool::stats().since(&pool_before), None);
+    let code = job.emit(&reports, flags);
+    if code == 0 {
+        eprintln!(
+            "computed {} in {:.3} s",
+            job.summary(),
+            started.elapsed().as_secs_f64()
+        );
     }
-    eprintln!(
-        "swept {} over {} size(s) in {:.3} s",
-        spec.workload.name(),
-        spec.sizes.len(),
-        started.elapsed().as_secs_f64()
-    );
-    0
+    code
 }
 
-/// Worker mode of `sweep`: run only this shard of the sweep points and
-/// print a shard document. The manifest pins the workload name and the base
-/// parameter encoding so the coordinator can verify every worker ran the
-/// same configuration.
-fn execute_sweep_shard_worker(spec: &SweepSpec, shard_spec: &ShardSpec) -> i32 {
-    chaos::apply(shard_spec.index);
-    let range = shard_spec.range(spec.sizes.len());
-    let sizes = spec.sizes[range.clone()].to_vec();
+/// Worker mode: compute only this shard of the job's work items and print
+/// a shard document (manifest + partial reports) on stdout. No files are
+/// written — the coordinator renders and writes the merged output. A sweep
+/// manifest pins the workload name and base parameter encoding, so the
+/// coordinator can verify every worker ran its configuration. Consults the
+/// chaos seam first, so the fault-injection harness can perturb exactly
+/// this path (DESIGN.md §12).
+fn execute_shard_worker(job: &Job, spec: &ShardSpec) -> i32 {
+    chaos::apply(spec.index);
+    let items = job.items();
+    let range = spec.range(items.len());
     let pool_before = gpu_sim::pool::stats();
-    let reports = if sizes.is_empty() {
+    let reports = if range.is_empty() {
         Vec::new()
     } else {
-        let sub = SweepSpec {
-            workload: spec.workload,
-            base: spec.base.clone(),
-            sizes: sizes.clone(),
-        };
-        match run_sweep(&sub) {
-            Ok(report) => vec![report],
+        match job.reports(range.clone()) {
+            Ok(reports) => reports,
             Err(err) => {
-                eprintln!("sweep failed: {err}");
+                eprintln!("{err}");
                 return 1;
             }
         }
     };
+    let pool = gpu_sim::pool::stats().since(&pool_before);
+    let (workload, params) = job.pinned();
     let doc = ShardDocument {
         manifest: ShardManifest {
-            command: "sweep".to_string(),
-            shard: shard_spec.index,
-            shards: shard_spec.total,
+            command: job.command().to_string(),
+            shard: spec.index,
+            shards: spec.total,
             start: range.start as u64,
-            count: sizes.len() as u64,
-            total: spec.sizes.len() as u64,
-            items: sizes.iter().map(|s| s.to_string()).collect(),
-            workload: Some(spec.workload.name().to_string()),
-            params: Some(spec.base.encode()),
-            pool: pool_counters_since(&pool_before),
+            count: range.len() as u64,
+            total: items.len() as u64,
+            items: items[range].to_vec(),
+            workload,
+            params,
+            pool: (pool.checkouts != 0).then_some(pool),
         },
         reports,
     };
@@ -873,187 +887,82 @@ fn execute_sweep_shard_worker(spec: &SweepSpec, shard_spec: &ShardSpec) -> i32 {
 }
 
 /// The `shard` coordinator: run one local worker per shard under the
-/// dispatcher's supervision, merge their documents, and render the merged
+/// dispatcher's supervision, each given the job's resolved configuration
+/// on its command line, merge their documents, and render the merged
 /// output exactly as the wrapped single-process command would.
 fn execute_shard(args: &ShardArgs) -> i32 {
-    match args.inner.as_ref() {
-        Command::Run(run_args) => execute_shard_run(args, run_args),
-        Command::Sweep(sweep_args) => execute_shard_sweep(args, sweep_args),
-        _ => unreachable!("the parser only wraps run and sweep in shard"),
-    }
-}
-
-/// The dispatch policy a `shard` invocation's flags select.
-fn dispatch_policy(args: &ShardArgs) -> DispatchPolicy {
-    DispatchPolicy {
-        max_attempts: args.max_attempts,
-        timeout: args.timeout.map(Duration::from_secs_f64),
-        ..DispatchPolicy::default()
-    }
-}
-
-/// Prints the fleet-wide pool telemetry accumulated from the workers'
-/// shard manifests — the coordinator-side counterpart of the stderr line
-/// `run`/`sweep` print directly (stdout and goldens stay untouched).
-fn report_fleet_pool_telemetry(docs: &[ShardDocument]) {
-    let mut fleet = ShardPoolCounters::default();
-    let mut reporting = 0u64;
-    for doc in docs {
-        if let Some(pool) = &doc.manifest.pool {
-            fleet.accumulate(pool);
-            reporting += 1;
+    let started = Instant::now();
+    let flags = report_flags(&args.inner);
+    let job = match Job::resolve(&args.inner) {
+        Ok(job) => job,
+        Err(err) => {
+            eprintln!("error: {err}");
+            return 2;
         }
+    };
+    let mut base = job.worker_argv();
+    if let Some(threads) = flags.threads {
+        base.extend(["--threads".to_string(), threads.to_string()]);
     }
-    if fleet.checkouts == 0 {
-        return;
-    }
-    eprintln!(
-        "pool: {} worker(s), {} checkout(s), {:.1}% hit rate, {} B recycled, {} B fresh, \
-         high water {} B",
-        reporting,
-        fleet.checkouts,
-        fleet.hit_rate(),
-        fleet.recycled_bytes,
-        fleet.fresh_bytes,
-        fleet.high_water_bytes,
-    );
-}
-
-/// Runs the dispatcher over the per-worker argument lists and reports the
-/// attempt accounting plus fleet pool telemetry on stderr.
-fn dispatch_workers(
-    args: &ShardArgs,
-    worker_args: &[Vec<String>],
-) -> Result<Vec<ShardDocument>, String> {
-    let launcher = LocalLauncher::current_exe()?;
-    let tasks = shard::worker_tasks(worker_args);
-    let (docs, summary) = dispatch::dispatch(&launcher, &tasks, &dispatch_policy(args))?;
-    eprintln!("dispatch: {}", summary.render());
-    report_fleet_pool_telemetry(&docs);
-    Ok(docs)
-}
-
-fn execute_shard_run(shard_args: &ShardArgs, args: &RunArgs) -> i32 {
-    let started = std::time::Instant::now();
-    let workers = shard_args.workers;
-    let out_dir = args.out.clone().unwrap_or_else(output::experiments_dir);
-    let mut base = vec!["run".to_string()];
-    base.extend(args.ids.iter().map(|id| id.as_str().to_string()));
-    if let Some(threads) = args.threads {
-        base.push("--threads".to_string());
-        base.push(threads.to_string());
-    }
+    let workers = args.workers;
     let worker_args: Vec<Vec<String>> = (0..workers)
         .map(|index| {
             let mut argv = base.clone();
-            argv.push("--shard".to_string());
-            argv.push(format!("{index}/{workers}"));
+            argv.extend(["--shard".to_string(), format!("{index}/{workers}")]);
             argv
         })
         .collect();
-    let docs = match dispatch_workers(shard_args, &worker_args) {
+    let docs = match dispatch_workers(args, &worker_args) {
         Ok(docs) => docs,
         Err(err) => {
             eprintln!("error: {err}");
             return 1;
         }
     };
-    let expected: Vec<String> = args.ids.iter().map(|id| id.as_str().to_string()).collect();
-    let reports = match shard::merge_run(&docs, &expected) {
+    let reports = match job.merge(&docs) {
         Ok(reports) => reports,
         Err(err) => {
             eprintln!("merge failed: {err}");
             return 1;
         }
     };
-    let code = emit_reports(&reports, true, args.format, &out_dir);
-    if code != 0 {
-        return code;
+    let code = job.emit(&reports, flags);
+    if code == 0 {
+        eprintln!(
+            "merged {workers} shard(s) covering {} in {:.3} s",
+            job.summary(),
+            started.elapsed().as_secs_f64()
+        );
     }
-    eprintln!(
-        "merged {workers} shard(s) covering {} experiment(s) in {:.3} s",
-        reports.len(),
-        started.elapsed().as_secs_f64()
-    );
-    0
+    code
 }
 
-fn execute_shard_sweep(shard_args: &ShardArgs, args: &SweepArgs) -> i32 {
-    let started = std::time::Instant::now();
-    let workers = shard_args.workers;
-    let spec = match resolve_sweep_spec(args) {
-        Ok(spec) => spec,
-        Err(err) => {
-            eprintln!("error: {err}");
-            return 2;
-        }
+/// Runs the dispatcher over the per-worker argument lists and reports the
+/// attempt accounting plus the fleet's pool telemetry, accumulated from
+/// the workers' manifests, on stderr.
+fn dispatch_workers(
+    args: &ShardArgs,
+    worker_args: &[Vec<String>],
+) -> Result<Vec<ShardDocument>, String> {
+    let launcher = LocalLauncher::current_exe()?;
+    let tasks = shard::worker_tasks(worker_args);
+    let policy = DispatchPolicy {
+        max_attempts: args.max_attempts,
+        timeout: args.timeout.map(Duration::from_secs_f64),
+        ..DispatchPolicy::default()
     };
-    if let Some(path) = &args.preset_out {
-        if let Err(err) = spec.write_preset(path) {
-            eprintln!("failed to write preset {}: {err}", path.display());
-            return 1;
+    let (docs, summary) = dispatch::dispatch(&launcher, &tasks, &policy)?;
+    eprintln!("dispatch: {}", summary.render());
+    let mut pools = docs.iter().filter_map(|doc| doc.manifest.pool);
+    if let Some(mut fleet) = pools.next() {
+        let mut reporting = 1;
+        for pool in pools {
+            fleet.accumulate(&pool);
+            reporting += 1;
         }
-        eprintln!("  [preset] {}", path.display());
+        report_pool(&fleet, Some(reporting));
     }
-    // Pin the resolved configuration in a preset file every worker loads, so
-    // all workers provably share one configuration. It lives under the run's
-    // own output directory, not the shared temp dir — a predictable path in
-    // a world-writable directory would be open to symlink/rewrite games by
-    // other local users.
-    let out_dir = args.out.clone().unwrap_or_else(output::experiments_dir);
-    let preset_path = out_dir.join(format!(
-        ".mojo-hpc-shard-preset-{}.json",
-        std::process::id()
-    ));
-    if let Err(err) = spec.write_preset(&preset_path) {
-        eprintln!(
-            "failed to write the worker preset {}: {err}",
-            preset_path.display()
-        );
-        return 1;
-    }
-    let worker_args: Vec<Vec<String>> = (0..workers)
-        .map(|index| {
-            let mut argv = vec![
-                "sweep".to_string(),
-                "--preset".to_string(),
-                preset_path.display().to_string(),
-                "--shard".to_string(),
-                format!("{index}/{workers}"),
-            ];
-            if let Some(threads) = args.threads {
-                argv.push("--threads".to_string());
-                argv.push(threads.to_string());
-            }
-            argv
-        })
-        .collect();
-    let docs = dispatch_workers(shard_args, &worker_args);
-    std::fs::remove_file(&preset_path).ok();
-    let docs = match docs {
-        Ok(docs) => docs,
-        Err(err) => {
-            eprintln!("error: {err}");
-            return 1;
-        }
-    };
-    let report = match shard::merge_sweep(&spec, &docs) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("merge failed: {err}");
-            return 1;
-        }
-    };
-    let code = emit_reports(std::slice::from_ref(&report), false, args.format, &out_dir);
-    if code != 0 {
-        return code;
-    }
-    eprintln!(
-        "merged {workers} shard(s) covering {} sweep point(s) in {:.3} s",
-        spec.sizes.len(),
-        started.elapsed().as_secs_f64()
-    );
-    0
+    Ok(docs)
 }
 
 /// Byte-compares the `.csv` and `.json` report files of two directories,
@@ -1164,8 +1073,8 @@ mod tests {
         match parse_line("run table4 fig6 --out /tmp/x --threads 2").unwrap() {
             Command::Run(args) => {
                 assert_eq!(args.ids, vec![ExperimentId::Table4, ExperimentId::Fig6]);
-                assert_eq!(args.out, Some(PathBuf::from("/tmp/x")));
-                assert_eq!(args.threads, Some(2));
+                assert_eq!(args.flags.out, Some(PathBuf::from("/tmp/x")));
+                assert_eq!(args.flags.threads, Some(2));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1190,22 +1099,21 @@ mod tests {
     fn parses_sweep_and_format_flags() {
         match parse_line("sweep stencil --sizes 64,128,256 precision=fp32 --format json").unwrap() {
             Command::Sweep(args) => {
-                assert_eq!(args.workload.as_deref(), Some("stencil"));
-                assert_eq!(args.sizes, Some(vec![64, 128, 256]));
+                assert_eq!(args.workload, "stencil");
+                assert_eq!(args.sizes, vec![64, 128, 256]);
                 assert_eq!(args.params, vec!["precision=fp32".to_string()]);
-                assert_eq!(args.format, OutputFormat::Json);
-                assert_eq!(args.threads, None);
-                assert_eq!(args.shard, None);
-                assert_eq!(args.preset, None);
+                assert_eq!(args.flags.format(), OutputFormat::Json);
+                assert_eq!(args.flags.threads, None);
+                assert_eq!(args.flags.shard, None);
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse_line("run --all --format json").unwrap() {
-            Command::Run(args) => assert_eq!(args.format, OutputFormat::Json),
+            Command::Run(args) => assert_eq!(args.flags.format(), OutputFormat::Json),
             other => panic!("unexpected {other:?}"),
         }
         match parse_line("run --all").unwrap() {
-            Command::Run(args) => assert_eq!(args.format, OutputFormat::Csv),
+            Command::Run(args) => assert_eq!(args.flags.format(), OutputFormat::Csv),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1230,8 +1138,8 @@ mod tests {
     fn parses_shard_worker_flags() {
         match parse_line("run --all --format json --shard 1/3").unwrap() {
             Command::Run(args) => {
-                assert_eq!(args.shard, Some(ShardSpec { index: 1, total: 3 }));
-                assert_eq!(args.format, OutputFormat::Json);
+                assert_eq!(args.flags.shard, Some(ShardSpec { index: 1, total: 3 }));
+                assert_eq!(args.flags.format(), OutputFormat::Json);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1239,7 +1147,7 @@ mod tests {
         assert!(parse_line("run --all --shard 0/2").is_ok());
         match parse_line("sweep stencil --sizes 16,24 --shard 0/2").unwrap() {
             Command::Sweep(args) => {
-                assert_eq!(args.shard, Some(ShardSpec { index: 0, total: 2 }))
+                assert_eq!(args.flags.shard, Some(ShardSpec { index: 0, total: 2 }))
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1262,8 +1170,8 @@ mod tests {
                 match args.inner.as_ref() {
                     Command::Run(run) => {
                         assert_eq!(run.ids.len(), ExperimentId::ALL.len());
-                        assert_eq!(run.format, OutputFormat::Json);
-                        assert_eq!(run.shard, None);
+                        assert_eq!(run.flags.format(), OutputFormat::Json);
+                        assert_eq!(run.flags.shard, None);
                     }
                     other => panic!("unexpected inner {other:?}"),
                 }
@@ -1330,40 +1238,28 @@ mod tests {
 
     #[test]
     fn parses_preset_flags_and_their_conflicts() {
-        match parse_line("sweep --preset cfg.json --format json").unwrap() {
-            Command::Sweep(args) => {
-                assert_eq!(args.preset, Some(PathBuf::from("cfg.json")));
-                assert_eq!(args.workload, None);
-                assert_eq!(args.sizes, None);
-            }
-            other => panic!("unexpected {other:?}"),
+        // A sweep's configuration has one encoding, its command line: the
+        // preset-file flags are unknown arguments.
+        let (preset, preset_out) = (concat!("--", "preset"), concat!("--", "preset-out"));
+        for line in [
+            format!("sweep {preset} cfg.json --format json"),
+            format!("sweep stencil --sizes 16 {preset_out} cfg.json"),
+            format!("shard sweep {preset} cfg.json --workers 2"),
+        ] {
+            let err = parse_line(&line).unwrap_err();
+            assert!(err.contains("unknown 'sweep' argument"), "{line}: {err}");
+            assert!(err.contains(preset), "{line}: {err}");
         }
-        match parse_line("sweep stencil --sizes 16 --preset-out cfg.json").unwrap() {
-            Command::Sweep(args) => {
-                assert_eq!(args.preset_out, Some(PathBuf::from("cfg.json")));
-                assert_eq!(args.preset, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // --preset pins everything: combining it with inline configuration
-        // is ambiguous and rejected.
-        assert!(parse_line("sweep stencil --preset cfg.json").is_err());
-        assert!(parse_line("sweep --preset cfg.json --sizes 16").is_err());
-        assert!(parse_line("sweep --preset cfg.json precision=fp32").is_err());
-        assert!(parse_line("sweep --preset").is_err());
     }
 
     #[test]
     fn sweep_of_an_unknown_workload_exits_2_naming_the_known_ones() {
-        let Command::Sweep(args) = parse_line("sweep frobnicate --sizes 4").unwrap() else {
-            panic!("expected a sweep command");
-        };
-        assert_eq!(execute_sweep(&args), 2);
+        assert_eq!(
+            execute(&parse_line("sweep frobnicate --sizes 4").unwrap()),
+            2
+        );
         // Invalid parameters are also a usage error, caught before running.
-        let Command::Sweep(args) = parse_line("sweep stencil --sizes 2").unwrap() else {
-            panic!("expected a sweep command");
-        };
-        assert_eq!(execute_sweep(&args), 2);
+        assert_eq!(execute(&parse_line("sweep stencil --sizes 2").unwrap()), 2);
     }
 
     #[test]

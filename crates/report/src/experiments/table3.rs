@@ -10,11 +10,6 @@ use gpu_spec::presets;
 use hpc_metrics::output::CsvTable;
 use science_kernels::babelstream::workload::BabelStreamWorkload;
 use science_kernels::workload::paper_platform_pairs;
-use vendor_models::kernel_class::StreamOp;
-
-/// The operations profiled in Table 3.
-pub const PROFILED_OPS: [StreamOp; 4] =
-    [StreamOp::Copy, StreamOp::Mul, StreamOp::Add, StreamOp::Dot];
 
 /// Regenerates Table 3.
 pub fn run() -> ExperimentReport {
@@ -24,10 +19,14 @@ pub fn run() -> ExperimentReport {
     );
     report.push_line("[profile constants: EXPERIMENTS.md \u{00a7} BabelStream]");
     let spec = presets::h100_nvl();
+    // The registry presets' operations (Copy, Mul, Add, Dot) on the H100
+    // pair (Mojo and CUDA).
+    let columns =
+        columns::<BabelStreamWorkload>(ExperimentId::Table3, &paper_platform_pairs()[..2]);
     let mut header = vec!["ncu metric".to_string()];
-    for op in PROFILED_OPS {
-        header.push(format!("{op} Mojo"));
-        header.push(format!("{op} CUDA"));
+    for row in &columns[0] {
+        header.push(format!("{} Mojo", row.kernel));
+        header.push(format!("{} CUDA", row.kernel));
     }
     let mut table = AsciiTable::new(header);
     let mut csv = CsvTable::new([
@@ -42,14 +41,7 @@ pub fn run() -> ExperimentReport {
     ]);
 
     let mut profiles: Vec<(ProfileReport, ProfileReport)> = Vec::new();
-    // The registry preset's operations on the H100 pair (Mojo and CUDA),
-    // less Triad, which the paper does not profile.
-    let columns =
-        columns::<BabelStreamWorkload>(ExperimentId::Table3, &paper_platform_pairs()[..2]);
     for (mojo, cuda) in columns[0].iter().zip(&columns[1]) {
-        if !PROFILED_OPS.contains(&mojo.kernel) {
-            continue;
-        }
         let op = mojo.kernel;
         let (mojo, cuda) = (&mojo.timed, &cuda.timed);
         let mojo_prof = ProfileReport::derive(&spec, &mojo.cost, &mojo.profile, &mojo.timing);

@@ -42,5 +42,5 @@ pub use registry::{
 };
 pub use report::ExperimentReport;
 pub use serve::ServeConfig;
-pub use shard::{ShardDocument, ShardManifest, ShardPoolCounters, ShardSpec};
+pub use shard::{ShardDocument, ShardManifest, ShardSpec};
 pub use sweep::{run_sweep, SweepSpec};

@@ -173,7 +173,12 @@ pub const EXPERIMENTS: [ExperimentSpec; 11] = [
         run: experiments::table3::run,
         workload: Some(WorkloadPreset {
             workload: "babelstream",
-            presets: &["n=33554432,precision=fp64,op=all"],
+            presets: &[
+                "n=33554432,precision=fp64,op=copy",
+                "n=33554432,precision=fp64,op=mul",
+                "n=33554432,precision=fp64,op=add",
+                "n=33554432,precision=fp64,op=dot",
+            ],
         }),
     },
     ExperimentSpec {

@@ -69,7 +69,6 @@
 use crate::cli::OutputFormat;
 use crate::registry::{run_experiment, ExperimentId};
 use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, ExperimentReport};
-use crate::shard::ShardPoolCounters;
 use crate::sweep::{render_sweep, SweepSpec};
 use rayon::prelude::*;
 use science_kernels::cache::{self, Claim, SingleFlight};
@@ -496,7 +495,9 @@ fn stats_value(state: &ServeState) -> Value {
                 ("compute".to_string(), compute),
                 (
                     "pool".to_string(),
-                    ShardPoolCounters::since(&state.pool_baseline).to_json_value(),
+                    gpu_sim::pool::stats()
+                        .since(&state.pool_baseline)
+                        .to_value(),
                 ),
             ]),
         ),

@@ -26,7 +26,9 @@
 use crate::dispatch::WorkerTask;
 use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, ExperimentReport};
 use crate::sweep::{self, SweepSpec};
+use gpu_sim::PoolStats;
 use serde::value::Value;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
@@ -71,12 +73,11 @@ impl ShardSpec {
     /// This is the protocol's partition function: shard `i` of `n` covers
     /// `[i·len/n, (i+1)·len/n)` (integer division). The ranges are
     /// order-preserving, tile the list exactly, and differ in length by at
-    /// most one; when `n > len`, `n - len` of the shards are empty.
+    /// most one; when `n > len`, `n - len` of the shards are empty. The
+    /// products are taken in `u128`, so they cannot overflow at any `n`.
     pub fn range(&self, len: usize) -> Range<usize> {
-        let len = len as u64;
-        let start = (self.index * len / self.total) as usize;
-        let end = ((self.index + 1) * len / self.total) as usize;
-        start..end
+        let bound = |index: u128| (index * len as u128 / u128::from(self.total)) as usize;
+        bound(self.index.into())..bound(u128::from(self.index) + 1)
     }
 }
 
@@ -85,98 +86,6 @@ impl fmt::Display for ShardSpec {
     /// is the identity on valid specs.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.index, self.total)
-    }
-}
-
-/// Per-worker memory-pool counters embedded in the shard manifest, so the
-/// coordinator can report fleet-wide pool telemetry on stderr (the line
-/// `run`/`sweep` print directly) without touching the merged stdout/golden
-/// output.
-///
-/// The field is optional in the JSON schema: documents written before it
-/// existed still parse, and manifests without telemetry serialise without
-/// the key — [`SHARD_SCHEMA`] stays at 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardPoolCounters {
-    /// Buffer checkouts the worker performed.
-    pub checkouts: u64,
-    /// Checkouts served by recycling a pooled buffer.
-    pub hits: u64,
-    /// Checkouts that had to allocate fresh.
-    pub misses: u64,
-    /// Bytes served from recycled buffers.
-    pub recycled_bytes: u64,
-    /// Bytes freshly allocated.
-    pub fresh_bytes: u64,
-    /// The worker's pool high-water mark in bytes.
-    pub high_water_bytes: u64,
-}
-
-impl ShardPoolCounters {
-    /// The pool activity since `before`, stamped with the process-wide
-    /// high-water mark — the shared constructor behind the worker-manifest
-    /// telemetry and the serve `stats` verb (DESIGN.md §13).
-    pub fn since(before: &gpu_sim::PoolStats) -> ShardPoolCounters {
-        let delta = gpu_sim::pool::stats().since(before);
-        ShardPoolCounters {
-            checkouts: delta.checkouts,
-            hits: delta.hits,
-            misses: delta.misses,
-            recycled_bytes: delta.recycled_bytes,
-            fresh_bytes: delta.fresh_bytes,
-            high_water_bytes: gpu_sim::pool::stats().high_water_bytes,
-        }
-    }
-
-    /// The counters as a JSON value tree.
-    pub fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("checkouts".to_string(), Value::U64(self.checkouts)),
-            ("hits".to_string(), Value::U64(self.hits)),
-            ("misses".to_string(), Value::U64(self.misses)),
-            (
-                "recycled_bytes".to_string(),
-                Value::U64(self.recycled_bytes),
-            ),
-            ("fresh_bytes".to_string(), Value::U64(self.fresh_bytes)),
-            (
-                "high_water_bytes".to_string(),
-                Value::U64(self.high_water_bytes),
-            ),
-        ])
-    }
-
-    /// Parses the counters back from their JSON value tree.
-    pub fn from_json_value(value: &Value) -> Result<ShardPoolCounters, String> {
-        let field = |key: &str| json_u64(json_field(value, key)?);
-        Ok(ShardPoolCounters {
-            checkouts: field("checkouts")?,
-            hits: field("hits")?,
-            misses: field("misses")?,
-            recycled_bytes: field("recycled_bytes")?,
-            fresh_bytes: field("fresh_bytes")?,
-            high_water_bytes: field("high_water_bytes")?,
-        })
-    }
-
-    /// Accumulates another worker's counters into this one: monotonic
-    /// counters add, the high-water mark takes the fleet maximum.
-    pub fn accumulate(&mut self, other: &ShardPoolCounters) {
-        self.checkouts += other.checkouts;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.recycled_bytes += other.recycled_bytes;
-        self.fresh_bytes += other.fresh_bytes;
-        self.high_water_bytes = self.high_water_bytes.max(other.high_water_bytes);
-    }
-
-    /// The fraction of checkouts served by recycling, in percent.
-    pub fn hit_rate(&self) -> f64 {
-        if self.checkouts == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.checkouts as f64 * 100.0
-        }
     }
 }
 
@@ -203,9 +112,11 @@ pub struct ShardManifest {
     /// The pinned base parameter encoding every point starts from
     /// (`sweep` only).
     pub params: Option<String>,
-    /// The worker's memory-pool counters, when the worker recorded them
-    /// (absent in documents from older binaries).
-    pub pool: Option<ShardPoolCounters>,
+    /// The worker's buffer-pool activity, so the coordinator can report
+    /// fleet-wide pool telemetry on stderr without touching the merged
+    /// output. Absent when the shard checked nothing out; the key is
+    /// optional, so [`SHARD_SCHEMA`] stays at 1.
+    pub pool: Option<PoolStats>,
 }
 
 impl ShardManifest {
@@ -231,7 +142,7 @@ impl ShardManifest {
             ("params".to_string(), opt(&self.params)),
         ];
         if let Some(pool) = &self.pool {
-            entries.push(("pool".to_string(), pool.to_json_value()));
+            entries.push(("pool".to_string(), pool.to_value()));
         }
         Value::Object(entries)
     }
@@ -265,7 +176,7 @@ impl ShardManifest {
             params: opt("params")?,
             pool: match json_opt_field(value, "pool") {
                 None | Some(Value::Null) => None,
-                Some(other) => Some(ShardPoolCounters::from_json_value(other)?),
+                Some(other) => Some(PoolStats::from_value(other).map_err(|e| e.to_string())?),
             },
         })
     }
@@ -559,6 +470,24 @@ mod tests {
         // More workers than items leaves some shards empty.
         assert!(ShardSpec { index: 0, total: 3 }.range(2).is_empty());
         assert!(ShardSpec { index: 0, total: 4 }.range(1).is_empty());
+    }
+
+    #[test]
+    fn partition_does_not_overflow_at_the_largest_shard_counts() {
+        // floor(i·m/n) with i = 2^63 - 1, n = 2^63, m = 11 is item 10.
+        let spec = ShardSpec::parse("9223372036854775807/9223372036854775808").unwrap();
+        assert_eq!(spec.range(11), 10..11);
+        let last = ShardSpec {
+            index: u64::MAX - 1,
+            total: u64::MAX,
+        };
+        assert_eq!(last.range(11), 10..11);
+        assert!(ShardSpec {
+            index: 0,
+            total: u64::MAX
+        }
+        .range(11)
+        .is_empty());
     }
 
     fn run_doc(

@@ -8,16 +8,11 @@
 //! so sweeps share the CSV and JSON emitters, the `--out` handling and the
 //! byte-identical-across-thread-counts contract with the paper experiments.
 
-use crate::report::{json_array, json_field, json_str, json_u64, ExperimentReport};
+use crate::report::ExperimentReport;
 use hpc_metrics::output::CsvTable;
 use rayon::prelude::*;
 use science_kernels::workload::{self, ParamValue, Params, WorkloadError, WorkloadOutput};
-use serde::value::Value;
 use std::borrow::Borrow;
-use std::path::Path;
-
-/// Version tag of the sweep preset file schema.
-pub const PRESET_SCHEMA: u64 = 1;
 
 /// A fully resolved sweep request.
 pub struct SweepSpec {
@@ -60,74 +55,6 @@ impl SweepSpec {
         let mut params = self.base.clone();
         params.set(self.workload.size_param(), ParamValue::Int(size))?;
         Ok(params)
-    }
-
-    /// The spec as a preset value tree:
-    /// `{schema, workload, params, sizes}` — the file format of
-    /// `sweep --preset-out` / `sweep --preset`, which shard workers consume
-    /// so every worker runs one pinned configuration.
-    pub fn to_preset_value(&self) -> Value {
-        Value::Object(vec![
-            ("schema".to_string(), Value::U64(PRESET_SCHEMA)),
-            (
-                "workload".to_string(),
-                Value::Str(self.workload.name().to_string()),
-            ),
-            ("params".to_string(), Value::Str(self.base.encode())),
-            (
-                "sizes".to_string(),
-                Value::Array(self.sizes.iter().map(|&s| Value::U64(s)).collect()),
-            ),
-        ])
-    }
-
-    /// Writes the spec as a pretty-printed preset file, creating parent
-    /// directories as needed.
-    pub fn write_preset(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut json =
-            serde_json::to_string_pretty(&self.to_preset_value()).expect("preset serialises");
-        json.push('\n');
-        std::fs::write(path, json)
-    }
-
-    /// Rebuilds a spec from a preset value tree, re-validating the workload
-    /// name, the parameter encoding and every sweep point.
-    pub fn from_preset_value(value: &Value) -> Result<SweepSpec, String> {
-        let schema = json_u64(json_field(value, "schema")?)?;
-        if schema != PRESET_SCHEMA {
-            return Err(format!(
-                "unsupported preset schema {schema} (this binary speaks {PRESET_SCHEMA})"
-            ));
-        }
-        let name = json_str(json_field(value, "workload")?)?;
-        let engine = workload::find(name).ok_or_else(|| {
-            format!(
-                "preset names unknown workload '{name}' (known: {})",
-                workload::known_names()
-            )
-        })?;
-        let overrides: Vec<String> = json_str(json_field(value, "params")?)?
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| s.trim().to_string())
-            .collect();
-        let sizes = json_array(json_field(value, "sizes")?)?
-            .iter()
-            .map(json_u64)
-            .collect::<Result<Vec<_>, _>>()?;
-        SweepSpec::new(engine, &overrides, sizes).map_err(|e| e.to_string())
-    }
-
-    /// Loads a preset file written by [`SweepSpec::write_preset`].
-    pub fn load_preset(path: &Path) -> Result<SweepSpec, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read preset {}: {e}", path.display()))?;
-        let value: Value = serde_json::from_str(&text)
-            .map_err(|e| format!("preset {} is not valid JSON: {e}", path.display()))?;
-        SweepSpec::from_preset_value(&value).map_err(|e| format!("preset {}: {e}", path.display()))
     }
 }
 
@@ -267,39 +194,6 @@ mod tests {
             .install(|| run_sweep(&spec).unwrap());
         assert_eq!(wide.render(), serial.render());
         assert_eq!(wide.to_json_pretty(), serial.to_json_pretty());
-    }
-
-    #[test]
-    fn presets_round_trip_through_files() {
-        let spec =
-            SweepSpec::new(stencil(), &["precision=fp32".to_string()], vec![16, 24]).unwrap();
-        let dir = std::env::temp_dir().join(format!("mojo-hpc-preset-test-{}", std::process::id()));
-        let path = dir.join("preset.json");
-        spec.write_preset(&path).unwrap();
-        let loaded = SweepSpec::load_preset(&path).unwrap();
-        assert_eq!(loaded.workload.name(), "stencil");
-        assert_eq!(loaded.base.encode(), spec.base.encode());
-        assert_eq!(loaded.sizes, spec.sizes);
-        // Loaded specs produce identical reports.
-        assert_eq!(
-            run_sweep(&loaded).unwrap().to_json_pretty(),
-            run_sweep(&spec).unwrap().to_json_pretty()
-        );
-        // Unreadable, malformed and invalid presets are rejected with a path.
-        assert!(SweepSpec::load_preset(&dir.join("missing.json")).is_err());
-        std::fs::write(dir.join("bad.json"), "{not json").unwrap();
-        assert!(SweepSpec::load_preset(&dir.join("bad.json")).is_err());
-        std::fs::write(
-            dir.join("unknown.json"),
-            "{\"schema\": 1, \"workload\": \"frobnicate\", \"params\": \"\", \"sizes\": [8]}",
-        )
-        .unwrap();
-        let err = match SweepSpec::load_preset(&dir.join("unknown.json")) {
-            Err(err) => err,
-            Ok(_) => panic!("an unknown workload must be rejected"),
-        };
-        assert!(err.contains("frobnicate"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

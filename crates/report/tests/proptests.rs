@@ -2,10 +2,9 @@
 //! invariants: `--shard` specs, shard manifests, and the tiling validation
 //! that keeps a dispatcher retry from ever corrupting a merged report.
 
-use experiment_report::shard::{
-    merge_run, ShardDocument, ShardManifest, ShardPoolCounters, ShardSpec,
-};
+use experiment_report::shard::{merge_run, ShardDocument, ShardManifest, ShardSpec};
 use experiment_report::ExperimentReport;
+use gpu_sim::PoolStats;
 use proptest::prelude::*;
 
 /// A synthetic item label (merge fuzz never runs real experiments).
@@ -68,8 +67,12 @@ proptest! {
     }
 
     /// The partition function tiles any work list completely and in order,
-    /// whatever the shard count.
-    fn shard_ranges_tile_exactly(len in 0usize..500, total in 1u64..64) {
+    /// whatever the shard count — up to counts near `u64::MAX`, where each
+    /// shard's neighbours must still meet it and `floor(i·len/n)` is exact.
+    fn shard_ranges_tile_exactly(
+        len in 0usize..500, total in 1u64..64,
+        below_max in 0u64..1000, pick in 0u64..u64::MAX,
+    ) {
         let mut covered = Vec::new();
         for index in 0..total {
             let range = ShardSpec { index, total }.range(len);
@@ -77,6 +80,18 @@ proptest! {
             covered.extend(range);
         }
         prop_assert_eq!(covered, (0..len).collect::<Vec<_>>());
+
+        let total = u64::MAX - below_max;
+        let index = pick % total;
+        let range = ShardSpec { index, total }.range(len);
+        let exact = (u128::from(index) * len as u128 / u128::from(total)) as usize;
+        prop_assert_eq!(range.start, exact);
+        prop_assert!(range.start <= range.end && range.end <= len && range.len() <= 1);
+        if index + 1 < total {
+            prop_assert_eq!(ShardSpec { index: index + 1, total }.range(len).start, range.end);
+        }
+        prop_assert_eq!(ShardSpec { index: 0, total }.range(len).start, 0);
+        prop_assert_eq!(ShardSpec { index: total - 1, total }.range(len).end, len);
     }
 
     /// Shard manifests survive the JSON round trip byte-for-byte, with and
@@ -97,12 +112,13 @@ proptest! {
             items: (start..start + count).map(label).collect(),
             workload: (with_sweep == 1).then(|| "stencil".to_string()),
             params: (with_sweep == 1).then(|| format!("n={start}")),
-            pool: (with_pool == 1).then(|| ShardPoolCounters {
+            pool: (with_pool == 1).then(|| PoolStats {
                 checkouts,
                 hits: hits.min(checkouts),
                 misses: checkouts - hits.min(checkouts),
                 recycled_bytes: hits * 64,
                 fresh_bytes: (checkouts - hits.min(checkouts)) * 64,
+                outstanding_bytes: hits * 32,
                 high_water_bytes: checkouts * 64,
             }),
         };

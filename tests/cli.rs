@@ -169,29 +169,26 @@ fn composite_workloads_run_sweep_and_preset_through_the_cli() {
     assert!(csv.contains("iters=150"), "{csv}");
     assert!(csv.contains("passed(max_abs_err=0.000e0)"), "{csv}");
 
-    // Framestream: preset round trip reproduces the run byte-for-byte.
-    let preset = out.join("framestream.json");
-    let save = mojo_hpc(&[
+    // Framestream: a sweep with a frames override.
+    let framestream = mojo_hpc(&[
         "sweep",
         "framestream",
         "--sizes",
         "4096,8192",
         "frames=16",
-        "--preset-out",
-        preset.to_str().unwrap(),
         "--out",
         out.to_str().unwrap(),
     ]);
-    assert_eq!(save.status.code(), Some(0), "{}", stderr(&save));
-    let preset_text = std::fs::read_to_string(&preset).unwrap();
-    assert!(
-        preset_text.contains("\"workload\": \"framestream\""),
-        "{preset_text}"
+    assert_eq!(
+        framestream.status.code(),
+        Some(0),
+        "{}",
+        stderr(&framestream)
     );
-    assert!(preset_text.contains("frames=16"), "{preset_text}");
-    let replay = mojo_hpc(&["sweep", "--preset", preset.to_str().unwrap()]);
-    assert_eq!(replay.status.code(), Some(0), "{}", stderr(&replay));
-    assert_eq!(stdout(&replay), stdout(&save));
+    assert!(stdout(&framestream).contains("=== sweep_framestream"));
+    let csv = std::fs::read_to_string(out.join("sweep_framestream_sweep.csv")).unwrap();
+    assert_eq!(csv.lines().count(), 1 + 2 * 4, "2 sizes x 4 platforms");
+    assert!(csv.contains("frames=16"), "{csv}");
 
     // Out-of-range parameters are usage errors (exit 2), not runs.
     for args in [
@@ -459,6 +456,12 @@ fn documented_flags_match_the_usage_text() {
         concat!("IS", "tr"),
         concat!("is", "tr_fmt"),
     ];
+    let removed_preset_lane = [
+        concat!("--", "preset"),
+        concat!("--", "preset-out"),
+        concat!("ShardPool", "Counters"),
+        concat!("Memory", "Report"),
+    ];
     for (doc, text) in [
         ("README.md", readme.as_str()),
         ("DESIGN.md", design.as_str()),
@@ -471,6 +474,7 @@ fn documented_flags_match_the_usage_text() {
             .chain(removed_shard_flags)
             .chain(removed_shard_names)
             .chain(removed_interner)
+            .chain(removed_preset_lane)
         {
             assert!(!text.contains(removed), "{doc} still mentions {removed}");
         }

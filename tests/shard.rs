@@ -292,43 +292,53 @@ fn out_of_range_and_overlapping_shard_specs_are_usage_errors() {
 
 #[test]
 fn presets_round_trip_through_the_cli_and_feed_shard_workers() {
-    let out = scratch("preset");
-    let preset = out.join("stencil.json");
-    // Save a resolved configuration next to a normal sweep run.
-    let save = mojo_hpc(&[
+    use mojo_hpc::kernels::workload;
+    use mojo_hpc::report::shard::ShardDocument;
+    use mojo_hpc::report::sweep::SweepSpec;
+    // A worker takes its configuration from its command line, as the
+    // coordinator passes it: shard 1 of 2 covers the second point.
+    let worker = mojo_hpc(&[
         "sweep",
         "stencil",
         "--sizes",
         "16,20",
         "precision=fp32",
-        "--preset-out",
-        preset.to_str().unwrap(),
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert_eq!(save.status.code(), Some(0), "{}", stderr(&save));
-    let text = std::fs::read_to_string(&preset).unwrap();
-    assert!(text.contains("\"workload\": \"stencil\""), "{text}");
-    assert!(text.contains("precision=fp32"), "{text}");
-    // Replaying the preset reproduces the run byte-for-byte.
-    let replay = mojo_hpc(&["sweep", "--preset", preset.to_str().unwrap()]);
-    assert_eq!(replay.status.code(), Some(0), "{}", stderr(&replay));
-    assert_eq!(stdout(&replay), stdout(&save));
-    // A preset-fed worker shards the preset's size list.
-    let worker = mojo_hpc(&[
-        "sweep",
-        "--preset",
-        preset.to_str().unwrap(),
         "--shard",
         "1/2",
     ]);
     assert_eq!(worker.status.code(), Some(0), "{}", stderr(&worker));
-    let doc = stdout(&worker);
-    assert!(doc.contains("\"command\": \"sweep\""), "{doc}");
-    assert!(doc.contains("\"items\": [\n      \"20\"\n    ]"), "{doc}");
-    // Unreadable presets are usage errors.
-    let missing = mojo_hpc(&["sweep", "--preset", "/nonexistent/preset.json"]);
-    assert_eq!(missing.status.code(), Some(2));
+    let doc = ShardDocument::parse(&stdout(&worker)).expect("a shard document");
+    assert_eq!(doc.manifest.command, "sweep");
+    assert_eq!(doc.manifest.items, vec!["20".to_string()]);
+    // Its manifest pins the configuration the single process resolves.
+    let engine = workload::find("stencil").unwrap();
+    let spec = SweepSpec::new(engine, &["precision=fp32".to_string()], vec![16, 20]).unwrap();
+    assert_eq!(doc.manifest.workload.as_deref(), Some("stencil"));
+    assert_eq!(doc.manifest.params, Some(spec.base.encode()));
+    // The preset-file flags are gone: both are usage errors.
+    let out = scratch("preset");
+    let file = out.join("stencil.json");
+    let file = file.to_str().unwrap();
+    for removed in [
+        vec!["sweep", concat!("--", "preset"), file],
+        vec![
+            "sweep",
+            "stencil",
+            "--sizes",
+            "16",
+            concat!("--", "preset-out"),
+            file,
+        ],
+    ] {
+        let output = mojo_hpc(&removed);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{removed:?}: {}",
+            stderr(&output)
+        );
+    }
+    assert!(!Path::new(file).exists());
     std::fs::remove_dir_all(&out).ok();
 }
 
