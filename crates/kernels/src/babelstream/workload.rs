@@ -2,10 +2,8 @@
 //! [`Workload`] interface.
 
 use super::{BabelStreamConfig, PAPER_VECTOR_SIZE};
-use crate::stencil7::workload::parse_precision;
-use crate::workload::{
-    check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
-};
+use crate::stencil7::workload::{parse_precision, PRECISIONS};
+use crate::workload::{run_family, ParamSpec, Params, Workload, WorkloadError};
 use hpc_metrics::BabelStreamOp;
 use vendor_models::kernel_class::StreamOp;
 
@@ -64,51 +62,37 @@ pub fn config(params: &Params) -> Result<BabelStreamConfig, WorkloadError> {
     })
 }
 
-/// The BabelStream workload (paper Figure 4 / Table 3 / Figure 5).
+/// The BabelStream family (paper Figure 4 / Table 3 / Figure 5).
 pub struct BabelStreamWorkload;
 
-impl Workload for BabelStreamWorkload {
-    fn name(&self) -> &'static str {
-        "babelstream"
-    }
-
-    fn description(&self) -> &'static str {
-        "BabelStream Copy/Mul/Add/Triad/Dot vector kernels (Eq. 2)"
-    }
-
-    fn fom_label(&self) -> &'static str {
-        "bandwidth_gbs"
-    }
-
-    fn size_param(&self) -> &'static str {
-        "n"
-    }
-
-    fn params(&self) -> Vec<ParamSpec> {
-        vec![
-            ParamSpec::int("n", PAPER_VECTOR_SIZE as u64, "vector length in elements"),
-            ParamSpec::text("precision", "fp64", "arithmetic precision (fp32|fp64)"),
-            ParamSpec::text("op", "all", "operation (all|copy|mul|add|triad|dot)"),
-        ]
-    }
-
-    fn bench_sizes(&self) -> &'static [u64] {
-        &[1 << 20]
-    }
-
-    fn validate(&self, params: &Params) -> Result<(), WorkloadError> {
-        // 2 elements so Dot has something to reduce; the ceiling keeps the
-        // byte counts (n × element size × arrays) far inside u64.
-        check_int_range(params, "n", 2, 1 << 40)?;
-        parse_ops(params.text("op"))?;
-        let _ = config(params)?;
-        Ok(())
-    }
-
-    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        run_family(self, params)
-    }
-}
+/// The `babelstream` workload. The `n` floor of 2 gives Dot something to
+/// reduce; its ceiling keeps the byte counts (n × element size × arrays)
+/// far inside `u64`.
+pub static BABELSTREAM: Workload = Workload {
+    name: "babelstream",
+    description: "BabelStream Copy/Mul/Add/Triad/Dot vector kernels (Eq. 2)",
+    fom_label: "bandwidth_gbs",
+    size_param: "n",
+    params: &[
+        ParamSpec::int(
+            "n",
+            PAPER_VECTOR_SIZE as u64,
+            2,
+            1 << 40,
+            "vector length in elements",
+        ),
+        ParamSpec::text("precision", "fp64", PRECISIONS, "arithmetic precision"),
+        ParamSpec::text(
+            "op",
+            "all",
+            &["all", "copy", "mul", "add", "triad", "dot"],
+            "operation, or all five in order",
+        ),
+    ],
+    bench_sizes: &[1 << 20],
+    rules: |_| Ok(()),
+    run_point: run_family::<BabelStreamWorkload>,
+};
 
 #[cfg(test)]
 mod tests {
@@ -123,34 +107,30 @@ mod tests {
 
     #[test]
     fn small_sizes_validate_functionally_and_large_ones_skip() {
-        let mut params = BabelStreamWorkload.default_params();
+        let mut params = BABELSTREAM.default_params();
         params.apply_encoding("n=4096,op=dot").unwrap();
-        let output = BabelStreamWorkload.run(&params).unwrap();
+        let output = BABELSTREAM.run(&params).unwrap();
         assert_eq!(output.measurements.len(), 4);
         for m in &output.measurements {
             assert!(m.verification.starts_with("passed("), "{}", m.verification);
             assert_eq!(m.kernel, "Dot");
         }
-        assert!(config(&BabelStreamWorkload.default_params()).unwrap().n > MAX_FUNCTIONAL_N);
-        assert!(
-            !config(&BabelStreamWorkload.default_params())
-                .unwrap()
-                .validate
-        );
+        assert!(config(&BABELSTREAM.default_params()).unwrap().n > MAX_FUNCTIONAL_N);
+        assert!(!config(&BABELSTREAM.default_params()).unwrap().validate);
     }
 
     #[test]
     fn validation_rejects_degenerate_vectors() {
-        let mut params = BabelStreamWorkload.default_params();
+        let mut params = BABELSTREAM.default_params();
         params.apply_encoding("n=1").unwrap();
-        assert!(BabelStreamWorkload.validate(&params).is_err());
-        let mut params = BabelStreamWorkload.default_params();
+        assert!(BABELSTREAM.validate(&params).is_err());
+        let mut params = BABELSTREAM.default_params();
         params.apply_encoding("op=frobnicate").unwrap();
-        assert!(BabelStreamWorkload.validate(&params).is_err());
+        assert!(BABELSTREAM.validate(&params).is_err());
         // Sizes beyond the ceiling would overflow the byte products.
-        let mut params = BabelStreamWorkload.default_params();
+        let mut params = BABELSTREAM.default_params();
         params.apply_encoding("n=18446744073709551615").unwrap();
-        assert!(BabelStreamWorkload.validate(&params).is_err());
-        assert!(BabelStreamWorkload.run(&params).is_err());
+        assert!(BABELSTREAM.validate(&params).is_err());
+        assert!(BABELSTREAM.run(&params).is_err());
     }
 }

@@ -3,8 +3,8 @@
 
 use super::{run_sampled, HartreeFockConfig, DEFAULT_SAMPLES, DEFAULT_SHARDS};
 use crate::workload::{
-    check_int_range, paper_platform_pairs, run_family, Measurement, ParamSpec, Params, Workload,
-    WorkloadError, WorkloadOutput,
+    paper_platform_pairs, run_family, Measurement, ParamSpec, Params, Workload, WorkloadError,
+    WorkloadOutput,
 };
 use gpu_sim::{PooledString, PooledVec};
 
@@ -41,146 +41,112 @@ pub fn config(params: &Params) -> Result<HartreeFockConfig, WorkloadError> {
     ))
 }
 
-fn shared_params(default_atoms: u64) -> Vec<ParamSpec> {
-    vec![
-        ParamSpec::int("atoms", default_atoms, "helium atom count"),
-        ParamSpec::int(
-            "ngauss",
-            0,
-            "Gaussian primitives per atom (0 = paper pairing: 6 at 1024+, 3 below)",
-        ),
-    ]
+/// The `atoms` parameter of both workloads, at their own defaults.
+const fn atoms(default: u64) -> ParamSpec {
+    ParamSpec::int("atoms", default, 1, MAX_ATOMS, "helium atom count")
 }
 
-fn validate_shared(params: &Params) -> Result<(), WorkloadError> {
-    // The ngauss bound is checked before the decoder's u32 cast so
-    // oversized values are rejected, not truncated (ngauss=0 means the
-    // paper pairing).
-    check_int_range(params, "atoms", 1, MAX_ATOMS)?;
-    check_int_range(params, "ngauss", 0, 64)?;
-    Ok(())
-}
+/// The `ngauss` parameter of both workloads; its ceiling sits far inside
+/// the decoder's `u32` cast.
+const NGAUSS: ParamSpec = ParamSpec::int(
+    "ngauss",
+    0,
+    0,
+    64,
+    "Gaussian primitives per atom (0 = paper pairing: 6 at 1024+, 3 below)",
+);
 
-/// The exact Hartree–Fock workload (paper Table 4): full quartet sweep
+/// The exact Hartree–Fock family (paper Table 4): full quartet sweep
 /// through the timing model, functional validation below
 /// [`super::MAX_FUNCTIONAL_NATOMS`] atoms.
 pub struct HartreeFockWorkload;
 
-impl Workload for HartreeFockWorkload {
-    fn name(&self) -> &'static str {
-        "hartree-fock"
-    }
+/// The `hartree-fock` workload.
+pub static HARTREE_FOCK: Workload = Workload {
+    name: "hartree-fock",
+    description: "Hartree-Fock electron-repulsion kernel, exact quartet sweep (atomics bound)",
+    fom_label: "millis",
+    size_param: "atoms",
+    params: &[atoms(64), NGAUSS],
+    bench_sizes: &[16, 24],
+    rules: |_| Ok(()),
+    run_point: run_family::<HartreeFockWorkload>,
+};
 
-    fn description(&self) -> &'static str {
-        "Hartree-Fock electron-repulsion kernel, exact quartet sweep (atomics bound)"
-    }
-
-    fn fom_label(&self) -> &'static str {
-        "millis"
-    }
-
-    fn size_param(&self) -> &'static str {
-        "atoms"
-    }
-
-    fn params(&self) -> Vec<ParamSpec> {
-        shared_params(64)
-    }
-
-    fn bench_sizes(&self) -> &'static [u64] {
-        &[16, 24]
-    }
-
-    fn validate(&self, params: &Params) -> Result<(), WorkloadError> {
-        validate_shared(params)
-    }
-
-    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        run_family(self, params)
-    }
-}
-
-/// The sampled Hartree–Fock workload: sharded stratified functional
+/// The `hartree-fock-sampled` workload: sharded stratified functional
 /// validation at sizes the exact sweep cannot reach on the host. Its figure
 /// of merit is the extrapolated Schwarz-survivor count; `seconds` is 0
 /// because the scenario validates numerics rather than timing a launch.
-pub struct HartreeFockSampledWorkload;
-
-impl Workload for HartreeFockSampledWorkload {
-    fn name(&self) -> &'static str {
-        "hartree-fock-sampled"
-    }
-
-    fn description(&self) -> &'static str {
-        "Hartree-Fock sampled functional validation (sharded stratified quartet probes)"
-    }
-
-    fn fom_label(&self) -> &'static str {
-        "estimated_survivors"
-    }
-
-    fn size_param(&self) -> &'static str {
-        "atoms"
-    }
-
-    fn params(&self) -> Vec<ParamSpec> {
-        let mut specs = shared_params(1024);
-        specs.push(ParamSpec::int(
+pub static HARTREE_FOCK_SAMPLED: Workload = Workload {
+    name: "hartree-fock-sampled",
+    description: "Hartree-Fock sampled functional validation (sharded stratified quartet probes)",
+    fom_label: "estimated_survivors",
+    size_param: "atoms",
+    params: &[
+        atoms(1024),
+        NGAUSS,
+        ParamSpec::int(
             "samples",
             DEFAULT_SAMPLES,
+            1,
+            MAX_SAMPLES,
             "sampled probes across the quartet space",
-        ));
-        specs.push(ParamSpec::int(
+        ),
+        ParamSpec::int(
             "shards",
             DEFAULT_SHARDS,
-            "shard count of the quartet space",
-        ));
-        specs
-    }
+            1,
+            MAX_SAMPLES,
+            "shard count of the quartet space, at most samples",
+        ),
+    ],
+    bench_sizes: &[96],
+    rules: sampled_rules,
+    run_point: sampled_point,
+};
 
-    fn bench_sizes(&self) -> &'static [u64] {
-        &[96]
+/// The sampled workload's one cross-parameter rule: `shards ≤ samples`.
+fn sampled_rules(params: &Params) -> Result<(), WorkloadError> {
+    let (samples, shards) = (params.int("samples"), params.int("shards"));
+    if shards > samples {
+        return Err(WorkloadError::new(format!(
+            "parameter 'shards' must be in [1, {samples}], got {shards}"
+        )));
     }
+    Ok(())
+}
 
-    fn validate(&self, params: &Params) -> Result<(), WorkloadError> {
-        validate_shared(params)?;
-        check_int_range(params, "samples", 1, MAX_SAMPLES)?;
-        check_int_range(params, "shards", 1, params.int("samples"))?;
-        Ok(())
-    }
-
-    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        self.validate(params)?;
-        let config = config(params)?;
-        // The portable H100 platform, shared with the timing workloads.
-        let platform = &paper_platform_pairs()[0];
-        let report = run_sampled(
-            platform,
-            &config,
-            params.int("samples"),
-            params.int("shards"),
-        )?;
-        let measurement = Measurement {
-            device: platform.spec.name,
-            backend: platform.backend.label(),
-            kernel: "hartree_fock_sampled",
-            seconds: 0.0,
-            fom: report.estimated_survivors as f64,
-            verification: PooledString::from_fmt(format_args!(
-                "passed(eri={:.3e},fock={:.3e},exact_survivors={},estimate_err={:.2}%)",
-                report.eri_max_abs_error,
-                report.fock_max_abs_error,
-                report.exact_survivors,
-                report.survivor_estimate_error() * 100.0
-            )),
-        };
-        let mut measurements = PooledVec::new();
-        measurements.push(measurement);
-        Ok(WorkloadOutput {
-            params: params.clone(),
-            measurements,
-        })
-    }
+/// Runs one validated sampled point on the portable H100 platform, shared
+/// with the timing workloads.
+fn sampled_point(params: &Params) -> Result<WorkloadOutput, WorkloadError> {
+    let config = config(params)?;
+    let platform = &paper_platform_pairs()[0];
+    let report = run_sampled(
+        platform,
+        &config,
+        params.int("samples"),
+        params.int("shards"),
+    )?;
+    let measurement = Measurement {
+        device: platform.spec.name,
+        backend: platform.backend.label(),
+        kernel: "hartree_fock_sampled",
+        seconds: 0.0,
+        fom: report.estimated_survivors as f64,
+        verification: PooledString::from_fmt(format_args!(
+            "passed(eri={:.3e},fock={:.3e},exact_survivors={},estimate_err={:.2}%)",
+            report.eri_max_abs_error,
+            report.fock_max_abs_error,
+            report.exact_survivors,
+            report.survivor_estimate_error() * 100.0
+        )),
+    };
+    let mut measurements = PooledVec::new();
+    measurements.push(measurement);
+    Ok(WorkloadOutput {
+        params: params.clone(),
+        measurements,
+    })
 }
 
 #[cfg(test)]
@@ -192,16 +158,16 @@ mod tests {
         assert_eq!(resolve_ngauss(64, 0), 3);
         assert_eq!(resolve_ngauss(1024, 0), 6);
         assert_eq!(resolve_ngauss(1024, 4), 4);
-        let mut params = HartreeFockWorkload.default_params();
+        let mut params = HARTREE_FOCK.default_params();
         params.apply_encoding("atoms=1024").unwrap();
         assert_eq!(config(&params).unwrap().ngauss, 6);
     }
 
     #[test]
     fn exact_workload_times_all_four_platforms() {
-        let mut params = HartreeFockWorkload.default_params();
+        let mut params = HARTREE_FOCK.default_params();
         params.apply_encoding("atoms=12").unwrap();
-        let output = HartreeFockWorkload.run(&params).unwrap();
+        let output = HARTREE_FOCK.run(&params).unwrap();
         assert_eq!(output.measurements.len(), 4);
         for m in &output.measurements {
             assert_eq!(m.kernel, "hartree_fock");
@@ -212,11 +178,11 @@ mod tests {
 
     #[test]
     fn sampled_workload_extrapolates_survivors_beyond_the_exact_limit() {
-        let mut params = HartreeFockSampledWorkload.default_params();
+        let mut params = HARTREE_FOCK_SAMPLED.default_params();
         params
             .apply_encoding("atoms=96,samples=256,shards=8")
             .unwrap();
-        let output = HartreeFockSampledWorkload.run(&params).unwrap();
+        let output = HARTREE_FOCK_SAMPLED.run(&params).unwrap();
         assert_eq!(output.measurements.len(), 1);
         let m = &output.measurements[0];
         assert!(m.fom > 0.0, "survivor estimate should be positive");
@@ -235,12 +201,9 @@ mod tests {
             "samples=64,shards=65",
             "shards=4294967296",
         ] {
-            let mut params = HartreeFockSampledWorkload.default_params();
+            let mut params = HARTREE_FOCK_SAMPLED.default_params();
             params.apply_encoding(bad).unwrap();
-            assert!(
-                HartreeFockSampledWorkload.validate(&params).is_err(),
-                "{bad}"
-            );
+            assert!(HARTREE_FOCK_SAMPLED.validate(&params).is_err(), "{bad}");
         }
     }
 
@@ -255,10 +218,10 @@ mod tests {
             "atoms=100000",
             "atoms=4097",
         ] {
-            let mut params = HartreeFockWorkload.default_params();
+            let mut params = HARTREE_FOCK.default_params();
             params.apply_encoding(bad).unwrap();
-            assert!(HartreeFockWorkload.validate(&params).is_err(), "{bad}");
-            assert!(HartreeFockWorkload.run(&params).is_err(), "{bad}");
+            assert!(HARTREE_FOCK.validate(&params).is_err(), "{bad}");
+            assert!(HARTREE_FOCK.run(&params).is_err(), "{bad}");
         }
     }
 }

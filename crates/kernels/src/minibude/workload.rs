@@ -3,9 +3,7 @@
 
 use super::config::DEFAULT_EXECUTED_POSES;
 use super::MiniBudeConfig;
-use crate::workload::{
-    check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
-};
+use crate::workload::{run_family, ParamSpec, Params, Workload, WorkloadError};
 
 /// Largest `poses` the workload accepts: a deck holds six `f32` transforms
 /// per pose, so this is the most that fit one memo tier
@@ -13,6 +11,14 @@ use crate::workload::{
 /// refused before any of it is allocated.
 pub const MAX_POSES: u64 =
     crate::cache::MEMO_BUDGET_BYTES / (6 * std::mem::size_of::<f32>() as u64);
+
+/// Largest `natlig × natpro` the workload accepts. Each executed pose
+/// costs `natlig × natpro` interactions, so the host time of a point is
+/// linear in that product: `sweep minibude --sizes 8` takes 0.2 s at the
+/// default 26 × 938, 8 s at 256 × 4096 and 30 s at 1024 × 4096 = 2²²
+/// (release build, 2 vCPU), the most that
+/// [`crate::hartree_fock::workload::MAX_SAMPLES`] allows one point.
+pub const MAX_PAIRS: u64 = 1 << 22;
 
 /// The synthetic-deck seed every preset shares (the deck shape, not its
 /// contents, is what the paper's figures depend on).
@@ -35,73 +41,49 @@ pub fn config(params: &Params) -> Result<MiniBudeConfig, WorkloadError> {
     .normalised())
 }
 
-/// The miniBUDE workload (paper Figures 6–7).
+/// The miniBUDE family (paper Figures 6–7).
 pub struct MiniBudeWorkload;
 
-impl Workload for MiniBudeWorkload {
-    fn name(&self) -> &'static str {
-        "minibude"
-    }
+/// The `minibude` workload. The ceilings keep the FLOP product
+/// (poses × natlig × natpro × …) far inside `u64` and every value inside
+/// the decoder's `u32`/`usize` casts.
+pub static MINIBUDE: Workload = Workload {
+    name: "minibude",
+    description: "miniBUDE fasten docking kernel, bm1-shaped deck (compute bound, Eq. 3)",
+    fom_label: "gflops",
+    size_param: "ppwi",
+    params: &[
+        ParamSpec::int("ppwi", 8, 1, 128, "poses per work-item, a power of two"),
+        ParamSpec::int("wg", 64, 1, 1024, "work-group (thread block) size"),
+        ParamSpec::int("poses", 65_536, 1, MAX_POSES, "total pose count"),
+        ParamSpec::int("natlig", 26, 1, 1 << 16, "ligand atom count"),
+        ParamSpec::int("natpro", 938, 1, 1 << 20, "protein atom count"),
+    ],
+    bench_sizes: &[1, 4, 16],
+    rules,
+    run_point: run_family::<MiniBudeWorkload>,
+};
 
-    fn description(&self) -> &'static str {
-        "miniBUDE fasten docking kernel, bm1-shaped deck (compute bound, Eq. 3)"
+/// The rules between miniBUDE parameters. The kernel body is instantiated
+/// only for the paper's power-of-two PPWI values, so any other value is a
+/// parameter error here rather than a launch failure later.
+fn rules(params: &Params) -> Result<(), WorkloadError> {
+    let ppwi = params.int("ppwi");
+    if !ppwi.is_power_of_two() {
+        return Err(WorkloadError::new(format!(
+            "PPWI {ppwi} is not in the paper's sweep (1..128 powers of two)"
+        )));
     }
-
-    fn fom_label(&self) -> &'static str {
-        "gflops"
+    if params.int("poses") < ppwi {
+        return Err(WorkloadError::new("poses must be at least ppwi"));
     }
-
-    fn size_param(&self) -> &'static str {
-        "ppwi"
+    let pairs = params.int("natlig") * params.int("natpro");
+    if pairs > MAX_PAIRS {
+        return Err(WorkloadError::new(format!(
+            "natlig * natpro must be in [1, {MAX_PAIRS}], got {pairs}"
+        )));
     }
-
-    fn params(&self) -> Vec<ParamSpec> {
-        vec![
-            ParamSpec::int(
-                "ppwi",
-                8,
-                "poses per work-item (a power of two in 1..128, the paper's sweep)",
-            ),
-            ParamSpec::int("wg", 64, "work-group (thread block) size"),
-            ParamSpec::int("poses", 65_536, "total pose count (at most 11184810)"),
-            ParamSpec::int("natlig", 26, "ligand atom count"),
-            ParamSpec::int("natpro", 938, "protein atom count"),
-        ]
-    }
-
-    fn bench_sizes(&self) -> &'static [u64] {
-        &[1, 4, 16]
-    }
-
-    fn validate(&self, params: &Params) -> Result<(), WorkloadError> {
-        // Raw u64 bounds *before* the decoder's u32/usize casts, so
-        // out-of-range values are rejected instead of truncated; the
-        // ceilings keep the FLOP product (poses × natlig × natpro × …)
-        // far inside u64. The kernel body is instantiated only for the
-        // paper's PPWI values, so any other value is a parameter error here
-        // rather than a launch failure later.
-        let ppwi = params.int("ppwi");
-        if !MiniBudeConfig::paper_ppwi_sweep()
-            .into_iter()
-            .any(|p| u64::from(p) == ppwi)
-        {
-            return Err(WorkloadError::new(format!(
-                "PPWI {ppwi} is not in the paper's sweep (1..128 powers of two)"
-            )));
-        }
-        check_int_range(params, "wg", 1, 1024)?;
-        check_int_range(params, "poses", 1, MAX_POSES)?;
-        check_int_range(params, "natlig", 1, 1 << 16)?;
-        check_int_range(params, "natpro", 1, 1 << 20)?;
-        if params.int("poses") < params.int("ppwi") {
-            return Err(WorkloadError::new("poses must be at least ppwi"));
-        }
-        Ok(())
-    }
-
-    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        run_family(self, params)
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -110,7 +92,7 @@ mod tests {
 
     #[test]
     fn decodes_the_paper_deck_shape_by_default() {
-        let config = config(&MiniBudeWorkload.default_params()).unwrap();
+        let config = config(&MINIBUDE.default_params()).unwrap();
         let paper = MiniBudeConfig::paper(8, 64);
         assert_eq!(config, paper);
     }
@@ -126,10 +108,11 @@ mod tests {
             "natlig=0",
             "poses=4,ppwi=8",
             "poses=11184811",
+            "natlig=65536,natpro=1048576",
         ] {
-            let mut params = MiniBudeWorkload.default_params();
+            let mut params = MINIBUDE.default_params();
             params.apply_encoding(bad).unwrap();
-            assert!(MiniBudeWorkload.validate(&params).is_err(), "{bad}");
+            assert!(MINIBUDE.validate(&params).is_err(), "{bad}");
         }
     }
 
@@ -138,19 +121,19 @@ mod tests {
         // 2^32 + 8 would truncate to ppwi=8 in the u32 cast and then run —
         // with every report row mislabeled as the huge value. Both validate
         // and run must refuse it instead.
-        let mut params = MiniBudeWorkload.default_params();
+        let mut params = MINIBUDE.default_params();
         params.apply_encoding("ppwi=4294967304").unwrap();
-        assert!(MiniBudeWorkload.validate(&params).is_err());
-        assert!(MiniBudeWorkload.run(&params).is_err());
+        assert!(MINIBUDE.validate(&params).is_err());
+        assert!(MINIBUDE.run(&params).is_err());
     }
 
     #[test]
     fn runs_and_verifies_a_reduced_deck() {
-        let mut params = MiniBudeWorkload.default_params();
+        let mut params = MINIBUDE.default_params();
         params
             .apply_encoding("ppwi=4,wg=8,poses=128,natlig=8,natpro=64")
             .unwrap();
-        let output = MiniBudeWorkload.run(&params).unwrap();
+        let output = MINIBUDE.run(&params).unwrap();
         assert_eq!(output.measurements.len(), 4);
         for m in &output.measurements {
             assert_eq!(m.kernel, "fasten");

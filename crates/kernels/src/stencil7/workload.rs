@@ -2,10 +2,11 @@
 //! [`Workload`] interface.
 
 use super::{StencilConfig, MAX_FUNCTIONAL_L};
-use crate::workload::{
-    check_int_range, run_family, ParamSpec, Params, Workload, WorkloadError, WorkloadOutput,
-};
+use crate::workload::{run_family, ParamSpec, Params, Workload, WorkloadError};
 use gpu_spec::Precision;
+
+/// The precision keywords every precision-tunable workload accepts.
+pub const PRECISIONS: &[&str] = &["fp32", "fp64"];
 
 /// Parses a `fp32`/`fp64` keyword.
 pub fn parse_precision(keyword: &str) -> Result<Precision, WorkloadError> {
@@ -34,51 +35,38 @@ pub fn config(params: &Params) -> Result<StencilConfig, WorkloadError> {
     Ok(config)
 }
 
-/// The seven-point stencil workload (paper Figure 3 / Table 2).
+/// The seven-point stencil family (paper Figure 3 / Table 2).
 pub struct StencilWorkload;
 
-impl Workload for StencilWorkload {
-    fn name(&self) -> &'static str {
-        "stencil"
-    }
-
-    fn description(&self) -> &'static str {
-        "seven-point Laplacian on a cubic grid (memory-bandwidth bound, Eq. 1)"
-    }
-
-    fn fom_label(&self) -> &'static str {
-        "bandwidth_gbs"
-    }
-
-    fn size_param(&self) -> &'static str {
-        "l"
-    }
-
-    fn params(&self) -> Vec<ParamSpec> {
-        vec![
-            ParamSpec::int("l", MAX_FUNCTIONAL_L as u64, "cubic grid side length"),
-            ParamSpec::text("precision", "fp64", "arithmetic precision (fp32|fp64)"),
-            ParamSpec::int("block", 0, "threads per block in x (0 = min(l, 1024))"),
-        ]
-    }
-
-    fn bench_sizes(&self) -> &'static [u64] {
-        &[64, 96, 128]
-    }
-
-    fn validate(&self, params: &Params) -> Result<(), WorkloadError> {
-        // 3 for interior cells; the ceiling keeps cells() = l³ (and every
-        // derived byte count) far inside u64.
-        check_int_range(params, "l", 3, 1 << 16)?;
-        check_int_range(params, "block", 0, 1024)?;
-        let _ = config(params)?;
-        Ok(())
-    }
-
-    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-        run_family(self, params)
-    }
-}
+/// The `stencil` workload. The `l` floor of 3 leaves an interior cell; its
+/// ceiling keeps `cells() = l³` and every derived byte count far inside
+/// `u64`.
+pub static STENCIL: Workload = Workload {
+    name: "stencil",
+    description: "seven-point Laplacian on a cubic grid (memory-bandwidth bound, Eq. 1)",
+    fom_label: "bandwidth_gbs",
+    size_param: "l",
+    params: &[
+        ParamSpec::int(
+            "l",
+            MAX_FUNCTIONAL_L as u64,
+            3,
+            1 << 16,
+            "cubic grid side length",
+        ),
+        ParamSpec::text("precision", "fp64", PRECISIONS, "arithmetic precision"),
+        ParamSpec::int(
+            "block",
+            0,
+            0,
+            1024,
+            "threads per block in x (0 = min(l, 1024))",
+        ),
+    ],
+    bench_sizes: &[64, 96, 128],
+    rules: |_| Ok(()),
+    run_point: run_family::<StencilWorkload>,
+};
 
 #[cfg(test)]
 mod tests {
@@ -86,7 +74,7 @@ mod tests {
 
     #[test]
     fn decodes_paper_configs_from_encodings() {
-        let mut params = StencilWorkload.default_params();
+        let mut params = STENCIL.default_params();
         params.apply_encoding("l=512,precision=fp32").unwrap();
         let decoded = config(&params).unwrap();
         assert_eq!(decoded, StencilConfig::paper(512, Precision::Fp32));
@@ -96,32 +84,30 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_grids_and_oversized_blocks() {
-        let mut params = StencilWorkload.default_params();
+        let mut params = STENCIL.default_params();
         params.apply_encoding("l=2").unwrap();
-        assert!(StencilWorkload.validate(&params).is_err());
-        let mut params = StencilWorkload.default_params();
+        assert!(STENCIL.validate(&params).is_err());
+        let mut params = STENCIL.default_params();
         params.apply_encoding("block=2048").unwrap();
-        assert!(StencilWorkload.validate(&params).is_err());
-        assert!(StencilWorkload
-            .validate(&StencilWorkload.default_params())
-            .is_ok());
+        assert!(STENCIL.validate(&params).is_err());
+        assert!(STENCIL.validate(&STENCIL.default_params()).is_ok());
     }
 
     #[test]
     fn sizes_that_would_overflow_the_cost_model_are_rejected_not_run() {
         // l = 10^10 would overflow cells() = l³; validate() and run() both
         // refuse it instead of wrapping.
-        let mut params = StencilWorkload.default_params();
+        let mut params = STENCIL.default_params();
         params.apply_encoding("l=10000000000").unwrap();
-        assert!(StencilWorkload.validate(&params).is_err());
-        assert!(StencilWorkload.run(&params).is_err());
+        assert!(STENCIL.validate(&params).is_err());
+        assert!(STENCIL.run(&params).is_err());
     }
 
     #[test]
     fn runs_every_paper_platform_and_verifies_at_small_sizes() {
-        let mut params = StencilWorkload.default_params();
+        let mut params = STENCIL.default_params();
         params.apply_encoding("l=24").unwrap();
-        let output = StencilWorkload.run(&params).unwrap();
+        let output = STENCIL.run(&params).unwrap();
         assert_eq!(output.measurements.len(), 4);
         for m in &output.measurements {
             assert!(m.fom > 0.0, "{} bandwidth should be positive", m.backend);

@@ -1,14 +1,16 @@
 //! The workload abstraction: every kernel driver behind one parameterizable
 //! interface.
 //!
-//! A [`Workload`] is a named, self-describing scenario engine: it publishes
-//! its tunable parameters ([`ParamSpec`]) with defaults, validates a concrete
-//! assignment ([`Params`]), and runs the underlying kernels across the
-//! paper's portable/vendor platform pairs, returning uniform
-//! [`Measurement`] rows. The report crate's registry, the `mojo-hpc sweep`
-//! command and the `serve` daemon all drive kernels through this layer, so a
-//! paper figure is just a preset parameter assignment and a new scenario is a
-//! parameter choice rather than a new driver.
+//! A [`Workload`] is a named, self-describing scenario engine: a static
+//! descriptor that publishes its tunable parameters ([`ParamSpec`]) with
+//! their defaults and declared domains, validates a concrete assignment
+//! ([`Params`]) against those domains and its own cross-parameter rules,
+//! and runs the underlying kernels across the paper's portable/vendor
+//! platform pairs, returning uniform [`Measurement`] rows. The report
+//! crate's registry, the `mojo-hpc sweep` command and the `serve` daemon
+//! all drive kernels through this layer, so a paper figure is just a preset
+//! parameter assignment and a new scenario is a parameter choice rather
+//! than a new driver.
 //!
 //! The six timing workloads are [`Family`] impls run by one generic driver,
 //! `run_family`. A family supplies its configuration, its kernels, the
@@ -73,33 +75,112 @@ impl fmt::Display for ParamValue {
     }
 }
 
-/// Specification of one tunable parameter of a workload.
+/// The values a parameter may take. The variant fixes the parameter's type
+/// and carries its default.
+#[derive(Debug, Clone, Copy)]
+pub enum Domain {
+    /// An unsigned integer in `min..=max`.
+    Int {
+        /// Default value.
+        default: u64,
+        /// Smallest accepted value.
+        min: u64,
+        /// Largest accepted value.
+        max: u64,
+    },
+    /// One of a fixed set of lowercase keywords.
+    Keyword {
+        /// Default keyword.
+        default: &'static str,
+        /// Every accepted keyword, in the order `list` prints them.
+        words: &'static [&'static str],
+    },
+}
+
+impl fmt::Display for Domain {
+    /// `[min, max]` for an integer, `(a|b|c)` for a keyword.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Domain::Int { min, max, .. } => write!(f, "[{min}, {max}]"),
+            Domain::Keyword { words, .. } => write!(f, "({})", words.join("|")),
+        }
+    }
+}
+
+/// Specification of one tunable parameter of a workload: its name, its
+/// declared domain and a help line. Specs are static data; `list` renders
+/// them and [`Workload::validate`] checks every value against its domain.
 #[derive(Debug, Clone)]
 pub struct ParamSpec {
     /// Parameter name (the `key` of a `key=value` assignment).
     pub name: &'static str,
-    /// Default value; its variant also fixes the parameter's type.
-    pub default: ParamValue,
-    /// One-line description shown by `mojo-hpc list`.
+    /// The accepted values and the default.
+    pub domain: Domain,
+    /// One-line description shown by `mojo-hpc list`, next to the domain.
     pub help: &'static str,
 }
 
 impl ParamSpec {
-    /// An integer parameter.
-    pub fn int(name: &'static str, default: u64, help: &'static str) -> ParamSpec {
+    /// An integer parameter accepting `min..=max`.
+    pub const fn int(
+        name: &'static str,
+        default: u64,
+        min: u64,
+        max: u64,
+        help: &'static str,
+    ) -> ParamSpec {
         ParamSpec {
             name,
-            default: ParamValue::Int(default),
+            domain: Domain::Int { default, min, max },
             help,
         }
     }
 
-    /// A keyword parameter.
-    pub fn text(name: &'static str, default: &str, help: &'static str) -> ParamSpec {
+    /// A keyword parameter accepting one of `words`.
+    pub const fn text(
+        name: &'static str,
+        default: &'static str,
+        words: &'static [&'static str],
+        help: &'static str,
+    ) -> ParamSpec {
         ParamSpec {
             name,
-            default: ParamValue::text(default),
+            domain: Domain::Keyword { default, words },
             help,
+        }
+    }
+
+    /// The default value.
+    pub fn default_value(&self) -> ParamValue {
+        match self.domain {
+            Domain::Int { default, .. } => ParamValue::Int(default),
+            Domain::Keyword { default, .. } => ParamValue::text(default),
+        }
+    }
+
+    /// Checks that `value` lies in the declared domain. Runs before any
+    /// decode, so no narrowing cast or cost-model product ever sees an
+    /// out-of-range value.
+    fn check(&self, value: &ParamValue) -> Result<(), WorkloadError> {
+        let name = self.name;
+        match (self.domain, value) {
+            (Domain::Int { min, max, .. }, &ParamValue::Int(value))
+                if value < min || value > max =>
+            {
+                Err(WorkloadError::new(format!(
+                    "parameter '{name}' must be in [{min}, {max}], got {value}"
+                )))
+            }
+            (Domain::Keyword { words, .. }, ParamValue::Text(word))
+                if !words.contains(&&**word) =>
+            {
+                let (last, rest) = words.split_last().expect("a keyword domain has words");
+                Err(WorkloadError::new(format!(
+                    "unknown {name} '{word}' (expected {} or {last})",
+                    rest.join(", ")
+                )))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -152,7 +233,7 @@ impl Params {
         Params {
             values: specs
                 .iter()
-                .map(|spec| (spec.name, spec.default.clone()))
+                .map(|spec| (spec.name, spec.default_value()))
                 .collect(),
         }
     }
@@ -307,43 +388,82 @@ impl WorkloadOutput {
     }
 }
 
-/// A parameterizable scenario engine wrapping one kernel family's drivers.
+/// A parameterizable scenario engine: one static descriptor per workload,
+/// registered in [`all()`](all).
 ///
-/// Implementations are stateless unit structs registered in [`all()`](all); the
-/// trait is object-safe so the registry, CLI and sweep engine can treat every
-/// workload uniformly.
-pub trait Workload: Sync {
+/// The descriptor is data: the metadata `list` and the sweep renderer
+/// print, the parameter specs with their declared domains, the
+/// workload's cross-parameter rules, and the function that runs a
+/// validated point. The six timing workloads run through `run_family`;
+/// only `hartree-fock-sampled` has its own point function.
+pub struct Workload {
+    pub(crate) name: &'static str,
+    pub(crate) description: &'static str,
+    pub(crate) fom_label: &'static str,
+    pub(crate) size_param: &'static str,
+    pub(crate) params: &'static [ParamSpec],
+    pub(crate) bench_sizes: &'static [u64],
+    /// Rules between parameters, checked once every value is in its domain.
+    pub(crate) rules: fn(&Params) -> Result<(), WorkloadError>,
+    /// Runs one validated point.
+    pub(crate) run_point: fn(&Params) -> Result<WorkloadOutput, WorkloadError>,
+}
+
+impl Workload {
     /// Stable workload name (`stencil`, `babelstream`, …).
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
 
     /// One-line description shown by `mojo-hpc list`.
-    fn description(&self) -> &'static str;
+    pub fn description(&self) -> &'static str {
+        self.description
+    }
 
     /// Label of the figure-of-merit column of this workload's measurements.
-    fn fom_label(&self) -> &'static str;
+    pub fn fom_label(&self) -> &'static str {
+        self.fom_label
+    }
 
     /// The integer parameter a `--sizes` sweep varies.
-    fn size_param(&self) -> &'static str;
+    pub fn size_param(&self) -> &'static str {
+        self.size_param
+    }
 
-    /// The tunable parameters and their defaults.
-    fn params(&self) -> Vec<ParamSpec>;
+    /// The tunable parameters, their domains and defaults, in spec order.
+    pub fn params(&self) -> &'static [ParamSpec] {
+        self.params
+    }
 
     /// Representative sizes (values of [`Workload::size_param`]) for
     /// functional host-side runs — the steady-state allocation gate runs
     /// them and the benchmark seeds its sweeps near them; small enough to
     /// execute functionally in every case.
-    fn bench_sizes(&self) -> &'static [u64];
-
-    /// Validates a complete assignment beyond per-value typing (cross-field
-    /// constraints, functional limits).
-    fn validate(&self, params: &Params) -> Result<(), WorkloadError>;
-
-    /// Runs the workload at `params`.
-    fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError>;
+    pub fn bench_sizes(&self) -> &'static [u64] {
+        self.bench_sizes
+    }
 
     /// The default parameter assignment.
-    fn default_params(&self) -> Params {
-        Params::defaults(&self.params())
+    pub fn default_params(&self) -> Params {
+        Params::defaults(self.params)
+    }
+
+    /// Validates a complete assignment: every value against its declared
+    /// domain, then the workload's cross-parameter rules.
+    pub fn validate(&self, params: &Params) -> Result<(), WorkloadError> {
+        for spec in self.params {
+            let value = params
+                .get(spec.name)
+                .ok_or_else(|| WorkloadError::new(format!("missing parameter '{}'", spec.name)))?;
+            spec.check(value)?;
+        }
+        (self.rules)(params)
+    }
+
+    /// Validates `params`, then runs the workload at them.
+    pub fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
+        self.validate(params)?;
+        (self.run_point)(params)
     }
 }
 
@@ -358,7 +478,7 @@ pub type Analytic = (KernelCost, KernelClass, &'static str);
 /// The body is the same on every platform; only the launch shape may
 /// depend on the platform (the BabelStream Dot grid does), so the
 /// verification depends only on the configuration and the launch.
-pub trait Family: Workload {
+pub trait Family {
     /// The family's driver configuration.
     type Config;
     /// One kernel of the family: a `StreamOp` for BabelStream, `()` for
@@ -437,18 +557,14 @@ pub(crate) fn run_on<F: Family>(
     })
 }
 
-/// Runs one point of a family on every paper platform.
+/// Runs one validated point of a family on every paper platform.
 ///
 /// The functional body runs once per distinct (kernel, launch), in order of
 /// first appearance; a row whose launch an earlier platform already ran
 /// takes that row's verification. Each row's timing is its own platform's.
 /// Rows are platform-major, then kernel, and the bookkeeping is the rows
 /// themselves, so a warm run allocates nothing.
-pub(crate) fn run_family<F: Family>(
-    family: &F,
-    params: &Params,
-) -> Result<WorkloadOutput, WorkloadError> {
-    family.validate(params)?;
+pub(crate) fn run_family<F: Family>(params: &Params) -> Result<WorkloadOutput, WorkloadError> {
     let config = F::config(params)?;
     let kernels = F::kernels(params)?;
     let platforms = paper_platform_pairs();
@@ -481,27 +597,6 @@ pub(crate) fn run_family<F: Family>(
     })
 }
 
-/// Checks that an integer parameter lies in `[min, max]`.
-///
-/// Every workload bounds its integer parameters with this *before* any
-/// narrowing cast or cost-model arithmetic, so out-of-range CLI values are
-/// rejected instead of being silently truncated (`u64 as u32`) or
-/// overflowing the `u64` byte/FLOP products.
-pub fn check_int_range(
-    params: &Params,
-    name: &str,
-    min: u64,
-    max: u64,
-) -> Result<(), WorkloadError> {
-    let value = params.int(name);
-    if value < min || value > max {
-        return Err(WorkloadError::new(format!(
-            "parameter '{name}' must be in [{min}, {max}], got {value}"
-        )));
-    }
-    Ok(())
-}
-
 /// The portable-vs-vendor platform set every timing workload measures, in
 /// presentation order: Mojo and the vendor baseline on the H100, then on the
 /// MI300A — the pairs the paper's figures compare. Built once: every run of
@@ -520,20 +615,20 @@ pub fn paper_platform_pairs() -> &'static [Platform; 4] {
 
 /// Every registered workload, in presentation order (the composite patterns
 /// of §15 follow the paper's four proxies).
-pub fn all() -> [&'static dyn Workload; 7] {
+pub fn all() -> [&'static Workload; 7] {
     [
-        &crate::stencil7::workload::StencilWorkload,
-        &crate::babelstream::workload::BabelStreamWorkload,
-        &crate::minibude::workload::MiniBudeWorkload,
-        &crate::hartree_fock::workload::HartreeFockWorkload,
-        &crate::hartree_fock::workload::HartreeFockSampledWorkload,
-        &crate::jacobi::workload::JacobiWorkload,
-        &crate::framestream::workload::FrameStreamWorkload,
+        &crate::stencil7::workload::STENCIL,
+        &crate::babelstream::workload::BABELSTREAM,
+        &crate::minibude::workload::MINIBUDE,
+        &crate::hartree_fock::workload::HARTREE_FOCK,
+        &crate::hartree_fock::workload::HARTREE_FOCK_SAMPLED,
+        &crate::jacobi::workload::JACOBI,
+        &crate::framestream::workload::FRAMESTREAM,
     ]
 }
 
 /// Looks a workload up by name.
-pub fn find(name: &str) -> Option<&'static dyn Workload> {
+pub fn find(name: &str) -> Option<&'static Workload> {
     all().into_iter().find(|w| w.name() == name)
 }
 
@@ -551,27 +646,25 @@ pub fn known_names() -> String {
 mod tests {
     use super::*;
 
-    fn specs() -> Vec<ParamSpec> {
-        vec![
-            ParamSpec::int("l", 192, "grid side"),
-            ParamSpec::text("precision", "fp64", "fp32|fp64"),
-        ]
-    }
+    const SPECS: &[ParamSpec] = &[
+        ParamSpec::int("l", 192, 3, 1024, "grid side"),
+        ParamSpec::text("precision", "fp64", &["fp32", "fp64"], "precision"),
+    ];
 
     #[test]
     fn params_encode_round_trips() {
-        let mut params = Params::defaults(&specs());
+        let mut params = Params::defaults(SPECS);
         assert_eq!(params.encode(), "l=192,precision=fp64");
         params.apply_encoding("l=512,precision=FP32").unwrap();
         assert_eq!(params.encode(), "l=512,precision=fp32");
-        let mut again = Params::defaults(&specs());
+        let mut again = Params::defaults(SPECS);
         again.apply_encoding(&params.encode()).unwrap();
         assert_eq!(again, params);
     }
 
     #[test]
     fn params_reject_unknown_names_and_type_mismatches() {
-        let mut params = Params::defaults(&specs());
+        let mut params = Params::defaults(SPECS);
         assert!(params.apply_assignment("bogus=3").is_err());
         assert!(params.apply_assignment("l=abc").is_err());
         assert!(params.apply_assignment("l").is_err());
@@ -593,6 +686,65 @@ mod tests {
         assert!(find("frobnicate").is_none());
     }
 
+    /// Walks every declared integer range of every workload across its
+    /// boundaries, with the other parameters at their defaults: values
+    /// outside the range are refused with the range message, values inside
+    /// it validate or fail only on a cross-parameter rule, and a keyword
+    /// outside its words is refused. Only `validate` runs: the corners at
+    /// the maxima must never execute.
+    #[test]
+    fn every_declared_domain_is_enforced_at_its_boundaries() {
+        for workload in all() {
+            for spec in workload.params() {
+                let params_at = |value: ParamValue| {
+                    let mut params = workload.default_params();
+                    params.set(spec.name, value).unwrap();
+                    params
+                };
+                // An in-domain value: validation is the rules' verdict.
+                let rules_decide = |value: ParamValue| {
+                    let params = params_at(value);
+                    workload.validate(&params) == (workload.rules)(&params)
+                };
+                let context =
+                    |value: &dyn fmt::Display| format!("{} {}={value}", workload.name(), spec.name);
+                match spec.domain {
+                    Domain::Int { min, max, .. } => {
+                        let mut outside = vec![max.wrapping_add(1), u64::MAX];
+                        outside.extend(min.checked_sub(1));
+                        for value in outside.into_iter().filter(|v| *v < min || *v > max) {
+                            let result = workload.validate(&params_at(ParamValue::Int(value)));
+                            let expected = format!(
+                                "parameter '{}' must be in [{min}, {max}], got {value}",
+                                spec.name
+                            );
+                            assert_eq!(
+                                result.map_err(|e| e.to_string()),
+                                Err(expected),
+                                "{}",
+                                context(&value)
+                            );
+                        }
+                        for value in [min, max] {
+                            assert!(rules_decide(ParamValue::Int(value)), "{}", context(&value));
+                        }
+                    }
+                    Domain::Keyword { words, .. } => {
+                        for word in words {
+                            assert!(rules_decide(ParamValue::text(word)), "{}", context(word));
+                        }
+                        let result = workload.validate(&params_at(ParamValue::text("frobnicate")));
+                        let message = result.unwrap_err().to_string();
+                        assert!(
+                            message.starts_with(&format!("unknown {} 'frobnicate'", spec.name)),
+                            "{message}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// A family whose body counts its runs and returns the launch's block
     /// count as its error, so a row shows which launch verified it.
     struct Fake;
@@ -601,36 +753,20 @@ mod tests {
         static EXECUTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    impl Workload for Fake {
-        fn name(&self) -> &'static str {
-            "fake"
-        }
-        fn description(&self) -> &'static str {
-            "driver test family"
-        }
-        fn fom_label(&self) -> &'static str {
-            "seconds"
-        }
-        fn size_param(&self) -> &'static str {
-            "n"
-        }
-        fn params(&self) -> Vec<ParamSpec> {
-            vec![
-                ParamSpec::int("n", 4096, "elements"),
-                ParamSpec::text("grid", "shared", "shared|backend"),
-                ParamSpec::int("fail", 0, "1 = the body fails"),
-            ]
-        }
-        fn bench_sizes(&self) -> &'static [u64] {
-            &[4096]
-        }
-        fn validate(&self, _: &Params) -> Result<(), WorkloadError> {
-            Ok(())
-        }
-        fn run(&self, params: &Params) -> Result<WorkloadOutput, WorkloadError> {
-            run_family(self, params)
-        }
-    }
+    static FAKE: Workload = Workload {
+        name: "fake",
+        description: "driver test family",
+        fom_label: "seconds",
+        size_param: "n",
+        params: &[
+            ParamSpec::int("n", 4096, 1, 1 << 20, "elements"),
+            ParamSpec::text("grid", "shared", &["shared", "backend"], "Dot-like grid"),
+            ParamSpec::int("fail", 0, 0, 1, "1 = the body fails"),
+        ],
+        bench_sizes: &[4096],
+        rules: |_| Ok(()),
+        run_point: run_family::<Fake>,
+    };
 
     impl Family for Fake {
         type Config = (u64, bool, bool);
@@ -689,10 +825,10 @@ mod tests {
     /// Runs the fake family at `encoding`, returning the rows and the
     /// number of times its body ran.
     fn run_fake(encoding: &str) -> (Result<WorkloadOutput, WorkloadError>, usize) {
-        let mut params = Fake.default_params();
+        let mut params = FAKE.default_params();
         params.apply_encoding(encoding).unwrap();
         EXECUTIONS.with(|n| n.set(0));
-        let output = Fake.run(&params);
+        let output = FAKE.run(&params);
         (output, EXECUTIONS.with(|n| n.get()))
     }
 

@@ -634,9 +634,10 @@ fn execute_list() {
         );
         for spec in engine.params() {
             println!(
-                "      {:<18} {}",
-                format!("{}={}", spec.name, spec.default),
-                spec.help
+                "      {:<18} {} {}",
+                format!("{}={}", spec.name, spec.default_value()),
+                spec.help,
+                spec.domain
             );
         }
     }

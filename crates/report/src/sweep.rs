@@ -17,7 +17,7 @@ use std::borrow::Borrow;
 /// A fully resolved sweep request.
 pub struct SweepSpec {
     /// The scenario engine to drive.
-    pub workload: &'static dyn workload::Workload,
+    pub workload: &'static workload::Workload,
     /// Base assignment every point starts from (defaults + CLI overrides).
     pub base: Params,
     /// Values of the workload's size parameter, in presentation order.
@@ -28,7 +28,7 @@ impl SweepSpec {
     /// Builds a sweep over `workload` from `key=value` overrides and sizes,
     /// validating every resulting point assignment up front.
     pub fn new(
-        engine: &'static dyn workload::Workload,
+        engine: &'static workload::Workload,
         overrides: &[String],
         sizes: Vec<u64>,
     ) -> Result<SweepSpec, WorkloadError> {
@@ -93,7 +93,7 @@ pub fn report_envelope(spec: &SweepSpec) -> ExperimentReport {
 }
 
 /// The column names of a workload's `sweep` table.
-pub fn table_header(engine: &dyn workload::Workload) -> Vec<String> {
+pub fn table_header(engine: &workload::Workload) -> Vec<String> {
     [
         "workload",
         engine.size_param(),
@@ -154,7 +154,7 @@ pub fn render_sweep(spec: &SweepSpec, outputs: &[impl Borrow<WorkloadOutput>]) -
 mod tests {
     use super::*;
 
-    fn stencil() -> &'static dyn workload::Workload {
+    fn stencil() -> &'static workload::Workload {
         workload::find("stencil").unwrap()
     }
 

@@ -87,6 +87,20 @@ fn list_shows_every_workload_with_parameters_and_defaults() {
     // The sweep axis is called out so `--sizes` is discoverable.
     assert!(text.contains("sweep axis: l"), "{text}");
     assert!(text.contains("--sizes"), "{text}");
+    // Every declared range and keyword set is printed from the specs, after
+    // the parameter's help line.
+    for workload in science_kernels::workload::all() {
+        for spec in workload.params() {
+            let head = format!("{}={} ", spec.name, spec.default_value());
+            let tail = format!("{} {}", spec.help, spec.domain);
+            assert!(
+                text.lines()
+                    .any(|line| line.trim_start().starts_with(&head) && line.ends_with(&tail)),
+                "list output missing {} {head}... {tail}:\n{text}",
+                workload.name()
+            );
+        }
+    }
 }
 
 #[test]
@@ -241,6 +255,7 @@ fn sweep_usage_errors_exit_2() {
         "sweep hartree-fock-sampled --sizes 1024 samples=4294967296",
         "sweep hartree-fock-sampled --sizes 64 samples=8 shards=9",
         "sweep minibude --sizes 8 poses=11184811",
+        "sweep minibude --sizes 8 natlig=65536 natpro=1048576",
     ] {
         let output = mojo_hpc(&line.split_whitespace().collect::<Vec<_>>());
         assert_eq!(output.status.code(), Some(2), "{line}: {}", stderr(&output));
@@ -462,19 +477,26 @@ fn documented_flags_match_the_usage_text() {
         concat!("ShardPool", "Counters"),
         concat!("Memory", "Report"),
     ];
+    let removed_range_check = concat!("check_int", "_range");
     for (doc, text) in [
         ("README.md", readme.as_str()),
         ("DESIGN.md", design.as_str()),
         ("mojo-hpc help", usage),
     ] {
-        for removed in [removed_flag, removed_env, removed_command, removed_run_form]
-            .into_iter()
-            .chain(removed_subcommands)
-            .chain(removed_serve_flags)
-            .chain(removed_shard_flags)
-            .chain(removed_shard_names)
-            .chain(removed_interner)
-            .chain(removed_preset_lane)
+        for removed in [
+            removed_flag,
+            removed_env,
+            removed_command,
+            removed_run_form,
+            removed_range_check,
+        ]
+        .into_iter()
+        .chain(removed_subcommands)
+        .chain(removed_serve_flags)
+        .chain(removed_shard_flags)
+        .chain(removed_shard_names)
+        .chain(removed_interner)
+        .chain(removed_preset_lane)
         {
             assert!(!text.contains(removed), "{doc} still mentions {removed}");
         }

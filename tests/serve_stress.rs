@@ -506,6 +506,7 @@ fn protocol_errors_answer_without_dropping_the_connection() {
         r#"{"cmd":"sweep","workload":"stencil","sizes":[2]}"#,
         r#"{"cmd":"sweep","workload":"hartree-fock-sampled","sizes":[1024],"params":{"shards":4294967296}}"#,
         r#"{"cmd":"sweep","workload":"minibude","sizes":[8],"params":{"poses":11184811}}"#,
+        r#"{"cmd":"sweep","workload":"minibude","sizes":[8],"params":{"natlig":65536,"natpro":1048576}}"#,
     ] {
         let (header, payload) = client.request(bad);
         assert_eq!(str_field(&header, "status"), "error", "request: {bad}");
@@ -516,7 +517,7 @@ fn protocol_errors_answer_without_dropping_the_connection() {
     let (header, _) = client.request(r#"{"cmd":"run","experiments":["table1"],"format":"json"}"#);
     assert_eq!(str_field(&header, "status"), "ok");
     let stats = client.stats();
-    assert_eq!(as_u64(field(&stats, "errors")), 8);
+    assert_eq!(as_u64(field(&stats, "errors")), 9);
     server.shutdown();
 }
 
