@@ -24,7 +24,7 @@ pub mod vendor;
 
 pub use memory::{CacheLevel, LevelKind, MemoryHierarchy};
 pub use presets::{all_presets, GpuPreset};
-pub use spec::{ComputeTopology, GpuSpec, Precision};
+pub use spec::{ComputeTopology, GpuSpec, Precision, StreamOp};
 pub use vendor::Vendor;
 
 /// Number of bytes in one gibibyte (2^30), used for memory-capacity accounting.

@@ -40,6 +40,57 @@ impl fmt::Display for Precision {
     }
 }
 
+/// The five BabelStream operations (paper Listing 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StreamOp {
+    /// `c[i] = a[i]`.
+    Copy,
+    /// `b[i] = scalar * c[i]`.
+    Mul,
+    /// `c[i] = a[i] + b[i]`.
+    Add,
+    /// `a[i] = b[i] + scalar * c[i]`.
+    Triad,
+    /// `sum = Σ a[i]·b[i]` — the block-reduction kernel.
+    Dot,
+}
+
+impl StreamOp {
+    /// All operations in the paper's presentation order.
+    pub const ALL: [StreamOp; 5] = [
+        StreamOp::Copy,
+        StreamOp::Mul,
+        StreamOp::Add,
+        StreamOp::Triad,
+        StreamOp::Dot,
+    ];
+
+    /// The number of arrays the operation moves: its Eq. (2) multiplier.
+    pub fn array_multiplier(&self) -> u32 {
+        match self {
+            StreamOp::Copy | StreamOp::Mul | StreamOp::Dot => 2,
+            StreamOp::Add | StreamOp::Triad => 3,
+        }
+    }
+
+    /// Display label matching the paper's figures.
+    pub fn label(&self) -> &'static str {
+        match self {
+            StreamOp::Copy => "Copy",
+            StreamOp::Mul => "Mul",
+            StreamOp::Add => "Add",
+            StreamOp::Triad => "Triad",
+            StreamOp::Dot => "Dot",
+        }
+    }
+}
+
+impl fmt::Display for StreamOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
 /// Compute-side topology of the device: how many SMs/CUs it has and how much
 /// parallel state each can hold. Used for occupancy and launch-heuristic
 /// modelling (the CUDA BabelStream baseline, for instance, sizes its dot-kernel

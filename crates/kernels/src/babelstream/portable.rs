@@ -13,7 +13,7 @@
 use super::config::{BabelStreamConfig, INIT_A, INIT_B, INIT_C, SCALAR};
 use super::cost::stream_cost;
 use super::reference::expected_values;
-use super::workload::{metric_op, parse_ops, BabelStreamWorkload};
+use super::workload::{parse_ops, BabelStreamWorkload};
 use crate::cache;
 use crate::common::{Verification, WorkloadRun};
 use crate::real::Real;
@@ -81,7 +81,7 @@ impl Family for BabelStreamWorkload {
     }
 
     fn fom(config: &BabelStreamConfig, op: StreamOp, seconds: f64) -> f64 {
-        babelstream_bandwidth_gbs(metric_op(op), config.n as u64, config.precision, seconds)
+        babelstream_bandwidth_gbs(op, config.n as u64, config.precision, seconds)
     }
 }
 

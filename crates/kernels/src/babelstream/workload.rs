@@ -2,9 +2,8 @@
 //! [`Workload`] interface.
 
 use super::{BabelStreamConfig, PAPER_VECTOR_SIZE};
-use crate::stencil7::workload::{parse_precision, PRECISIONS};
+use crate::stencil7::workload::{parse_precision, PRECISION};
 use crate::workload::{run_family, ParamSpec, Params, Workload, WorkloadError};
-use hpc_metrics::BabelStreamOp;
 use vendor_models::kernel_class::StreamOp;
 
 /// Largest vector size the driver executes functionally: the operations are
@@ -12,42 +11,28 @@ use vendor_models::kernel_class::StreamOp;
 /// vectors rely on the (exact) cost model alone.
 pub const MAX_FUNCTIONAL_N: usize = 1 << 20;
 
-/// Maps the kernel-side operation enum onto the metric-side one (Eq. 2 needs
-/// the operation to count the arrays it moves).
-pub fn metric_op(op: StreamOp) -> BabelStreamOp {
-    match op {
-        StreamOp::Copy => BabelStreamOp::Copy,
-        StreamOp::Mul => BabelStreamOp::Mul,
-        StreamOp::Add => BabelStreamOp::Add,
-        StreamOp::Triad => BabelStreamOp::Triad,
-        StreamOp::Dot => BabelStreamOp::Dot,
-    }
-}
+/// The `op` parameter: one operation, or `all` five in order.
+const OP: ParamSpec = ParamSpec::text(
+    "op",
+    "all",
+    &["all", "copy", "mul", "add", "triad", "dot"],
+    "operation, or all five in order",
+);
 
-/// Parses the `op` keyword: one operation name, or `all` for the paper's
-/// five-operation presentation order. Returns a borrowed static slice — op
-/// selection is a lookup, not a per-run allocation.
+/// Parses the `op` keyword: one of the words the `op` parameter declares
+/// (`all`, or one operation by name). Returns a borrowed
+/// static slice — op selection is a lookup, not a per-run allocation.
 pub fn parse_ops(keyword: &str) -> Result<&'static [StreamOp], WorkloadError> {
-    /// Singleton slices for each operation, in [`StreamOp::ALL`] order.
-    const SINGLES: [[StreamOp; 1]; 5] = [
-        [StreamOp::ALL[0]],
-        [StreamOp::ALL[1]],
-        [StreamOp::ALL[2]],
-        [StreamOp::ALL[3]],
-        [StreamOp::ALL[4]],
+    /// In the `op` parameter's word order.
+    const SELECTIONS: [&[StreamOp]; 6] = [
+        &StreamOp::ALL,
+        &[StreamOp::Copy],
+        &[StreamOp::Mul],
+        &[StreamOp::Add],
+        &[StreamOp::Triad],
+        &[StreamOp::Dot],
     ];
-    match keyword {
-        "all" => Ok(&StreamOp::ALL),
-        single => StreamOp::ALL
-            .iter()
-            .position(|op| op.label().eq_ignore_ascii_case(single))
-            .map(|i| &SINGLES[i][..])
-            .ok_or_else(|| {
-                WorkloadError::new(format!(
-                    "unknown op '{single}' (expected all, copy, mul, add, triad or dot)"
-                ))
-            }),
-    }
+    OP.keyword_index(keyword).map(|i| SELECTIONS[i])
 }
 
 /// Decodes a validated parameter assignment into a driver configuration.
@@ -81,13 +66,8 @@ pub static BABELSTREAM: Workload = Workload {
             1 << 40,
             "vector length in elements",
         ),
-        ParamSpec::text("precision", "fp64", PRECISIONS, "arithmetic precision"),
-        ParamSpec::text(
-            "op",
-            "all",
-            &["all", "copy", "mul", "add", "triad", "dot"],
-            "operation, or all five in order",
-        ),
+        PRECISION,
+        OP,
     ],
     bench_sizes: &[1 << 20],
     rules: |_| Ok(()),
@@ -102,7 +82,13 @@ mod tests {
     fn op_keyword_selects_one_or_all_operations() {
         assert_eq!(parse_ops("all").unwrap().len(), 5);
         assert_eq!(parse_ops("triad").unwrap(), vec![StreamOp::Triad]);
-        assert!(parse_ops("frobnicate").is_err());
+        // A miss reads as validation's refusal of the same word.
+        let mut params = BABELSTREAM.default_params();
+        params.apply_encoding("op=frobnicate").unwrap();
+        assert_eq!(
+            parse_ops("frobnicate").unwrap_err(),
+            BABELSTREAM.validate(&params).unwrap_err()
+        );
     }
 
     #[test]

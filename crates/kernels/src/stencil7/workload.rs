@@ -5,18 +5,19 @@ use super::{StencilConfig, MAX_FUNCTIONAL_L};
 use crate::workload::{run_family, ParamSpec, Params, Workload, WorkloadError};
 use gpu_spec::Precision;
 
-/// The precision keywords every precision-tunable workload accepts.
-pub const PRECISIONS: &[&str] = &["fp32", "fp64"];
+/// The `precision` parameter every precision-tunable workload declares.
+pub const PRECISION: ParamSpec = ParamSpec::text(
+    "precision",
+    "fp64",
+    &["fp32", "fp64"],
+    "arithmetic precision",
+);
 
-/// Parses a `fp32`/`fp64` keyword.
+/// Parses a `precision` keyword: one of [`PRECISION`]'s words.
 pub fn parse_precision(keyword: &str) -> Result<Precision, WorkloadError> {
-    match keyword {
-        "fp32" => Ok(Precision::Fp32),
-        "fp64" => Ok(Precision::Fp64),
-        other => Err(WorkloadError::new(format!(
-            "unknown precision '{other}' (expected fp32 or fp64)"
-        ))),
-    }
+    /// In [`PRECISION`]'s word order.
+    const PRECISIONS: [Precision; 2] = [Precision::Fp32, Precision::Fp64];
+    PRECISION.keyword_index(keyword).map(|i| PRECISIONS[i])
 }
 
 /// Decodes a validated parameter assignment into a driver configuration.
@@ -54,7 +55,7 @@ pub static STENCIL: Workload = Workload {
             1 << 16,
             "cubic grid side length",
         ),
-        ParamSpec::text("precision", "fp64", PRECISIONS, "arithmetic precision"),
+        PRECISION,
         ParamSpec::int(
             "block",
             0,

@@ -171,17 +171,28 @@ impl ParamSpec {
                     "parameter '{name}' must be in [{min}, {max}], got {value}"
                 )))
             }
-            (Domain::Keyword { words, .. }, ParamValue::Text(word))
-                if !words.contains(&&**word) =>
-            {
-                let (last, rest) = words.split_last().expect("a keyword domain has words");
-                Err(WorkloadError::new(format!(
-                    "unknown {name} '{word}' (expected {} or {last})",
-                    rest.join(", ")
-                )))
-            }
+            (Domain::Keyword { .. }, ParamValue::Text(word)) => self.keyword_index(word).map(drop),
             _ => Ok(()),
         }
+    }
+
+    /// The position of `word` among this keyword parameter's declared
+    /// words, or the error validation gives for a word outside them.
+    ///
+    /// # Panics
+    /// If the parameter is not a keyword.
+    pub fn keyword_index(&self, word: &str) -> Result<usize, WorkloadError> {
+        let Domain::Keyword { words, .. } = self.domain else {
+            panic!("parameter '{}' is not a keyword", self.name);
+        };
+        words.iter().position(|w| *w == word).ok_or_else(|| {
+            let (last, rest) = words.split_last().expect("a keyword domain has words");
+            WorkloadError::new(format!(
+                "unknown {} '{word}' (expected {} or {last})",
+                self.name,
+                rest.join(", ")
+            ))
+        })
     }
 }
 

@@ -9,66 +9,12 @@
 //! Add, Triad, Dot(2) → 3 · (Dot: 2 ·) bandwidth_array
 //! ```
 
-use gpu_spec::Precision;
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// The five BabelStream operations (duplicated from `vendor-models` at the
-/// metric level so this crate stays dependency-light).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BabelStreamOp {
-    /// `c[i] = a[i]` — 2 arrays.
-    Copy,
-    /// `b[i] = scalar * c[i]` — 2 arrays.
-    Mul,
-    /// `c[i] = a[i] + b[i]` — 3 arrays.
-    Add,
-    /// `a[i] = b[i] + scalar * c[i]` — 3 arrays.
-    Triad,
-    /// `sum = Σ a[i]·b[i]` — 2 arrays.
-    Dot,
-}
-
-impl BabelStreamOp {
-    /// All operations in presentation order.
-    pub const ALL: [BabelStreamOp; 5] = [
-        BabelStreamOp::Copy,
-        BabelStreamOp::Mul,
-        BabelStreamOp::Add,
-        BabelStreamOp::Triad,
-        BabelStreamOp::Dot,
-    ];
-
-    /// The Eq. (2) array multiplier for this operation.
-    pub fn array_multiplier(&self) -> u32 {
-        match self {
-            BabelStreamOp::Copy | BabelStreamOp::Mul | BabelStreamOp::Dot => 2,
-            BabelStreamOp::Add | BabelStreamOp::Triad => 3,
-        }
-    }
-
-    /// Display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BabelStreamOp::Copy => "Copy",
-            BabelStreamOp::Mul => "Mul",
-            BabelStreamOp::Add => "Add",
-            BabelStreamOp::Triad => "Triad",
-            BabelStreamOp::Dot => "Dot",
-        }
-    }
-}
-
-impl fmt::Display for BabelStreamOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
+use gpu_spec::{Precision, StreamOp};
 
 /// Effective bandwidth in GB/s for one BabelStream operation over a vector of
 /// `vector_size` elements that took `kernel_time_s` seconds — Eq. (2).
 pub fn babelstream_bandwidth_gbs(
-    op: BabelStreamOp,
+    op: StreamOp,
     vector_size: u64,
     precision: Precision,
     kernel_time_s: f64,
@@ -86,44 +32,44 @@ mod tests {
 
     #[test]
     fn multipliers_follow_eq2() {
-        assert_eq!(BabelStreamOp::Copy.array_multiplier(), 2);
-        assert_eq!(BabelStreamOp::Mul.array_multiplier(), 2);
-        assert_eq!(BabelStreamOp::Add.array_multiplier(), 3);
-        assert_eq!(BabelStreamOp::Triad.array_multiplier(), 3);
-        assert_eq!(BabelStreamOp::Dot.array_multiplier(), 2);
+        assert_eq!(StreamOp::Copy.array_multiplier(), 2);
+        assert_eq!(StreamOp::Mul.array_multiplier(), 2);
+        assert_eq!(StreamOp::Add.array_multiplier(), 3);
+        assert_eq!(StreamOp::Triad.array_multiplier(), 3);
+        assert_eq!(StreamOp::Dot.array_multiplier(), 2);
     }
 
     #[test]
     fn copy_bandwidth_matches_table3() {
         // Table 3: Mojo Copy takes 0.202 ms at n = 2^25 FP64 → ~2.66 TB/s.
-        let bw = babelstream_bandwidth_gbs(BabelStreamOp::Copy, N, Precision::Fp64, 0.202e-3);
+        let bw = babelstream_bandwidth_gbs(StreamOp::Copy, N, Precision::Fp64, 0.202e-3);
         assert!((bw - 2657.0).abs() < 10.0, "bw = {bw}");
     }
 
     #[test]
     fn add_moves_three_arrays() {
-        let copy = babelstream_bandwidth_gbs(BabelStreamOp::Copy, N, Precision::Fp64, 1e-3);
-        let add = babelstream_bandwidth_gbs(BabelStreamOp::Add, N, Precision::Fp64, 1e-3);
+        let copy = babelstream_bandwidth_gbs(StreamOp::Copy, N, Precision::Fp64, 1e-3);
+        let add = babelstream_bandwidth_gbs(StreamOp::Add, N, Precision::Fp64, 1e-3);
         assert!((add / copy - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn fp32_halves_the_bytes() {
-        let f64bw = babelstream_bandwidth_gbs(BabelStreamOp::Triad, N, Precision::Fp64, 1e-3);
-        let f32bw = babelstream_bandwidth_gbs(BabelStreamOp::Triad, N, Precision::Fp32, 1e-3);
+        let f64bw = babelstream_bandwidth_gbs(StreamOp::Triad, N, Precision::Fp64, 1e-3);
+        let f32bw = babelstream_bandwidth_gbs(StreamOp::Triad, N, Precision::Fp32, 1e-3);
         assert!((f64bw / f32bw - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn labels_and_order() {
-        let labels: Vec<_> = BabelStreamOp::ALL.iter().map(|o| o.label()).collect();
+        let labels: Vec<_> = StreamOp::ALL.iter().map(|o| o.label()).collect();
         assert_eq!(labels, vec!["Copy", "Mul", "Add", "Triad", "Dot"]);
-        assert_eq!(BabelStreamOp::Dot.to_string(), "Dot");
+        assert_eq!(StreamOp::Dot.to_string(), "Dot");
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_time_panics() {
-        babelstream_bandwidth_gbs(BabelStreamOp::Copy, N, Precision::Fp64, 0.0);
+        babelstream_bandwidth_gbs(StreamOp::Copy, N, Precision::Fp64, 0.0);
     }
 }

@@ -26,7 +26,7 @@ pub mod roofline;
 pub mod stats;
 pub mod stencil;
 
-pub use babelstream::{babelstream_bandwidth_gbs, BabelStreamOp};
+pub use babelstream::babelstream_bandwidth_gbs;
 pub use composite::{
     framestream_bandwidth_gbs, framestream_traffic_bytes, jacobi_bandwidth_gbs,
     jacobi_traffic_bytes,

@@ -130,11 +130,16 @@ mod tests {
 
     #[test]
     fn stream_op_mapping_is_total_and_consistent() {
+        // Every operation's figure of merit counts the arrays it moves.
+        let config = science_kernels::babelstream::BabelStreamConfig {
+            n: 1 << 20,
+            precision: gpu_spec::Precision::Fp64,
+            validate: false,
+        };
         for op in StreamOp::ALL {
-            assert_eq!(
-                science_kernels::babelstream::workload::metric_op(op).label(),
-                op.label()
-            );
+            let bytes = f64::from(op.array_multiplier()) * (8 << 20) as f64;
+            let fom = BabelStreamWorkload::fom(&config, op, 1e-3);
+            assert!((fom - bytes / 1e-3 / 1e9).abs() < 1e-9, "{op}: {fom}");
         }
     }
 

@@ -1,36 +1,11 @@
 //! Integration tests of the `mojo-hpc` command-line interface: subcommand
 //! coverage, exit codes and error messages, through the real binary.
 
+mod common;
+
+use common::{field, mojo_hpc, scratch, stderr, stdout, Server};
 use serde::value::Value;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
-
-fn mojo_hpc(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_mojo-hpc"))
-        .args(args)
-        .output()
-        .expect("run mojo-hpc")
-}
-
-fn stdout(output: &Output) -> String {
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-fn stderr(output: &Output) -> String {
-    String::from_utf8_lossy(&output.stderr).into_owned()
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("cli-scratch")
-        .join(format!("{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use std::path::Path;
 
 #[test]
 fn list_names_every_registry_entry() {
@@ -367,20 +342,20 @@ fn diff_on_a_missing_directory_is_a_usage_error() {
 
 #[test]
 fn sampled_hartree_fock_runs_beyond_the_full_validation_limit() {
+    // The paper's 1024-atom case, past the exact-validation limit.
     let out = scratch("hf-sampled");
     let output = mojo_hpc(&[
         "sweep",
         "hartree-fock-sampled",
         "--sizes",
-        "128",
-        "samples=128",
-        "shards=4",
+        "1024",
+        "samples=4096",
         "--out",
         out.to_str().unwrap(),
     ]);
     assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr(&output));
     let text = stdout(&output);
-    assert!(text.contains("atoms=128"), "{text}");
+    assert!(text.contains("atoms=1024"), "{text}");
     let csv = std::fs::read_to_string(out.join("sweep_hartree_fock_sampled_sweep.csv"))
         .expect("sampled sweep CSV written");
     assert!(csv.contains("passed(eri="), "{csv}");
@@ -529,7 +504,9 @@ fn documented_flags_match_the_usage_text() {
     // `stats` reports exactly the counters and memo tiers §13 documents,
     // so a removed one cannot linger in either, and every memo tier reports
     // the cache's counters.
-    let stats = live_stats();
+    let server = Server::start(&[]);
+    let stats = server.connect().stats();
+    server.shutdown();
     for section in ["cache", "memo", "compute", "pool"] {
         assert_eq!(
             section_keys(&stats, section),
@@ -539,7 +516,7 @@ fn documented_flags_match_the_usage_text() {
     }
     for tier in section_keys(&stats, "memo") {
         assert_eq!(
-            section_keys(section(&stats, "memo"), &tier),
+            section_keys(field(&stats, "memo"), &tier),
             documented_stats_keys(&design, "cache"),
             "memo tier {tier} does not report the cache counters"
         );
@@ -577,60 +554,10 @@ fn documented_stats_keys(design: &str, section: &str) -> Vec<String> {
     text[open..close].split('/').map(str::to_string).collect()
 }
 
-/// The `stats` object of a live `serve` `stats` reply.
-fn live_stats() -> Value {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"))
-        .args(["serve", "--listen", "127.0.0.1:0"])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn mojo-hpc serve");
-    let mut server_err = BufReader::new(child.stderr.take().expect("stderr is piped"));
-    let mut line = String::new();
-    let addr = loop {
-        line.clear();
-        assert_ne!(server_err.read_line(&mut line).expect("read stderr"), 0);
-        if let Some(addr) = line.trim().strip_prefix("serve: listening on ") {
-            break addr.to_string();
-        }
-    };
-    let stream = TcpStream::connect(addr.as_str()).expect("connect to serve");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
-    writer
-        .write_all(b"{\"cmd\":\"stats\"}\n{\"cmd\":\"shutdown\"}\n")
-        .expect("send requests");
-    let mut header = String::new();
-    reader.read_line(&mut header).expect("read stats reply");
-    let mut rest = String::new();
-    reader.read_to_string(&mut rest).ok();
-    assert_eq!(child.wait().expect("wait for serve").code(), Some(0));
-    let reply: Value = serde_json::from_str(header.trim()).expect("stats reply is JSON");
-    match reply {
-        Value::Object(fields) => fields
-            .into_iter()
-            .find_map(|(k, v)| (k == "stats").then_some(v))
-            .expect("stats reply has a 'stats' object"),
-        other => panic!("expected an object, got {other:?}"),
-    }
-}
-
 /// The field names of the `name` object of a `stats` object.
 fn section_keys(stats: &Value, name: &str) -> Vec<String> {
-    match section(stats, name) {
+    match field(stats, name) {
         Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
         other => panic!("expected '{name}' to be an object, got {other:?}"),
     }
-}
-
-/// The `name` field of the object `value`.
-fn section<'a>(value: &'a Value, name: &str) -> &'a Value {
-    let Value::Object(fields) = value else {
-        panic!("expected an object, got {value:?}");
-    };
-    let field = fields.iter().find(|(k, _)| k == name);
-    &field
-        .unwrap_or_else(|| panic!("no '{name}' in {value:?}"))
-        .1
 }

@@ -5,93 +5,28 @@
 //! retries exhausted it must exit 1 naming the failed shard, its attempt
 //! count and the worker's stderr tail, without writing any partial files.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::{mojo_hpc, mojo_hpc_env, row, scratch, shard_cell, stderr, stdout, REPORT};
 use std::process::{Command, Output};
 
-fn mojo_hpc_env(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"));
-    cmd.args(args);
-    for (key, value) in env {
-        cmd.env(key, value);
-    }
-    cmd.output().expect("run mojo-hpc")
-}
-
-fn mojo_hpc(args: &[&str]) -> Output {
-    mojo_hpc_env(args, &[])
-}
-
-fn stdout(output: &Output) -> String {
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-fn stderr(output: &Output) -> String {
-    String::from_utf8_lossy(&output.stderr).into_owned()
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("dispatch-chaos-scratch")
-        .join(format!("{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// The single-process `run --all --format json` stdout — the byte-identity
-/// baseline every recovering chaos run must reproduce.
-fn single_process_baseline() -> String {
-    let single = mojo_hpc(&["run", "--all", "--format", "json"]);
-    assert_eq!(single.status.code(), Some(0), "{}", stderr(&single));
-    stdout(&single)
-}
-
 /// Runs `shard run --all --workers 3 --format json` under `chaos` with
-/// `extra` coordinator flags, asserting it recovers: exit 0, stdout
-/// byte-identical to the single-process run, files byte-identical to the
-/// committed goldens.
-fn assert_recovers(tag: &str, chaos: &str, extra: &[&str]) -> Output {
-    let out_dir = scratch(tag);
-    let mut args = vec![
-        "shard",
-        "run",
-        "--all",
-        "--workers",
+/// `extra` coordinator flags as a cell of the byte-identity matrix
+/// (`tests/common/mod.rs`): it must recover to exit 0, stdout
+/// byte-identical to the single-process run, and files byte-identical to
+/// the committed goldens.
+fn assert_recovers(chaos: &str, extra: &[&str]) -> Output {
+    shard_cell(
+        &row(REPORT, "json"),
         "3",
-        "--format",
-        "json",
-        "--out",
-        out_dir.to_str().unwrap(),
-    ];
-    args.extend_from_slice(extra);
-    let sharded = mojo_hpc_env(&args, &[("MOJO_HPC_CHAOS", chaos)]);
-    assert_eq!(
-        sharded.status.code(),
-        Some(0),
-        "chaos '{chaos}' did not recover: {}",
-        stderr(&sharded)
-    );
-    assert_eq!(
-        stdout(&sharded),
-        single_process_baseline(),
-        "chaos '{chaos}' recovered to different stdout"
-    );
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/json");
-    let diff = mojo_hpc(&["diff", golden.to_str().unwrap(), out_dir.to_str().unwrap()]);
-    assert_eq!(
-        diff.status.code(),
-        Some(0),
-        "chaos '{chaos}' files differ from goldens: {}",
-        stdout(&diff)
-    );
-    std::fs::remove_dir_all(&out_dir).ok();
-    sharded
+        extra,
+        &[("MOJO_HPC_CHAOS", chaos)],
+    )
 }
 
 #[test]
 fn crashed_worker_is_retried_to_byte_identical_goldens() {
-    let output = assert_recovers("crash", "crash:1", &[]);
+    let output = assert_recovers("crash:1", &[]);
     let diag = stderr(&output);
     assert!(diag.contains("1 retried"), "{diag}");
 }
@@ -104,7 +39,7 @@ fn hung_worker_is_timeout_reaped_and_retried() {
     // on 2 vCPU and each shard does less, so the timeout only fires on a
     // real worker if the machine is ~2.7× slower than that; the test takes
     // ~10.3 s there (one 10 s reap plus the fast retry).
-    let output = assert_recovers("hang", "hang:0", &["--timeout", "10"]);
+    let output = assert_recovers("hang:0", &["--timeout", "10"]);
     let diag = stderr(&output);
     assert!(diag.contains("1 timed out"), "{diag}");
     assert!(diag.contains("1 retried"), "{diag}");
@@ -112,7 +47,7 @@ fn hung_worker_is_timeout_reaped_and_retried() {
 
 #[test]
 fn garbled_worker_output_is_caught_and_retried() {
-    let output = assert_recovers("garble", "garble:2", &[]);
+    let output = assert_recovers("garble:2", &[]);
     let diag = stderr(&output);
     assert!(diag.contains("1 retried"), "{diag}");
 }
@@ -201,7 +136,7 @@ fn garbled_attempts_relay_live_per_attempt_stderr_tails_in_order() {
     // live, in attempt order — without the live notices a retried-and-
     // recovered run would swallow them entirely (the full failure report
     // only renders when the whole dispatch fails).
-    let output = assert_recovers("garble-recover", "garble:1:2", &[]);
+    let output = assert_recovers("garble:1:2", &[]);
     let diag = stderr(&output);
     assert!(diag.contains("2 retried"), "{diag}");
     let first = diag

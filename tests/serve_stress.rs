@@ -1,5 +1,7 @@
 //! Stress tests of `mojo-hpc serve`, through the real binary (DESIGN.md
-//! §13): hundreds of concurrent clients must each receive payloads
+//! §13): every fixture row of the byte-identity matrix
+//! (`tests/common/mod.rs`) must come back as the CLI's stdout bytes,
+//! hundreds of concurrent clients must each receive payloads
 //! byte-identical to the corresponding `run`/`sweep` CLI stdout, repeated
 //! requests must be served out of the Params-keyed cache (hit counter up,
 //! compute counter flat), identical concurrent requests must coalesce onto
@@ -11,31 +13,18 @@
 //! daemon, and distinct Hartree–Fock sizes must not grow it past the memo
 //! budget.
 
+mod common;
+
+use common::{
+    as_u64, bool_field, counter, field, mojo_hpc, rows, scratch, serve_cell, str_field,
+    ServeClient, Server,
+};
 use mojo_hpc::report::serve::MAX_REQUEST_BYTES;
 use serde::value::Value;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+use std::io::{BufRead, Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-fn mojo_hpc(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_mojo-hpc"))
-        .args(args)
-        .output()
-        .expect("run mojo-hpc")
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("serve-stress-scratch")
-        .join(format!("{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
 
 /// The CLI stdout of `args` — the byte-identity baseline for a serve
 /// payload.
@@ -50,215 +39,14 @@ fn cli_baseline(args: &[&str]) -> Vec<u8> {
     output.stdout
 }
 
-/// One running `mojo-hpc serve` process bound to an ephemeral port.
-struct Server {
-    child: Child,
-    addr: SocketAddr,
-}
-
-impl Server {
-    /// Spawns `serve --listen 127.0.0.1:0` with `env` and parses the
-    /// announced address off stderr (draining the rest on a thread so a
-    /// chatty server can never block on a full pipe).
-    fn start(env: &[(&str, &str)]) -> Server {
-        Server::start_with_args(&[], env)
-    }
-
-    /// [`Server::start`] with extra `serve` flags.
-    fn start_with_args(args: &[&str], env: &[(&str, &str)]) -> Server {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"));
-        cmd.arg("serve")
-            .arg("--listen")
-            .arg("127.0.0.1:0")
-            .args(args)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped());
-        for (key, value) in env {
-            cmd.env(key, value);
-        }
-        let mut child = cmd.spawn().expect("spawn mojo-hpc serve");
-        let stderr = child.stderr.take().expect("stderr is piped");
-        let mut reader = BufReader::new(stderr);
-        let mut line = String::new();
-        let addr = loop {
-            line.clear();
-            let n = reader.read_line(&mut line).expect("read server stderr");
-            assert_ne!(n, 0, "server exited before announcing its address");
-            if let Some(addr) = line.trim().strip_prefix("serve: listening on ") {
-                break addr.parse().expect("announced address parses");
-            }
-        };
-        std::thread::spawn(move || {
-            let mut sink = Vec::new();
-            reader.read_to_end(&mut sink).ok();
-        });
-        Server { child, addr }
-    }
-
-    fn connect(&self) -> ServeClient {
-        ServeClient::connect(self.addr)
-    }
-
-    /// Sends `shutdown` and waits for the process to exit cleanly.
-    fn shutdown(mut self) {
-        let mut client = self.connect();
-        let (header, _) = client.request(r#"{"cmd":"shutdown"}"#);
-        assert_eq!(str_field(&header, "status"), "ok");
-        let status = self.child.wait().expect("wait for server");
-        assert_eq!(status.code(), Some(0), "server exit code after shutdown");
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        // A failed test must not leak a resident server.
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-/// One protocol connection: write request lines, read header + payload.
-struct ServeClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl ServeClient {
-    fn connect(addr: SocketAddr) -> ServeClient {
-        let stream = TcpStream::connect(addr).expect("connect to serve");
-        // A deadlock guard, not a latency bound. Margin: the slowest single
-        // response here is a cold full report, ~4 s in a debug build on
-        // 2 vCPU (the slowest test, `responses_match_cli_bytes_in_both_formats`,
-        // takes ~8 s in all), so 120 s is a ~30× margin; a hang fails the
-        // test in 2 minutes instead of stalling the suite.
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .expect("set read timeout");
-        ServeClient {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    /// Sends one request line and returns (header, payload bytes).
-    fn request(&mut self, line: &str) -> (Value, Vec<u8>) {
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("write request");
-        self.writer.flush().expect("flush request");
-        let mut header = String::new();
-        let n = self.reader.read_line(&mut header).expect("read header");
-        assert_ne!(n, 0, "server hung up instead of answering");
-        let header: Value = serde_json::from_str(header.trim()).expect("header is JSON");
-        let bytes = match opt_field(&header, "bytes") {
-            Some(v) => as_u64(v) as usize,
-            None => 0,
-        };
-        let mut payload = vec![0u8; bytes];
-        self.reader
-            .read_exact(&mut payload)
-            .expect("read payload bytes");
-        (header, payload)
-    }
-
-    /// Issues `{"cmd":"stats"}` and returns the `stats` object.
-    fn stats(&mut self) -> Value {
-        let (header, _) = self.request(r#"{"cmd":"stats"}"#);
-        assert_eq!(str_field(&header, "status"), "ok");
-        field(&header, "stats").clone()
-    }
-}
-
-fn opt_field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn field<'a>(value: &'a Value, key: &str) -> &'a Value {
-    opt_field(value, key).unwrap_or_else(|| panic!("missing field '{key}' in {value:?}"))
-}
-
-fn as_u64(value: &Value) -> u64 {
-    match value {
-        Value::U64(n) => *n,
-        other => panic!("expected an integer, got {other:?}"),
-    }
-}
-
-fn str_field<'a>(value: &'a Value, key: &str) -> &'a str {
-    match field(value, key) {
-        Value::Str(s) => s,
-        other => panic!("expected '{key}' to be a string, got {other:?}"),
-    }
-}
-
-fn bool_field(value: &Value, key: &str) -> bool {
-    match field(value, key) {
-        Value::Bool(b) => *b,
-        other => panic!("expected '{key}' to be a bool, got {other:?}"),
-    }
-}
-
-/// `stats.compute.computed` / `stats.cache.hits` style accessor.
-fn counter(stats: &Value, section: &str, name: &str) -> u64 {
-    as_u64(field(field(stats, section), name))
-}
-
+/// The byte-identity matrix's serve column: every fixture row, in both
+/// formats, through one daemon.
 #[test]
 fn responses_match_cli_bytes_in_both_formats() {
-    let out = scratch("baseline-out");
-    let out = out.to_str().unwrap();
     let server = Server::start(&[]);
     let mut client = server.connect();
-    let cases: &[(&str, Vec<&str>)] = &[
-        (
-            r#"{"cmd":"run","experiments":["table1"],"format":"json"}"#,
-            vec!["run", "table1", "--format", "json", "--out", out],
-        ),
-        (
-            r#"{"cmd":"run","experiments":["table1","fig5"],"format":"csv"}"#,
-            vec!["run", "table1", "fig5", "--format", "csv", "--out", out],
-        ),
-        (
-            r#"{"cmd":"run","format":"json"}"#,
-            vec!["run", "--all", "--format", "json", "--out", out],
-        ),
-        (
-            r#"{"cmd":"sweep","workload":"stencil","sizes":[16,20],"format":"json"}"#,
-            vec![
-                "sweep", "stencil", "--sizes", "16,20", "--format", "json", "--out", out,
-            ],
-        ),
-        (
-            r#"{"cmd":"sweep","workload":"stencil","sizes":[16],"params":{"precision":"fp32"},"format":"csv"}"#,
-            vec![
-                "sweep",
-                "stencil",
-                "--sizes",
-                "16",
-                "precision=fp32",
-                "--format",
-                "csv",
-                "--out",
-                out,
-            ],
-        ),
-    ];
-    for (request, cli_args) in cases {
-        let (header, payload) = client.request(request);
-        assert_eq!(
-            str_field(&header, "status"),
-            "ok",
-            "request {request} failed: {header:?}"
-        );
-        assert_eq!(
-            payload,
-            cli_baseline(cli_args),
-            "payload of {request} is not byte-identical to the CLI stdout"
-        );
+    for row in rows() {
+        serve_cell(&row, &mut client);
     }
     server.shutdown();
 }

@@ -1,213 +1,68 @@
 //! Integration tests of the sharded multi-process mode, through the real
-//! binary: the `shard` coordinator's merge must be **byte-identical** to the
-//! single-process command (stdout and files), shard workers must emit valid
-//! shard documents (including for empty shards), and malformed shard specs
-//! must be usage errors. Protocol: DESIGN.md §10.
+//! binary. The byte-identity matrix's shard columns (`tests/common/mod.rs`)
+//! pin the coordinator's merge to the fixture bytes and to the
+//! single-process stdout at 2 and 3 workers; the other tests pin that shard
+//! workers emit valid shard documents (including for empty shards) and that
+//! malformed shard specs are usage errors. Protocol: DESIGN.md §10.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-fn mojo_hpc(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_mojo-hpc"))
-        .args(args)
-        .output()
-        .expect("run mojo-hpc")
-}
+use common::{mojo_hpc, row, rows, scratch, shard_cell, stderr, stdout, Row, COMPOSITES, REPORT};
+use std::path::Path;
 
-fn stdout(output: &Output) -> String {
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-fn stderr(output: &Output) -> String {
-    String::from_utf8_lossy(&output.stderr).into_owned()
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("shard-scratch")
-        .join(format!("{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Asserts two directories hold the same file names with identical bytes.
-fn assert_same_files(dir_a: &Path, dir_b: &Path) {
-    let names = |dir: &Path| -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
-            .filter_map(|entry| entry.ok())
-            .filter_map(|entry| entry.file_name().into_string().ok())
-            .collect();
-        names.sort();
-        names
-    };
-    let (names_a, names_b) = (names(dir_a), names(dir_b));
-    assert_eq!(names_a, names_b, "file sets differ");
-    for name in &names_a {
-        let a = std::fs::read(dir_a.join(name)).unwrap();
-        let b = std::fs::read(dir_b.join(name)).unwrap();
-        assert!(a == b, "{name} differs between the single and sharded run");
+/// The matrix's shard columns for `rows`: 2 and 3 workers.
+fn shard_cells(rows: impl IntoIterator<Item = Row>) {
+    for row in rows {
+        for workers in ["2", "3"] {
+            shard_cell(&row, workers, &[], &[]);
+        }
     }
 }
 
 #[test]
 fn shard_run_all_is_byte_identical_to_the_single_process_run() {
-    let single_out = scratch("run-single");
-    let sharded_out = scratch("run-sharded");
-    let single = mojo_hpc(&[
-        "run",
-        "--all",
-        "--format",
-        "json",
-        "--out",
-        single_out.to_str().unwrap(),
-    ]);
-    assert_eq!(single.status.code(), Some(0), "{}", stderr(&single));
-    let sharded = mojo_hpc(&[
-        "shard",
-        "run",
-        "--all",
-        "--workers",
-        "3",
-        "--format",
-        "json",
-        "--out",
-        sharded_out.to_str().unwrap(),
-    ]);
-    assert_eq!(sharded.status.code(), Some(0), "{}", stderr(&sharded));
-    assert_eq!(
-        stdout(&single),
-        stdout(&sharded),
-        "sharded stdout differs from the single-process run"
-    );
-    assert_same_files(&single_out, &sharded_out);
-    // And against the committed goldens, via the binary's own diff lane.
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/json");
-    let diff = mojo_hpc(&[
-        "diff",
-        golden.to_str().unwrap(),
-        sharded_out.to_str().unwrap(),
-    ]);
-    assert_eq!(diff.status.code(), Some(0), "{}", stdout(&diff));
-    std::fs::remove_dir_all(&single_out).ok();
-    std::fs::remove_dir_all(&sharded_out).ok();
+    shard_cells([row(REPORT, "json")]);
 }
 
 #[test]
 fn shard_run_csv_lane_matches_single_process_output() {
-    let single_out = scratch("csv-single");
-    let sharded_out = scratch("csv-sharded");
-    let single = mojo_hpc(&[
-        "run",
-        "table1",
-        "fig2",
-        "fig5",
-        "--out",
-        single_out.to_str().unwrap(),
-    ]);
-    let sharded = mojo_hpc(&[
-        "shard",
-        "run",
-        "table1",
-        "fig2",
-        "fig5",
-        "--workers",
-        "2",
-        "--out",
-        sharded_out.to_str().unwrap(),
-    ]);
-    assert_eq!(sharded.status.code(), Some(0), "{}", stderr(&sharded));
-    assert_eq!(stdout(&single), stdout(&sharded));
-    assert_same_files(&single_out, &sharded_out);
-    std::fs::remove_dir_all(&single_out).ok();
-    std::fs::remove_dir_all(&sharded_out).ok();
+    shard_cells([row(REPORT, "csv")]);
 }
 
 #[test]
 fn shard_sweep_merges_byte_identically_including_empty_shards() {
-    let single_out = scratch("sweep-single");
-    let sharded_out = scratch("sweep-sharded");
-    let single = mojo_hpc(&[
-        "sweep",
-        "stencil",
-        "--sizes",
-        "16,20,24",
-        "precision=fp32",
-        "--format",
-        "json",
-        "--out",
-        single_out.to_str().unwrap(),
-    ]);
-    // 5 workers over 3 points: two shards are empty and contribute nothing.
-    let sharded = mojo_hpc(&[
-        "shard",
-        "sweep",
-        "stencil",
-        "--sizes",
-        "16,20,24",
-        "precision=fp32",
-        "--workers",
-        "5",
-        "--format",
-        "json",
-        "--out",
-        sharded_out.to_str().unwrap(),
-    ]);
-    assert_eq!(sharded.status.code(), Some(0), "{}", stderr(&sharded));
-    assert_eq!(stdout(&single), stdout(&sharded));
-    assert_same_files(&single_out, &sharded_out);
-    std::fs::remove_dir_all(&single_out).ok();
-    std::fs::remove_dir_all(&sharded_out).ok();
+    // `sweep_babelstream_dot` has one point, so its shards 0/2, 0/3 and 1/3
+    // are empty and contribute nothing; the two-point rows leave one empty
+    // shard at 3 workers.
+    shard_cells(
+        rows()
+            .into_iter()
+            .filter(|row| row.fixture != REPORT && !COMPOSITES.contains(&row.fixture)),
+    );
 }
 
 #[test]
 fn composite_workload_shard_sweeps_merge_byte_identically() {
-    // The §15 composite engines ride the same shard protocol: a 3-worker
-    // sweep must merge to the exact bytes of the single-process run, stdout
-    // and files alike.
-    for (workload, sizes, extra) in [
-        ("jacobi", "8,12,16", "iters=200"),
-        ("framestream", "4096,8192,16384", "frames=32"),
+    // The §15 composite engines ride the same shard protocol, and still
+    // merge to the fixture bytes when a worker crashes or garbles its
+    // output and is retried.
+    shard_cells(
+        rows()
+            .into_iter()
+            .filter(|row| COMPOSITES.contains(&row.fixture)),
+    );
+    for (fixture, chaos) in [
+        ("sweep_jacobi", "crash:1"),
+        ("sweep_framestream", "garble:2"),
     ] {
-        let single_out = scratch(&format!("{workload}-single"));
-        let sharded_out = scratch(&format!("{workload}-sharded"));
-        let single = mojo_hpc(&[
-            "sweep",
-            workload,
-            "--sizes",
-            sizes,
-            extra,
-            "--format",
-            "json",
-            "--out",
-            single_out.to_str().unwrap(),
-        ]);
-        assert_eq!(single.status.code(), Some(0), "{}", stderr(&single));
-        let sharded = mojo_hpc(&[
-            "shard",
-            "sweep",
-            workload,
-            "--sizes",
-            sizes,
-            extra,
-            "--workers",
+        let output = shard_cell(
+            &row(fixture, "json"),
             "3",
-            "--format",
-            "json",
-            "--out",
-            sharded_out.to_str().unwrap(),
-        ]);
-        assert_eq!(sharded.status.code(), Some(0), "{}", stderr(&sharded));
-        assert_eq!(
-            stdout(&single),
-            stdout(&sharded),
-            "{workload}: sharded stdout differs from the single-process run"
+            &[],
+            &[("MOJO_HPC_CHAOS", chaos)],
         );
-        assert_same_files(&single_out, &sharded_out);
-        std::fs::remove_dir_all(&single_out).ok();
-        std::fs::remove_dir_all(&sharded_out).ok();
+        let diag = stderr(&output);
+        assert!(diag.contains("1 retried"), "{chaos}: {diag}");
     }
 }
 
