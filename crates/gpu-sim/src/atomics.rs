@@ -8,7 +8,7 @@
 //! compare-and-swap loops over the raw buffer storage, the same technique
 //! pre-Pascal CUDA used to emulate FP64 `atomicAdd`.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomically adds `value` to the `f64` at `ptr`, returning the previous value.
 ///
@@ -22,23 +22,6 @@ pub unsafe fn fetch_add_f64(ptr: *mut f64, value: f64) -> f64 {
     loop {
         let current_f = f64::from_bits(current);
         let new = f64::to_bits(current_f + value);
-        match atomic.compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return current_f,
-            Err(actual) => current = actual,
-        }
-    }
-}
-
-/// Atomically adds `value` to the `f32` at `ptr`, returning the previous value.
-///
-/// # Safety
-/// Same contract as [`fetch_add_f64`], with 4-byte alignment.
-pub unsafe fn fetch_add_f32(ptr: *mut f32, value: f32) -> f32 {
-    let atomic = &*(ptr as *const AtomicU32);
-    let mut current = atomic.load(Ordering::Relaxed);
-    loop {
-        let current_f = f32::from_bits(current);
-        let new = f32::to_bits(current_f + value);
         match atomic.compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Relaxed) {
             Ok(_) => return current_f,
             Err(actual) => current = actual,
@@ -64,20 +47,6 @@ mod tests {
             fetch_add_f64(p.0, 1.0);
         });
         assert_eq!(value, 10_000.0);
-    }
-
-    #[test]
-    fn f32_fetch_add_accumulates() {
-        let mut value = 0.0f32;
-        let ptr: *mut f32 = &mut value;
-        struct Ptr(*mut f32);
-        unsafe impl Sync for Ptr {}
-        let p = Ptr(ptr);
-        let p = &p;
-        (0..2_048).into_par_iter().for_each(|_| unsafe {
-            fetch_add_f32(p.0, 0.25);
-        });
-        assert_eq!(value, 512.0);
     }
 
     #[test]

@@ -409,15 +409,6 @@ impl DeviceBuffer<f64> {
     }
 }
 
-impl DeviceBuffer<f32> {
-    /// Atomically adds `value` to element `i` and returns the previous value.
-    #[inline]
-    pub fn atomic_add(&self, i: usize, value: f32) -> f32 {
-        // SAFETY: pointer is valid and 4-aligned.
-        unsafe { atomics::fetch_add_f32(self.element_ptr(i), value) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,17 +548,6 @@ mod tests {
             buf.atomic_add(0, 1.0);
         });
         assert_eq!(buf.read(0), 1000.0);
-    }
-
-    #[test]
-    fn atomic_add_f32_accumulates() {
-        let dev = device();
-        let buf = dev.alloc::<f32>(1).unwrap();
-        use rayon::prelude::*;
-        (0..1000).into_par_iter().for_each(|_| {
-            buf.atomic_add(0, 0.5);
-        });
-        assert_eq!(buf.read(0), 500.0);
     }
 
     #[test]

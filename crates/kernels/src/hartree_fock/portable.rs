@@ -10,7 +10,7 @@
 use super::config::HartreeFockConfig;
 use super::cost::hartree_fock_cost;
 use super::geometry::HeliumSystem;
-use super::reference::quartet_eri;
+use super::reference::{quartet_eri, scatter_fock};
 use super::triangular::pair_decode;
 use super::workload::HartreeFockWorkload;
 use crate::cache;
@@ -76,9 +76,10 @@ fn execute(
     let natoms = system.natoms;
     let ctx = DeviceContext::from_device(cache::device(platform));
 
+    // Flat: `scatter_fock` reads the density at row-major linear offsets.
     let dens = LayoutTensor::new(
         ctx.enqueue_create_buffer_from(&system.dens)?,
-        Layout::row_major_2d(natoms, natoms),
+        Layout::row_major_1d(natoms * natoms),
     )?;
     let fock = LayoutTensor::new(
         ctx.enqueue_create_buffer::<f64>(natoms * natoms)?,
@@ -107,15 +108,16 @@ fn execute(
         // Six atomic Fock-matrix updates (Listing 5), reading the density
         // tensor from device memory and scattering through the portable
         // Atomic namespace on the flattened Fock tensor.
-        let (i, j) = pair_decode(ij);
-        let (k, l) = pair_decode(kl);
-        let (i, j, k, l) = (i as usize, j as usize, k as usize, l as usize);
-        Atomic::fetch_add_f64(&fock_k, i * natoms + j, dens_k.get2(k, l) * eri * 4.0);
-        Atomic::fetch_add_f64(&fock_k, k * natoms + l, dens_k.get2(i, j) * eri * 4.0);
-        Atomic::fetch_add_f64(&fock_k, i * natoms + k, dens_k.get2(j, l) * -eri);
-        Atomic::fetch_add_f64(&fock_k, i * natoms + l, dens_k.get2(j, k) * -eri);
-        Atomic::fetch_add_f64(&fock_k, j * natoms + k, dens_k.get2(i, l) * -eri);
-        Atomic::fetch_add_f64(&fock_k, j * natoms + l, dens_k.get2(i, k) * -eri);
+        scatter_fock(
+            natoms,
+            |x| dens_k.get(x),
+            eri,
+            ij,
+            kl,
+            |index, value| {
+                Atomic::fetch_add_f64(&fock_k, index, value);
+            },
+        );
     })?;
     ctx.synchronize();
 

@@ -42,11 +42,12 @@ pub fn quartet_eri(system: &HeliumSystem, ij: u64, kl: u64) -> f64 {
     eri
 }
 
-/// Applies the six Fock-matrix updates of Listing 5 for one quartet through a
-/// caller-supplied accumulator (an atomic add on the GPU, a plain add here).
+/// Applies the six Fock-matrix updates of Listing 5 for one quartet,
+/// reading the row-major density matrix through `dens` and accumulating
+/// through `add` (an atomic add on the GPU, a plain add on the host).
 pub fn scatter_fock(
     natoms: usize,
-    dens: &[f64],
+    dens: impl Fn(usize) -> f64,
     eri: f64,
     ij: u64,
     kl: u64,
@@ -57,13 +58,13 @@ pub fn scatter_fock(
     let (i, j, k, l) = (i as usize, j as usize, k as usize, l as usize);
     let at = |a: usize, b: usize| a * natoms + b;
     // Coulomb contributions.
-    add(at(i, j), dens[at(k, l)] * eri * 4.0);
-    add(at(k, l), dens[at(i, j)] * eri * 4.0);
+    add(at(i, j), dens(at(k, l)) * eri * 4.0);
+    add(at(k, l), dens(at(i, j)) * eri * 4.0);
     // Exchange contributions.
-    add(at(i, k), dens[at(j, l)] * -eri);
-    add(at(i, l), dens[at(j, k)] * -eri);
-    add(at(j, k), dens[at(i, l)] * -eri);
-    add(at(j, l), dens[at(i, k)] * -eri);
+    add(at(i, k), dens(at(j, l)) * -eri);
+    add(at(i, l), dens(at(j, k)) * -eri);
+    add(at(j, k), dens(at(i, l)) * -eri);
+    add(at(j, l), dens(at(i, k)) * -eri);
 }
 
 /// Quartets folded per task when the reference build runs on the pool. The
@@ -95,9 +96,16 @@ pub fn reference_fock(system: &HeliumSystem, screening_tol: f64) -> Vec<f64> {
                     continue;
                 }
                 let eri = quartet_eri(system, ij, kl);
-                scatter_fock(natoms, &system.dens, eri, ij, kl, |index, value| {
-                    partial[index] += value;
-                });
+                scatter_fock(
+                    natoms,
+                    |x| system.dens[x],
+                    eri,
+                    ij,
+                    kl,
+                    |index, value| {
+                        partial[index] += value;
+                    },
+                );
             }
             partial
         })
@@ -136,7 +144,14 @@ mod tests {
     fn scatter_touches_exactly_six_entries() {
         let sys = system(6);
         let mut touched = Vec::new();
-        scatter_fock(6, &sys.dens, 1.0, 1, 3, |index, _| touched.push(index));
+        scatter_fock(
+            6,
+            |x| sys.dens[x],
+            1.0,
+            1,
+            3,
+            |index, _| touched.push(index),
+        );
         assert_eq!(touched.len(), 6);
     }
 

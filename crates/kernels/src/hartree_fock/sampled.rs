@@ -176,9 +176,16 @@ impl SampledPlan {
         let mut expected_fock = vec![0.0f64; natoms * natoms];
         for (&(_, q), &eri) in survivors.iter().zip(host_eris.iter()) {
             let (ij, kl) = pair_decode(q);
-            scatter_fock(natoms, &system.dens, eri, ij, kl, |index, value| {
-                expected_fock[index] += value;
-            });
+            scatter_fock(
+                natoms,
+                |x| system.dens[x],
+                eri,
+                ij,
+                kl,
+                |index, value| {
+                    expected_fock[index] += value;
+                },
+            );
         }
         SampledPlan {
             shards: stats,
@@ -260,9 +267,10 @@ pub fn run_sampled(
     // Device execution: one thread per surviving sample, writing its ERI and
     // scattering the six atomic Fock updates of Listing 5.
     let ctx = DeviceContext::from_device(cache::device(platform));
+    // Flat: `scatter_fock` reads the density at row-major linear offsets.
     let dens = LayoutTensor::new(
         ctx.enqueue_create_buffer_from(&system.dens)?,
-        Layout::row_major_2d(natoms, natoms),
+        Layout::row_major_1d(natoms * natoms),
     )?;
     let fock = LayoutTensor::new(
         ctx.enqueue_create_buffer::<f64>(natoms * natoms)?,
@@ -285,15 +293,16 @@ pub fn run_sampled(
             let (ij, kl) = pair_decode(survivors_k[sample].1);
             let eri = quartet_eri(system_k, ij, kl);
             eris_k.set(sample, eri);
-            let (i, j) = pair_decode(ij);
-            let (k, l) = pair_decode(kl);
-            let (i, j, k, l) = (i as usize, j as usize, k as usize, l as usize);
-            Atomic::fetch_add_f64(&fock_k, i * natoms + j, dens_k.get2(k, l) * eri * 4.0);
-            Atomic::fetch_add_f64(&fock_k, k * natoms + l, dens_k.get2(i, j) * eri * 4.0);
-            Atomic::fetch_add_f64(&fock_k, i * natoms + k, dens_k.get2(j, l) * -eri);
-            Atomic::fetch_add_f64(&fock_k, i * natoms + l, dens_k.get2(j, k) * -eri);
-            Atomic::fetch_add_f64(&fock_k, j * natoms + k, dens_k.get2(i, l) * -eri);
-            Atomic::fetch_add_f64(&fock_k, j * natoms + l, dens_k.get2(i, k) * -eri);
+            scatter_fock(
+                natoms,
+                |x| dens_k.get(x),
+                eri,
+                ij,
+                kl,
+                |index, value| {
+                    Atomic::fetch_add_f64(&fock_k, index, value);
+                },
+            );
         })?;
         ctx.synchronize();
     }

@@ -17,12 +17,6 @@ impl Atomic {
     pub fn fetch_add_f64(tensor: &LayoutTensor<f64>, offset: usize, value: f64) -> f64 {
         tensor.atomic_add_linear(offset, value)
     }
-
-    /// Atomically adds `value` to `tensor` at linear `offset` (FP32 variant).
-    #[inline]
-    pub fn fetch_add_f32(tensor: &LayoutTensor<f32>, offset: usize, value: f32) -> f32 {
-        tensor.atomic_add_linear(offset, value)
-    }
 }
 
 #[cfg(test)]
@@ -66,10 +60,6 @@ mod tests {
     #[test]
     fn f32_and_buffer_variants() {
         let dev = Device::new(presets::test_device());
-        let t32 = LayoutTensor::new(dev.alloc::<f32>(1).unwrap(), Layout::row_major_1d(1)).unwrap();
-        Atomic::fetch_add_f32(&t32, 0, 2.0);
-        assert_eq!(t32.get(0), 2.0);
-
         let t64 = LayoutTensor::new(dev.alloc::<f64>(2).unwrap(), Layout::row_major_1d(2)).unwrap();
         Atomic::fetch_add_f64(&t64, 1, 5.0);
         assert_eq!(t64.get(1), 5.0);

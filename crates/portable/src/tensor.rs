@@ -131,14 +131,6 @@ impl LayoutTensor<f64> {
     }
 }
 
-impl LayoutTensor<f32> {
-    /// Atomically adds `value` to the linear offset `offset`.
-    #[inline]
-    pub fn atomic_add_linear(&self, offset: usize, value: f32) -> f32 {
-        self.buffer.atomic_add(offset, value)
-    }
-}
-
 /// A host-side tensor view used by CPU reference implementations so they can
 /// share indexing code with the device kernels.
 #[derive(Debug)]
@@ -264,16 +256,6 @@ mod tests {
         });
         assert_eq!(t.get2(1, 1), 1000.0);
         assert_eq!(t.get2(0, 0), 500.0);
-    }
-
-    #[test]
-    fn f32_atomic_add_linear() {
-        let dev = device();
-        let buf = dev.alloc::<f32>(1).unwrap();
-        let t = LayoutTensor::new(buf, Layout::row_major_1d(1)).unwrap();
-        t.atomic_add_linear(0, 1.5);
-        t.atomic_add_linear(0, 2.5);
-        assert_eq!(t.get(0), 4.0);
     }
 
     #[test]

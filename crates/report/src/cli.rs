@@ -36,7 +36,7 @@
 //! compared byte-for-byte across runs, thread counts and worker counts.
 
 use crate::chaos;
-use crate::dispatch::{self, DispatchPolicy, LocalLauncher};
+use crate::dispatch::{self, DispatchPolicy, WorkerTask};
 use crate::registry::{known_ids, run_experiments, ExperimentId, EXPERIMENTS};
 use crate::report::ExperimentReport;
 use crate::serve::{self, ServeConfig};
@@ -190,7 +190,7 @@ USAGE:
   mojo-hpc shard (run|sweep) <run/sweep arguments> --workers N
                             [--timeout SECS] [--max-attempts N]
   mojo-hpc serve --listen HOST:PORT [--threads N] [--cache-entries N]
-                            [--cache-bytes N] [--scratch DIR]
+                            [--scratch DIR]
   mojo-hpc diff <dir-a> <dir-b>
   mojo-hpc help
 
@@ -215,7 +215,7 @@ prints a JSON shard document (manifest + partial reports); it cannot be
 combined with `--format csv`.
 
 DISPATCHER (DESIGN.md \u{a7}12): all N workers start at once on this host,
-under supervision; N is at most 64. `--timeout SECS` kills a worker
+each under its own supervisor; N is at most 64. `--timeout SECS` kills a worker
 exceeding the wall clock; SECS is at most 604800 (one week).
 `--max-attempts N` retries a failed shard with exponential backoff (default
 3; 0 runs a single attempt and, on failure, reports which ranges completed
@@ -227,7 +227,7 @@ always-on TCP service speaking line-delimited JSON: one request per line
 ({\"cmd\":\"run\"|\"sweep\"|\"stats\"|\"shutdown\", ...}), one JSON header
 line per response, followed (for run/sweep) by a payload byte-identical to
 that subcommand's stdout. Results are cached in an LRU keyed on the stable
-Params encoding (bounded by --cache-entries / --cache-bytes); identical
+Params encoding (bounded by --cache-entries and 64 MiB); identical
 concurrent requests coalesce onto a single computation; the points a sweep
 still needs run in parallel on the worker pool, as `sweep` runs them.
 `--scratch DIR` is accepted and ignored. The bound address is announced on
@@ -280,7 +280,7 @@ fn two_paths(subcommand: &str, rest: &[&str]) -> Result<[PathBuf; 2], String> {
 }
 
 /// Parses `serve --listen ADDR [--threads N] [--cache-entries N]
-/// [--cache-bytes N] [--scratch DIR]`. `--scratch` takes a value and has no
+/// [--scratch DIR]`. `--scratch` takes a value and has no
 /// effect: serve writes no files, and existing scripts still pass the flag.
 fn parse_serve(rest: &[&str]) -> Result<Command, String> {
     let mut listen = None;
@@ -295,10 +295,6 @@ fn parse_serve(rest: &[&str]) -> Result<Command, String> {
             "--cache-entries" => {
                 config.cache_entries =
                     parse_number("--cache-entries", flag_value("--cache-entries", &mut args)?)?
-            }
-            "--cache-bytes" => {
-                config.cache_bytes =
-                    parse_number("--cache-bytes", flag_value("--cache-bytes", &mut args)?)?
             }
             "--scratch" => {
                 flag_value("--scratch", &mut args)?;
@@ -945,14 +941,21 @@ fn dispatch_workers(
     args: &ShardArgs,
     worker_args: &[Vec<String>],
 ) -> Result<Vec<ShardDocument>, String> {
-    let launcher = LocalLauncher::current_exe()?;
+    // Workers re-invoke this executable, so they speak the same schema.
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("cannot locate the current executable: {e}"))?;
+    let command = |task: &WorkerTask| {
+        let mut cmd = std::process::Command::new(&exe);
+        cmd.args(&task.args);
+        cmd
+    };
     let tasks = shard::worker_tasks(worker_args);
     let policy = DispatchPolicy {
         max_attempts: args.max_attempts,
         timeout: args.timeout.map(Duration::from_secs_f64),
         ..DispatchPolicy::default()
     };
-    let (docs, summary) = dispatch::dispatch(&launcher, &tasks, &policy)?;
+    let (docs, summary) = dispatch::dispatch(&command, &tasks, &policy)?;
     eprintln!("dispatch: {}", summary.render());
     let mut pools = docs.iter().filter_map(|doc| doc.manifest.pool);
     if let Some(mut fleet) = pools.next() {

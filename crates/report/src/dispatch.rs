@@ -3,20 +3,26 @@
 //!
 //! `crate::shard` defines *what* a worker computes (`--shard I/N`, one JSON
 //! shard document on stdout) and how documents merge byte-identically.
-//! This module owns *how workers run*: every shard is a subprocess of one
-//! [`Launcher`], all started at once, under a supervision loop that
-//! survives individual worker failures without corrupting the merged
-//! result.
+//! This module owns *how workers run*: every shard gets one supervisor
+//! thread, all started at once, that runs the shard's attempts in order —
+//! spawn, wait, validate the document, back off, retry — so individual
+//! worker failures never corrupt the merged result.
 //!
 //! The pieces:
 //!
-//! * [`Launcher`] — turns one [`WorkerTask`] into a [`Command`].
-//!   [`LocalLauncher`] runs worker subprocesses of an executable on this
-//!   host; tests substitute their own to inject faults.
+//! * the command builder, `Fn(&WorkerTask) -> Command` — turns one
+//!   [`WorkerTask`] into the worker's [`Command`]. The coordinator
+//!   re-invokes its own executable; tests substitute a fault-injecting
+//!   command.
 //! * [`DispatchPolicy`] — per-worker wall-clock timeout and bounded retry
 //!   with exponential backoff and deterministic jitter.
-//! * [`dispatch`] — the engine: launch every shard, capture stdout/stderr,
-//!   kill workers that exceed the timeout, and retry failures.
+//! * [`dispatch`] — one supervisor per shard: capture stdout/stderr, kill
+//!   workers that exceed the timeout, and retry failures.
+//!
+//! A supervisor needs no polling: a worker is this binary, which holds both
+//! pipes until it exits, so the close of both pipes is the exit event. The
+//! drain threads report each pipe's bytes on one channel, and the
+//! supervisor blocks on it until the pipes close or the deadline passes.
 //!
 //! Failure handling is all-or-nothing: if any shard exhausts its attempt
 //! budget the whole dispatch fails with an error naming each failed shard,
@@ -28,17 +34,15 @@
 
 use crate::chaos;
 use crate::shard::ShardDocument;
-use std::io::Read;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::io::{Read, Write};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How many trailing stderr lines a failure report quotes per attempt.
 pub const STDERR_TAIL_LINES: usize = 10;
-
-/// Supervision loop poll interval.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// One shard's worth of work: the arguments a worker needs to compute shard
 /// `shard` of `shards` (the `--shard I/N` flag is already part of `args`).
@@ -50,50 +54,6 @@ pub struct WorkerTask {
     pub shards: u64,
     /// Worker argv, excluding the program itself.
     pub args: Vec<String>,
-}
-
-/// How one worker attempt is started.
-///
-/// Implementations only build the [`Command`]; the dispatcher owns
-/// supervision (capture, timeout, retry).
-pub trait Launcher {
-    /// Human-readable name used in diagnostics (`local`).
-    fn describe(&self) -> String;
-    /// Builds the command executing one worker attempt of `task`.
-    fn command(&self, task: &WorkerTask) -> Command;
-}
-
-/// Runs worker subprocesses of an executable on this host.
-#[derive(Debug, Clone)]
-pub struct LocalLauncher {
-    exe: PathBuf,
-}
-
-impl LocalLauncher {
-    /// A launcher spawning `exe`.
-    pub fn new(exe: impl Into<PathBuf>) -> LocalLauncher {
-        LocalLauncher { exe: exe.into() }
-    }
-
-    /// A launcher re-invoking the current executable — the coordinator's
-    /// default, guaranteeing workers speak the same schema.
-    pub fn current_exe() -> Result<LocalLauncher, String> {
-        let exe = std::env::current_exe()
-            .map_err(|e| format!("cannot locate the current executable: {e}"))?;
-        Ok(LocalLauncher::new(exe))
-    }
-}
-
-impl Launcher for LocalLauncher {
-    fn describe(&self) -> String {
-        "local".to_string()
-    }
-
-    fn command(&self, task: &WorkerTask) -> Command {
-        let mut cmd = Command::new(&self.exe);
-        cmd.args(&task.args);
-        cmd
-    }
 }
 
 /// Retry and timeout policy of one dispatch.
@@ -189,85 +149,118 @@ struct FailureRecord {
     attempt: u32,
     error: String,
     stderr_tail: Vec<String>,
+    /// The attempt was killed at its deadline.
+    timed_out: bool,
 }
 
-/// A running worker attempt under supervision.
+/// Which of a worker's pipes a drained buffer came from.
+enum Pipe {
+    Stdout,
+    Stderr,
+}
+
+/// A running worker attempt: the child and the threads draining its pipes
+/// into one channel.
 struct Active {
-    task: usize,
-    attempt: u32,
     child: Child,
-    started: Instant,
-    deadline: Option<Instant>,
-    stdout: Option<JoinHandle<Vec<u8>>>,
-    stderr: Option<JoinHandle<Vec<u8>>>,
+    events: Receiver<(Pipe, Vec<u8>)>,
+    drains: Vec<JoinHandle<()>>,
 }
 
 impl Active {
-    /// Joins the pipe-drain threads and returns (stdout, stderr) bytes.
-    fn collect_output(&mut self) -> (Vec<u8>, Vec<u8>) {
-        let stdout = self
+    /// Spawns `cmd` with stdout and stderr piped and starts one drain
+    /// thread per pipe.
+    fn spawn(cmd: &mut Command) -> std::io::Result<Active> {
+        let mut child = cmd
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .stdin(Stdio::null())
+            .spawn()?;
+        let (sender, events) = mpsc::channel();
+        let stdout = child
             .stdout
             .take()
-            .and_then(|h| h.join().ok())
-            .unwrap_or_default();
-        let stderr = self
+            .map(|pipe| drain(pipe, Pipe::Stdout, sender.clone()));
+        let stderr = child
             .stderr
             .take()
-            .and_then(|h| h.join().ok())
-            .unwrap_or_default();
-        (stdout, stderr)
+            .map(|pipe| drain(pipe, Pipe::Stderr, sender));
+        let drains = stdout.into_iter().chain(stderr).collect();
+        Ok(Active {
+            child,
+            events,
+            drains,
+        })
     }
 
-    /// Kills the child (ignoring already-dead errors), reaps it, joins the
-    /// drain threads, and returns whatever the worker managed to print.
-    /// Every kill path goes through here so a killed attempt can never leave
-    /// a zombie process or a leaked drain thread behind — and never loses
-    /// the diagnostics the worker wrote before dying.
-    fn kill_and_collect(&mut self) -> (Vec<u8>, Vec<u8>) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-        self.collect_output()
+    /// Receives both pipes' bytes until they close, killing the child at
+    /// `deadline` and receiving what it printed until then; then reaps the
+    /// child and joins the drains. Returns the exit status, stdout, stderr,
+    /// and whether the deadline killed the worker.
+    fn wait(
+        mut self,
+        deadline: Option<Instant>,
+    ) -> (std::io::Result<ExitStatus>, Vec<u8>, Vec<u8>, bool) {
+        let (mut stdout, mut stderr, mut killed) = (Vec::new(), Vec::new(), false);
+        loop {
+            let event = match deadline {
+                Some(deadline) if !killed => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    match self.events.recv_timeout(left) {
+                        Err(RecvTimeoutError::Timeout) => {
+                            self.child.kill().ok();
+                            killed = true;
+                            continue;
+                        }
+                        event => event.ok(),
+                    }
+                }
+                _ => self.events.recv().ok(),
+            };
+            match event {
+                Some((Pipe::Stdout, bytes)) => stdout = bytes,
+                Some((Pipe::Stderr, bytes)) => stderr = bytes,
+                None => break,
+            }
+        }
+        let status = self.child.wait();
+        self.join_drains();
+        (status, stdout, stderr, killed)
+    }
+
+    fn join_drains(&mut self) {
+        for handle in self.drains.drain(..) {
+            handle.join().ok();
+        }
     }
 }
 
 impl Drop for Active {
     /// Backstop: an attempt dropped on an unexpected path (e.g. a panic
-    /// unwinding through the engine) is still killed, reaped, and its drain
-    /// threads joined. On every normal path `collect_output` has already
-    /// taken both handles and this is a no-op.
+    /// unwinding through its supervisor) is still killed, reaped, and its
+    /// drain threads joined. On the normal path `wait` has already joined
+    /// them and this is a no-op.
     fn drop(&mut self) {
-        if self.stdout.is_some() || self.stderr.is_some() {
+        if !self.drains.is_empty() {
             self.child.kill().ok();
             self.child.wait().ok();
-            self.collect_output();
+            self.join_drains();
         }
     }
 }
 
-/// Supervision state of one task.
-#[derive(Debug)]
-struct TaskState {
-    /// Completed successfully: the winning document.
-    doc: Option<ShardDocument>,
-    /// Every failed attempt so far.
-    failures: Vec<FailureRecord>,
-    /// Attempts launched so far (sets the next attempt number).
-    launched: u32,
-    /// When the next attempt may launch (`None` = running or settled).
-    ready_at: Option<Instant>,
-    /// Attempt budget exhausted; the dispatch will fail.
-    exhausted: bool,
-}
-
-/// Drains one pipe to a byte buffer on a helper thread, so a chatty worker
-/// can never deadlock against a full pipe while the supervisor polls.
-fn drain<R: Read + Send + 'static>(pipe: Option<R>) -> Option<JoinHandle<Vec<u8>>> {
-    pipe.map(|mut pipe| {
-        std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            pipe.read_to_end(&mut buf).ok();
-            buf
-        })
+/// Drains one pipe to its end on a helper thread, then sends the bytes, so
+/// a chatty worker can never block on a full pipe and the pipe's close
+/// reaches the supervisor as an event.
+fn drain(
+    mut pipe: impl Read + Send + 'static,
+    which: Pipe,
+    events: Sender<(Pipe, Vec<u8>)>,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        pipe.read_to_end(&mut buf).ok();
+        events.send((which, buf)).ok();
     })
 }
 
@@ -275,346 +268,259 @@ fn drain<R: Read + Send + 'static>(pipe: Option<R>) -> Option<JoinHandle<Vec<u8>
 fn stderr_tail(bytes: &[u8]) -> Vec<String> {
     let text = String::from_utf8_lossy(bytes);
     let lines: Vec<&str> = text.lines().collect();
-    lines
-        .iter()
-        .skip(lines.len().saturating_sub(STDERR_TAIL_LINES))
-        .map(|l| l.to_string())
-        .collect()
+    let skip = lines.len().saturating_sub(STDERR_TAIL_LINES);
+    lines[skip..].iter().map(|l| l.to_string()).collect()
 }
 
-/// The dispatch engine. Runs every task to completion (or exhaustion)
-/// through `launcher` under `policy`, all tasks at once, returning the
-/// shard documents in task order plus the attempt accounting.
+/// Runs one attempt of `task` through `cmd` to its end: the shard's
+/// document and the worker's stderr, or the failure record.
+fn run_attempt(
+    mut cmd: Command,
+    task: &WorkerTask,
+    attempt: u32,
+    timeout: Option<Duration>,
+) -> Result<(ShardDocument, Vec<u8>), FailureRecord> {
+    cmd.env(chaos::ATTEMPT_ENV, attempt.to_string());
+    let started = Instant::now();
+    let active = match Active::spawn(&mut cmd) {
+        Ok(active) => active,
+        Err(e) => {
+            // No worker ran, so there is no captured stderr; synthesise a
+            // tail naming the program and OS error so exhausted-retry
+            // reports stay uniform across the exit/timeout/spawn paths.
+            let program = cmd.get_program().to_string_lossy().into_owned();
+            return Err(FailureRecord {
+                attempt,
+                error: format!("failed to spawn worker: {e}"),
+                stderr_tail: vec![format!("(no worker output: cannot spawn {program}: {e})")],
+                timed_out: false,
+            });
+        }
+    };
+    // A killed worker's drained stderr is its last words — exactly what
+    // the operator needs — so every path below quotes the real tail.
+    let (status, stdout, stderr, timed_out) = active.wait(timeout.map(|t| started + t));
+    let outcome = match status {
+        _ if timed_out => Err(format!(
+            "worker timed out after {:.1} s (killed)",
+            started.elapsed().as_secs_f64()
+        )),
+        Err(e) => Err(format!("failed to wait for worker: {e}")),
+        Ok(status) if !status.success() => Err(format!("worker exited with {status}")),
+        Ok(_) => parse_document(&stdout, task),
+    };
+    match outcome {
+        Ok(doc) => Ok((doc, stderr)),
+        Err(error) => Err(FailureRecord {
+            attempt,
+            error,
+            stderr_tail: stderr_tail(&stderr),
+            timed_out,
+        }),
+    }
+}
+
+/// The shard document a successful worker printed, checked to be `task`'s.
+fn parse_document(stdout: &[u8], task: &WorkerTask) -> Result<ShardDocument, String> {
+    let text = std::str::from_utf8(stdout).map_err(|_| "worker stdout is not UTF-8".to_string())?;
+    let doc = ShardDocument::parse(text)?;
+    if doc.manifest.shard != task.shard {
+        return Err(format!(
+            "worker returned a document for shard {} (expected {})",
+            doc.manifest.shard, task.shard
+        ));
+    }
+    Ok(doc)
+}
+
+/// Relays one failed attempt (and its stderr tail) live: a retried-and-
+/// recovered run would otherwise swallow the failed attempt's diagnostics
+/// entirely, since the failure report only renders when the whole dispatch
+/// fails. One stderr lock per block keeps two shards' blocks apart.
+fn relay(task: &WorkerTask, failure: &FailureRecord) {
+    let mut err = std::io::stderr().lock();
+    writeln!(
+        err,
+        "dispatch: shard {}/{} attempt {} failed: {}",
+        task.shard, task.shards, failure.attempt, failure.error
+    )
+    .ok();
+    for line in &failure.stderr_tail {
+        writeln!(err, "dispatch:   stderr: {line}").ok();
+    }
+}
+
+/// Raised once a shard exhausts its attempt budget: the dispatch will fail,
+/// so no shard starts another attempt and every pending backoff ends at
+/// once. Attempts already running still finish, so "completed before
+/// failure" lists every range that completed. A `bool` is valid at every
+/// step, so a poisoned lock is recovered rather than propagated.
+#[derive(Default)]
+struct Failing {
+    raised: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Failing {
+    fn raise(&self) {
+        *self.raised.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.wake.notify_all();
+    }
+
+    /// Waits out `delay` unless the flag is or gets raised; true if it is.
+    fn wait(&self, delay: Duration) -> bool {
+        let raised = self.raised.lock().unwrap_or_else(PoisonError::into_inner);
+        let (raised, _) = self
+            .wake
+            .wait_timeout_while(raised, delay, |raised| !*raised)
+            .unwrap_or_else(PoisonError::into_inner);
+        *raised
+    }
+}
+
+/// What one shard's supervisor ends with.
+struct Supervised {
+    /// The winning document and the winner's stderr.
+    won: Option<(ShardDocument, Vec<u8>)>,
+    /// Every failed attempt, in attempt order.
+    failures: Vec<FailureRecord>,
+}
+
+/// One shard's supervisor: runs its attempts in order — spawn, wait,
+/// validate, back off, retry — until one returns the shard's document, the
+/// budget is spent (raising `failing`), or another shard raised it.
+fn supervise(
+    command: &(dyn Fn(&WorkerTask) -> Command + Sync),
+    task: &WorkerTask,
+    policy: &DispatchPolicy,
+    failing: &Failing,
+) -> Supervised {
+    let mut failures = Vec::new();
+    let won = loop {
+        let attempt = failures.len() as u32 + 1;
+        match run_attempt(command(task), task, attempt, policy.timeout) {
+            Ok(won) => break Some(won),
+            Err(failure) => {
+                relay(task, &failure);
+                failures.push(failure);
+            }
+        }
+        let failed = failures.len() as u32;
+        if failed >= policy.attempt_budget() {
+            failing.raise();
+        }
+        // Returns at once when the flag is (already) raised.
+        if failing.wait(policy.backoff(task.shard, failed)) {
+            break None;
+        }
+    };
+    Supervised { won, failures }
+}
+
+/// Runs every task to completion (or exhaustion) under `policy`, one
+/// supervisor thread per task, all at once, each attempt's worker built by
+/// `command`. Returns the shard documents in task order plus the attempt
+/// accounting.
 ///
 /// On failure the error names every exhausted shard with its attempt count
 /// and stderr tail, and lists the ranges that completed — the caller
 /// reports it and exits nonzero without writing partial output.
 pub fn dispatch(
-    launcher: &dyn Launcher,
+    command: &(dyn Fn(&WorkerTask) -> Command + Sync),
     tasks: &[WorkerTask],
     policy: &DispatchPolicy,
 ) -> Result<(Vec<ShardDocument>, DispatchSummary), String> {
     if tasks.is_empty() {
         return Err("dispatch: no tasks to run".to_string());
     }
-    let mut engine = Engine {
-        launcher,
-        tasks,
-        policy,
-        states: tasks
+    let failing = &Failing::default();
+    let shards: Vec<Supervised> = std::thread::scope(|scope| {
+        let supervisors: Vec<_> = tasks
             .iter()
-            .map(|_| TaskState {
-                doc: None,
-                failures: Vec::new(),
-                launched: 0,
-                ready_at: Some(Instant::now()),
-                exhausted: false,
-            })
-            .collect(),
-        active: Vec::new(),
-        summary: DispatchSummary::default(),
-        winner_stderr: vec![None; tasks.len()],
-    };
-    engine.run()
-}
-
-/// Internal supervision state of one [`dispatch`] call.
-struct Engine<'a> {
-    launcher: &'a dyn Launcher,
-    tasks: &'a [WorkerTask],
-    policy: &'a DispatchPolicy,
-    states: Vec<TaskState>,
-    active: Vec<Active>,
-    summary: DispatchSummary,
-    /// The winning attempt's captured stderr per task, relayed after the
-    /// dispatch so diagnostics stay visible exactly once.
-    winner_stderr: Vec<Option<Vec<u8>>>,
-}
-
-impl Engine<'_> {
-    fn run(&mut self) -> Result<(Vec<ShardDocument>, DispatchSummary), String> {
-        loop {
-            self.launch_ready();
-            self.poll_active();
-            // Once a task is exhausted the dispatch will fail: pending
-            // retries of other tasks are pointless work, but in-flight
-            // attempts still drain so "completed before failure" is maximal.
-            let failing = self.states.iter().any(|s| s.exhausted);
-            let all_settled = self.states.iter().all(|s| s.doc.is_some() || s.exhausted);
-            if (all_settled || failing) && self.active.is_empty() {
-                break;
-            }
-            std::thread::sleep(POLL_INTERVAL);
-        }
-        self.finish()
-    }
-
-    /// Spawns the next attempt of `task`. A spawn error is recorded as a
-    /// failed attempt.
-    fn launch(&mut self, task: usize) {
-        let state = &mut self.states[task];
-        let attempt = state.launched + 1;
-        state.launched = attempt;
-        state.ready_at = None;
-        self.summary.attempts += 1;
-        if attempt > 1 {
-            self.summary.retries += 1;
-        }
-        let mut cmd = self.launcher.command(&self.tasks[task]);
-        cmd.stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .stdin(Stdio::null())
-            .env(chaos::ATTEMPT_ENV, attempt.to_string());
-        match cmd.spawn() {
-            Ok(mut child) => {
-                let stdout = drain(child.stdout.take());
-                let stderr = drain(child.stderr.take());
-                let started = Instant::now();
-                self.active.push(Active {
-                    task,
-                    attempt,
-                    child,
-                    started,
-                    deadline: self.policy.timeout.map(|t| started + t),
-                    stdout,
-                    stderr,
-                });
-            }
-            Err(e) => {
-                // No worker ran, so there is no captured stderr; synthesise
-                // a tail naming the launcher and OS error so exhausted-retry
-                // reports stay uniform across the exit/timeout/spawn paths.
-                let tail = vec![format!(
-                    "(no worker output: spawn through launcher '{}' failed: {e})",
-                    self.launcher.describe()
-                )];
-                self.record_failure(task, attempt, format!("failed to spawn worker: {e}"), tail);
-            }
-        }
-    }
-
-    /// Launches every pending task whose backoff delay has elapsed, unless
-    /// the dispatch is already failing.
-    fn launch_ready(&mut self) {
-        if self.states.iter().any(|s| s.exhausted) {
-            return;
-        }
-        let now = Instant::now();
-        for task in 0..self.states.len() {
-            if self.states[task].ready_at.is_some_and(|at| at <= now) {
-                self.launch(task);
-            }
-        }
-    }
-
-    /// Records one failed attempt and schedules the retry (or marks the
-    /// task exhausted once the budget is spent).
-    fn record_failure(
-        &mut self,
-        task: usize,
-        attempt: u32,
-        error: String,
-        stderr_tail_lines: Vec<String>,
-    ) {
-        // Relay the failure (and the attempt's stderr tail) live, in attempt
-        // order: a retried-and-recovered run would otherwise swallow the
-        // failed attempt's diagnostics entirely — the final failure report
-        // only renders when the whole dispatch fails.
-        let spec = &self.tasks[task];
-        eprintln!(
-            "dispatch: shard {}/{} attempt {attempt} [{}] failed: {error}",
-            spec.shard,
-            spec.shards,
-            self.launcher.describe()
-        );
-        for line in &stderr_tail_lines {
-            eprintln!("dispatch:   stderr: {line}");
-        }
-        let state = &mut self.states[task];
-        state.failures.push(FailureRecord {
-            attempt,
-            error,
-            stderr_tail: stderr_tail_lines,
-        });
-        let failures = state.failures.len() as u32;
-        if failures >= self.policy.attempt_budget() {
-            state.exhausted = true;
-        } else {
-            state.ready_at = Some(Instant::now() + self.policy.backoff(spec.shard, failures));
-        }
-    }
-
-    /// Handles one finished attempt: validate the document on success, or
-    /// record the failure.
-    fn settle(&mut self, mut attempt: Active, status: std::process::ExitStatus) {
-        let (stdout, stderr) = attempt.collect_output();
-        let task = attempt.task;
-        let outcome = if !status.success() {
-            Err(format!("worker exited with {status}"))
-        } else {
-            match std::str::from_utf8(&stdout) {
-                Err(_) => Err("worker stdout is not UTF-8".to_string()),
-                Ok(text) => ShardDocument::parse(text).and_then(|doc| {
-                    if doc.manifest.shard != self.tasks[task].shard {
-                        Err(format!(
-                            "worker returned a document for shard {} (expected {})",
-                            doc.manifest.shard, self.tasks[task].shard
-                        ))
-                    } else {
-                        Ok(doc)
-                    }
-                }),
-            }
-        };
-        match outcome {
-            Ok(doc) => {
-                self.states[task].doc = Some(doc);
-                self.winner_stderr[task] = Some(stderr);
-            }
-            Err(error) => {
-                self.record_failure(task, attempt.attempt, error, stderr_tail(&stderr));
-            }
-        }
-    }
-
-    /// Polls every active attempt: settle the finished, kill the timed out.
-    fn poll_active(&mut self) {
-        let now = Instant::now();
-        let mut index = 0;
-        while index < self.active.len() {
-            match self.active[index].child.try_wait() {
-                Ok(Some(status)) => {
-                    let attempt = self.active.swap_remove(index);
-                    self.settle(attempt, status);
-                    continue;
-                }
-                Ok(None) => {
-                    let timed_out = self.active[index]
-                        .deadline
-                        .is_some_and(|deadline| now >= deadline);
-                    if timed_out {
-                        let mut attempt = self.active.swap_remove(index);
-                        // The drain threads already hold whatever the hung
-                        // worker printed; pass the real tail, not an empty
-                        // one — a killed worker's last words are exactly
-                        // what the operator needs.
-                        let (_stdout, stderr) = attempt.kill_and_collect();
-                        self.summary.timeouts += 1;
-                        let elapsed = attempt.started.elapsed().as_secs_f64();
-                        self.record_failure(
-                            attempt.task,
-                            attempt.attempt,
-                            format!("worker timed out after {elapsed:.1} s (killed)"),
-                            stderr_tail(&stderr),
-                        );
-                        continue;
-                    }
-                }
-                Err(e) => {
-                    let mut attempt = self.active.swap_remove(index);
-                    let (_stdout, stderr) = attempt.kill_and_collect();
-                    self.record_failure(
-                        attempt.task,
-                        attempt.attempt,
-                        format!("failed to poll worker: {e}"),
-                        stderr_tail(&stderr),
-                    );
-                    continue;
-                }
-            }
-            index += 1;
-        }
-    }
-
-    /// Builds the final result: documents in task order on success, or the
-    /// full failure report.
-    fn finish(&mut self) -> Result<(Vec<ShardDocument>, DispatchSummary), String> {
-        if self.states.iter().all(|s| s.doc.is_some()) {
-            // Relay each winner's stderr exactly once, in shard order, so
-            // worker diagnostics stay visible to the coordinator's caller.
-            for stderr in self.winner_stderr.iter().flatten() {
-                if !stderr.is_empty() {
-                    eprint!("{}", String::from_utf8_lossy(stderr));
-                }
-            }
-            let docs = self
-                .states
-                .iter_mut()
-                .map(|s| s.doc.take().expect("all tasks settled"))
-                .collect();
-            return Ok((docs, self.summary));
-        }
-        Err(self.failure_report())
-    }
-
-    /// The multi-line error naming every failed shard (attempts, errors,
-    /// stderr tails) and the ranges that completed before the failure.
-    fn failure_report(&self) -> String {
-        let mut lines = Vec::new();
-        let launcher = self.launcher.describe();
-        let failed = self.states.iter().filter(|s| s.doc.is_none()).count();
-        lines.push(format!(
-            "dispatch failed: {failed} of {} shard(s) did not complete",
-            self.states.len()
-        ));
-        for (task, state) in self.states.iter().enumerate() {
-            if state.doc.is_some() {
-                continue;
-            }
-            let spec = &self.tasks[task];
-            let name = format!("shard {}/{}", spec.shard, spec.shards);
-            let last = state
-                .failures
-                .last()
-                .map(|f| f.error.clone())
-                .unwrap_or_else(|| "never attempted".to_string());
-            lines.push(format!(
-                "{name}: failed after {} attempt(s); last error: {last}",
-                state.failures.len().max(1)
-            ));
-            for failure in &state.failures {
-                lines.push(format!(
-                    "{name}: attempt {} [{}]: {}",
-                    failure.attempt, launcher, failure.error
-                ));
-                if !failure.stderr_tail.is_empty() {
-                    lines.push(format!(
-                        "{name}:   stderr tail (last {} line(s)):",
-                        failure.stderr_tail.len()
-                    ));
-                    for line in &failure.stderr_tail {
-                        lines.push(format!("{name}:     {line}"));
-                    }
-                }
-            }
-        }
-        let completed: Vec<String> = self
-            .states
-            .iter()
-            .enumerate()
-            .filter_map(|(task, state)| {
-                state.doc.as_ref().map(|doc| {
-                    let spec = &self.tasks[task];
-                    format!(
-                        "shard {}/{} (items {}..{})",
-                        spec.shard,
-                        spec.shards,
-                        doc.manifest.start,
-                        doc.manifest.start + doc.manifest.count
-                    )
-                })
-            })
+            .map(|task| scope.spawn(move || supervise(command, task, policy, failing)))
             .collect();
-        if completed.is_empty() {
-            lines.push("completed before failure: none".to_string());
-        } else {
-            lines.push(format!(
-                "completed before failure: {}",
-                completed.join(", ")
-            ));
-        }
-        lines.join("\n")
+        supervisors
+            .into_iter()
+            .map(|supervisor| {
+                supervisor
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    let mut summary = DispatchSummary::default();
+    for shard in &shards {
+        let attempts = shard.failures.len() as u64 + u64::from(shard.won.is_some());
+        summary.attempts += attempts;
+        summary.retries += attempts - 1;
+        summary.timeouts += shard.failures.iter().filter(|f| f.timed_out).count() as u64;
     }
+    if shards.iter().any(|shard| shard.won.is_none()) {
+        return Err(failure_report(tasks, &shards));
+    }
+    // Relay each winner's stderr exactly once, in shard order, so worker
+    // diagnostics stay visible to the coordinator's caller.
+    let mut err = std::io::stderr().lock();
+    let docs = shards
+        .into_iter()
+        .flat_map(|shard| shard.won)
+        .map(|(doc, stderr)| {
+            err.write_all(&stderr).ok();
+            doc
+        })
+        .collect();
+    Ok((docs, summary))
+}
+
+/// The multi-line error naming every failed shard (attempts, errors,
+/// stderr tails) and the ranges that completed before the failure.
+fn failure_report(tasks: &[WorkerTask], shards: &[Supervised]) -> String {
+    let failed = shards.iter().filter(|shard| shard.won.is_none()).count();
+    let mut lines = vec![format!(
+        "dispatch failed: {failed} of {} shard(s) did not complete",
+        shards.len()
+    )];
+    let mut completed = Vec::new();
+    for (task, shard) in tasks.iter().zip(shards) {
+        let name = format!("shard {}/{}", task.shard, task.shards);
+        if let Some((doc, _)) = &shard.won {
+            completed.push(format!(
+                "{name} (items {}..{})",
+                doc.manifest.start,
+                doc.manifest.start + doc.manifest.count
+            ));
+            continue;
+        }
+        // Every shard's first attempt runs, so a shard without a document
+        // has at least one failure.
+        let last = shard.failures.last().map_or("", |f| f.error.as_str());
+        lines.push(format!(
+            "{name}: failed after {} attempt(s); last error: {last}",
+            shard.failures.len()
+        ));
+        for failure in &shard.failures {
+            lines.push(format!(
+                "{name}: attempt {}: {}",
+                failure.attempt, failure.error
+            ));
+            if !failure.stderr_tail.is_empty() {
+                lines.push(format!(
+                    "{name}:   stderr tail (last {} line(s)):",
+                    failure.stderr_tail.len()
+                ));
+                for line in &failure.stderr_tail {
+                    lines.push(format!("{name}:     {line}"));
+                }
+            }
+        }
+    }
+    let completed = if completed.is_empty() {
+        "none".to_string()
+    } else {
+        completed.join(", ")
+    };
+    lines.push(format!("completed before failure: {completed}"));
+    lines.join("\n")
 }
 
 #[cfg(test)]
@@ -663,17 +569,24 @@ mod tests {
         assert!(stderr_tail(b"").is_empty());
     }
 
+    /// A command builder running `program` with each task's arguments.
+    fn local(program: &'static str) -> impl Fn(&WorkerTask) -> Command + Sync {
+        move |task| {
+            let mut cmd = Command::new(program);
+            cmd.args(&task.args);
+            cmd
+        }
+    }
+
     #[test]
     fn dispatch_rejects_empty_configurations() {
-        let launcher = LocalLauncher::new("/bin/true");
-        assert!(dispatch(&launcher, &[], &DispatchPolicy::default()).is_err());
+        assert!(dispatch(&local("/bin/true"), &[], &DispatchPolicy::default()).is_err());
     }
 
     #[test]
     fn dispatch_reports_spawn_failures_with_attempts_and_completed_ranges() {
-        // A launcher pointing at a nonexistent binary: every attempt fails
-        // to spawn, the budget is spent, and the report names the shard.
-        let launcher = LocalLauncher::new("/nonexistent/mojo-worker");
+        // A nonexistent worker binary: every attempt fails to spawn, the
+        // budget is spent, and the report names the shard.
         let tasks = [WorkerTask {
             shard: 0,
             shards: 1,
@@ -684,10 +597,42 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             ..DispatchPolicy::default()
         };
-        let err = dispatch(&launcher, &tasks, &policy).expect_err("spawn failures must fail");
+        let err = dispatch(&local("/nonexistent/mojo-worker"), &tasks, &policy)
+            .expect_err("spawn failures must fail");
         assert!(err.contains("shard 0/1"), "{err}");
         assert!(err.contains("2 attempt(s)"), "{err}");
         assert!(err.contains("failed to spawn"), "{err}");
         assert!(err.contains("completed before failure: none"), "{err}");
+    }
+
+    #[test]
+    fn an_exhausted_shard_cancels_the_pending_retries_of_the_others() {
+        // Both shards fail at once. The deterministic jitter schedules shard
+        // 0's retry at about 1.10 × 2 s and shard 1's at about 1.25 × 2 s, so
+        // shard 0's second failure exhausts the dispatch while shard 1 is
+        // still backing off, and shard 1's retry must never launch.
+        // Margin: the gap is about 0.29 s, against the few ms it takes to
+        // spawn `/bin/false` and see it exit.
+        let tasks = [0, 1].map(|shard| WorkerTask {
+            shard,
+            shards: 2,
+            args: vec![],
+        });
+        let policy = DispatchPolicy {
+            max_attempts: 2,
+            timeout: None,
+            backoff_base: Duration::from_secs(2),
+            backoff_cap: Duration::from_secs(2),
+        };
+        let err = dispatch(&local("/bin/false"), &tasks, &policy)
+            .expect_err("failing workers must fail the dispatch");
+        assert!(
+            err.contains("shard 0/2: failed after 2 attempt(s)"),
+            "{err}"
+        );
+        assert!(
+            err.contains("shard 1/2: failed after 1 attempt(s)"),
+            "{err}"
+        );
     }
 }

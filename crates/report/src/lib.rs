@@ -35,7 +35,7 @@ pub mod serve;
 pub mod shard;
 pub mod sweep;
 
-pub use dispatch::{DispatchPolicy, DispatchSummary, Launcher, LocalLauncher};
+pub use dispatch::{DispatchPolicy, DispatchSummary};
 pub use registry::{
     all_experiments, run_experiment, run_experiments, ExperimentId, ExperimentSpec, WorkloadPreset,
     EXPERIMENTS,

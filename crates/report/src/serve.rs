@@ -92,7 +92,7 @@ pub const SERVE_SLOW_MS_ENV: &str = "MOJO_HPC_SERVE_SLOW_MS";
 /// Default bound on cached result entries.
 pub const DEFAULT_CACHE_ENTRIES: usize = 1024;
 
-/// Default bound on the cache's estimated resident bytes (64 MiB).
+/// Bound on the cache's estimated resident bytes (64 MiB).
 pub const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Longest request line the server reads (1 MiB, not counting the
@@ -110,8 +110,6 @@ pub struct ServeConfig {
     pub threads: Option<usize>,
     /// Maximum cached results (0 disables caching).
     pub cache_entries: usize,
-    /// Maximum estimated bytes of cached results.
-    pub cache_bytes: u64,
 }
 
 impl ServeConfig {
@@ -121,7 +119,6 @@ impl ServeConfig {
             listen: listen.into(),
             threads: None,
             cache_entries: DEFAULT_CACHE_ENTRIES,
-            cache_bytes: DEFAULT_CACHE_BYTES,
         }
     }
 }
@@ -184,7 +181,7 @@ struct ServeState {
 impl ServeState {
     fn new(config: &ServeConfig, addr: SocketAddr) -> ServeState {
         ServeState {
-            cache: SingleFlight::new(config.cache_entries, config.cache_bytes, CachedValue::cost),
+            cache: SingleFlight::new(config.cache_entries, DEFAULT_CACHE_BYTES, CachedValue::cost),
             addr,
             coalesced: AtomicU64::new(0),
             requests: AtomicU64::new(0),

@@ -430,6 +430,7 @@ fn documented_flags_match_the_usage_text() {
         concat!("--", "spill-threshold"),
         concat!("--", "spill-workers"),
         concat!("--", "spill-timeout"),
+        concat!("--", "cache-bytes"),
     ];
     let removed_run_form = concat!("run ", "hartree-fock");
     let removed_shard_flags = [
@@ -453,6 +454,7 @@ fn documented_flags_match_the_usage_text() {
         concat!("Memory", "Report"),
     ];
     let removed_range_check = concat!("check_int", "_range");
+    let removed_dispatcher = [concat!("Local", "Launcher"), concat!("POLL_", "INTERVAL")];
     for (doc, text) in [
         ("README.md", readme.as_str()),
         ("DESIGN.md", design.as_str()),
@@ -472,6 +474,7 @@ fn documented_flags_match_the_usage_text() {
         .chain(removed_shard_names)
         .chain(removed_interner)
         .chain(removed_preset_lane)
+        .chain(removed_dispatcher)
         {
             assert!(!text.contains(removed), "{doc} still mentions {removed}");
         }
@@ -482,6 +485,14 @@ fn documented_flags_match_the_usage_text() {
         "127.0.0.1:0",
         removed_serve_flags[0],
         "2",
+    ]);
+    assert_eq!(output.status.code(), Some(2), "{}", stderr(&output));
+    let output = mojo_hpc(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        removed_serve_flags[3],
+        "1",
     ]);
     assert_eq!(output.status.code(), Some(2), "{}", stderr(&output));
     let output = mojo_hpc(&["run", "hartree-fock", "--atoms", "8"]);

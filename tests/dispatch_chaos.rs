@@ -196,20 +196,14 @@ fn repeated_timeout_kills_leak_no_zombies_or_drain_threads() {
     // witness the cleanup: every timeout-killed worker must be wait()ed
     // (no zombie children) and both pipe-drain threads joined (stable
     // thread count), round after round.
-    use experiment_report::dispatch::{dispatch, DispatchPolicy, Launcher, WorkerTask};
+    use experiment_report::dispatch::{dispatch, DispatchPolicy, WorkerTask};
     use std::time::Duration;
 
-    struct ChaosLocal;
-    impl Launcher for ChaosLocal {
-        fn describe(&self) -> String {
-            "chaos-local".to_string()
-        }
-        fn command(&self, task: &WorkerTask) -> Command {
-            let mut cmd = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"));
-            cmd.args(&task.args).env("MOJO_HPC_CHAOS", "hang:0:*");
-            cmd
-        }
-    }
+    let chaos_local = |task: &WorkerTask| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mojo-hpc"));
+        cmd.args(&task.args).env("MOJO_HPC_CHAOS", "hang:0:*");
+        cmd
+    };
 
     let tasks = vec![WorkerTask {
         shard: 0,
@@ -230,11 +224,11 @@ fn repeated_timeout_kills_leak_no_zombies_or_drain_threads() {
 
     // Warm-up round so lazily-created runtime threads don't skew the
     // baseline taken below.
-    assert!(dispatch(&ChaosLocal, &tasks, &policy).is_err());
+    assert!(dispatch(&chaos_local, &tasks, &policy).is_err());
     let threads_before = thread_count();
     for round in 0..3 {
         assert!(
-            dispatch(&ChaosLocal, &tasks, &policy).is_err(),
+            dispatch(&chaos_local, &tasks, &policy).is_err(),
             "round {round}: every attempt hangs, the dispatch must fail"
         );
         // A concurrently-running test's child may be transiently zombie

@@ -199,12 +199,16 @@ fn presets_round_trip_through_the_cli_and_feed_shard_workers() {
 
 #[test]
 fn a_crashed_worker_fails_the_fan_out_naming_its_shard() {
-    use mojo_hpc::report::dispatch::dispatch;
+    use mojo_hpc::report::dispatch::{dispatch, WorkerTask};
     use mojo_hpc::report::shard::worker_tasks;
-    use mojo_hpc::report::{DispatchPolicy, LocalLauncher};
+    use mojo_hpc::report::DispatchPolicy;
     let fan_out = |exe: &str, args_per_worker: &[Vec<String>]| {
         dispatch(
-            &LocalLauncher::new(exe),
+            &|task: &WorkerTask| {
+                let mut cmd = std::process::Command::new(exe);
+                cmd.args(&task.args);
+                cmd
+            },
             &worker_tasks(args_per_worker),
             &DispatchPolicy::no_retry(),
         )
