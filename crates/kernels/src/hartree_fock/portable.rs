@@ -108,16 +108,10 @@ fn execute(
         // Six atomic Fock-matrix updates (Listing 5), reading the density
         // tensor from device memory and scattering through the portable
         // Atomic namespace on the flattened Fock tensor.
-        scatter_fock(
-            natoms,
-            |x| dens_k.get(x),
-            eri,
-            ij,
-            kl,
-            |index, value| {
-                Atomic::fetch_add_f64(&fock_k, index, value);
-            },
-        );
+        let dens = |x| dens_k.get(x);
+        scatter_fock(natoms, dens, eri, ij, kl, |index, value| {
+            Atomic::fetch_add_f64(&fock_k, index, value);
+        });
     })?;
     ctx.synchronize();
 

@@ -84,6 +84,7 @@ pub fn reference_fock(system: &HeliumSystem, screening_tol: f64) -> Vec<f64> {
     let npairs = pair_count(natoms as u64);
     let nquartets = pair_count(npairs);
     let nchunks = nquartets.div_ceil(REFERENCE_CHUNK);
+    let dens = |x: usize| system.dens[x];
     (0..nchunks)
         .into_par_iter()
         .map(|chunk| {
@@ -96,16 +97,9 @@ pub fn reference_fock(system: &HeliumSystem, screening_tol: f64) -> Vec<f64> {
                     continue;
                 }
                 let eri = quartet_eri(system, ij, kl);
-                scatter_fock(
-                    natoms,
-                    |x| system.dens[x],
-                    eri,
-                    ij,
-                    kl,
-                    |index, value| {
-                        partial[index] += value;
-                    },
-                );
+                scatter_fock(natoms, dens, eri, ij, kl, |index, value| {
+                    partial[index] += value;
+                });
             }
             partial
         })
@@ -144,14 +138,8 @@ mod tests {
     fn scatter_touches_exactly_six_entries() {
         let sys = system(6);
         let mut touched = Vec::new();
-        scatter_fock(
-            6,
-            |x| sys.dens[x],
-            1.0,
-            1,
-            3,
-            |index, _| touched.push(index),
-        );
+        let dens = |x: usize| sys.dens[x];
+        scatter_fock(6, dens, 1.0, 1, 3, |index, _| touched.push(index));
         assert_eq!(touched.len(), 6);
     }
 

@@ -174,18 +174,12 @@ impl SampledPlan {
         };
         let natoms = system.natoms;
         let mut expected_fock = vec![0.0f64; natoms * natoms];
+        let dens = |x: usize| system.dens[x];
         for (&(_, q), &eri) in survivors.iter().zip(host_eris.iter()) {
             let (ij, kl) = pair_decode(q);
-            scatter_fock(
-                natoms,
-                |x| system.dens[x],
-                eri,
-                ij,
-                kl,
-                |index, value| {
-                    expected_fock[index] += value;
-                },
-            );
+            scatter_fock(natoms, dens, eri, ij, kl, |index, value| {
+                expected_fock[index] += value;
+            });
         }
         SampledPlan {
             shards: stats,
@@ -293,16 +287,10 @@ pub fn run_sampled(
             let (ij, kl) = pair_decode(survivors_k[sample].1);
             let eri = quartet_eri(system_k, ij, kl);
             eris_k.set(sample, eri);
-            scatter_fock(
-                natoms,
-                |x| dens_k.get(x),
-                eri,
-                ij,
-                kl,
-                |index, value| {
-                    Atomic::fetch_add_f64(&fock_k, index, value);
-                },
-            );
+            let dens = |x| dens_k.get(x);
+            scatter_fock(natoms, dens, eri, ij, kl, |index, value| {
+                Atomic::fetch_add_f64(&fock_k, index, value);
+            });
         })?;
         ctx.synchronize();
     }
