@@ -1,6 +1,7 @@
 //! Shared host-driver machinery: run records, verification, and repeated-run
 //! sampling.
 
+use crate::real::Real;
 use gpu_sim::timing::JitterModel;
 use gpu_sim::{ExecutionProfile, KernelCost, LaunchTiming, PooledString};
 
@@ -93,37 +94,14 @@ fn fxhash(a: &str, b: &str) -> u64 {
     h
 }
 
-/// Compares two slices and returns the maximum absolute error, or an error
-/// message naming the first element that exceeds `tolerance`.
-pub fn compare_slices(actual: &[f64], expected: &[f64], tolerance: f64) -> Result<f64, String> {
-    if actual.len() != expected.len() {
-        return Err(format!(
-            "length mismatch: {} vs {}",
-            actual.len(),
-            expected.len()
-        ));
-    }
-    let mut max_err = 0.0f64;
-    for (i, (a, e)) in actual.iter().zip(expected.iter()).enumerate() {
-        let err = (a - e).abs();
-        let scale = e.abs().max(1.0);
-        if err / scale > tolerance {
-            return Err(format!(
-                "element {i} differs: got {a}, expected {e} (relative error {:.3e})",
-                err / scale
-            ));
-        }
-        max_err = max_err.max(err);
-    }
-    Ok(max_err)
-}
-
-/// Generic variant of [`compare_slices`]: compares a typed kernel output
-/// against an `f64` reference, widening element-by-element instead of staging
-/// a converted copy — the verification loop never touches the allocator.
-pub fn compare_with_reference<T: crate::real::Real>(
-    actual: &[T],
-    expected: &[f64],
+/// Compares a kernel output element-wise against its reference and returns
+/// the maximum absolute error, or an error naming the first element whose
+/// error, relative to `max(|expected|, 1)`, exceeds `tolerance`. Both sides
+/// widen to `f64` one element at a time before any arithmetic, so the
+/// verification loop never touches the allocator.
+pub fn compare_with_reference<A: Real, E: Real>(
+    actual: &[A],
+    expected: &[E],
     tolerance: f64,
 ) -> Result<f64, String> {
     if actual.len() != expected.len() {
@@ -135,35 +113,7 @@ pub fn compare_with_reference<T: crate::real::Real>(
     }
     let mut max_err = 0.0f64;
     for (i, (&a, &e)) in actual.iter().zip(expected.iter()).enumerate() {
-        let a = a.to_f64();
-        let err = (a - e).abs();
-        let scale = e.abs().max(1.0);
-        if err / scale > tolerance {
-            return Err(format!(
-                "element {i} differs: got {a}, expected {e} (relative error {:.3e})",
-                err / scale
-            ));
-        }
-        max_err = max_err.max(err);
-    }
-    Ok(max_err)
-}
-
-/// Single-precision variant of [`compare_slices`]. Compares element-wise
-/// without staging widened copies, so the steady-state hot path stays off the
-/// allocator.
-pub fn compare_slices_f32(actual: &[f32], expected: &[f32], tolerance: f32) -> Result<f64, String> {
-    if actual.len() != expected.len() {
-        return Err(format!(
-            "length mismatch: {} vs {}",
-            actual.len(),
-            expected.len()
-        ));
-    }
-    let tolerance = f64::from(tolerance);
-    let mut max_err = 0.0f64;
-    for (i, (&a, &e)) in actual.iter().zip(expected.iter()).enumerate() {
-        let (a, e) = (f64::from(a), f64::from(e));
+        let (a, e) = (a.to_f64(), e.to_f64());
         let err = (a - e).abs();
         let scale = e.abs().max(1.0);
         if err / scale > tolerance {
@@ -231,15 +181,15 @@ mod tests {
 
     #[test]
     fn compare_slices_accepts_within_tolerance() {
-        let max = compare_slices(&[1.0, 2.0, 3.0], &[1.0, 2.0 + 1e-12, 3.0], 1e-9).unwrap();
+        let max = compare_with_reference(&[1.0, 2.0, 3.0], &[1.0, 2.0 + 1e-12, 3.0], 1e-9).unwrap();
         assert!(max <= 1e-11);
     }
 
     #[test]
     fn compare_slices_rejects_large_errors_and_length_mismatch() {
-        assert!(compare_slices(&[1.0], &[2.0], 1e-6).is_err());
-        assert!(compare_slices(&[1.0, 2.0], &[1.0], 1e-6).is_err());
-        assert!(compare_slices_f32(&[1.0f32], &[1.5f32], 1e-3).is_err());
+        assert!(compare_with_reference(&[1.0], &[2.0], 1e-6).is_err());
+        assert!(compare_with_reference(&[1.0, 2.0], &[1.0], 1e-6).is_err());
+        assert!(compare_with_reference(&[1.0f32], &[1.5f32], 1e-3).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use super::reference::{quartet_eri, scatter_fock};
 use super::triangular::pair_decode;
 use super::workload::HartreeFockWorkload;
 use crate::cache;
-use crate::common::{compare_slices, Verification, WorkloadRun};
+use crate::common::{compare_with_reference, Verification, WorkloadRun};
 use crate::workload::{run_on, Analytic, Family, Params, WorkloadError};
 use gpu_sim::error::SimResult;
 use gpu_sim::{PooledString, SimError};
@@ -118,7 +118,7 @@ fn execute(
     let expected = cache::hartree_fock_reference(config);
     let mut actual: PooledVec<f64> = PooledVec::new();
     fock.to_host_into(&mut actual);
-    match compare_slices(&actual, &expected, 1e-9) {
+    match compare_with_reference(&actual, &expected, 1e-9) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "Hartree-Fock verification failed: {msg}"

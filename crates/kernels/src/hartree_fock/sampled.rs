@@ -25,7 +25,7 @@ use super::geometry::HeliumSystem;
 use super::reference::{quartet_eri, scatter_fock};
 use super::triangular::pair_decode;
 use crate::cache;
-use crate::common::compare_slices;
+use crate::common::compare_with_reference;
 use gpu_sim::{PooledVec, SimError};
 use portable_kernel::prelude::*;
 use rayon::prelude::*;
@@ -308,8 +308,8 @@ pub fn run_sampled(
     }
     let mut device_fock: PooledVec<f64> = PooledVec::new();
     fock.to_host_into(&mut device_fock);
-    let fock_max_abs_error =
-        compare_slices(&device_fock, &plan.expected_fock, 1e-9).map_err(|msg| {
+    let fock_max_abs_error = compare_with_reference(&device_fock, &plan.expected_fock, 1e-9)
+        .map_err(|msg| {
             SimError::InvalidParameter(format!("sampled Hartree-Fock validation failed: {msg}"))
         })?;
 

@@ -14,7 +14,7 @@ use super::cost::fasten_cost;
 use super::reference::{pair_energy, transform_point, HALF};
 use super::workload::MiniBudeWorkload;
 use crate::cache;
-use crate::common::{compare_slices_f32, Verification, WorkloadRun};
+use crate::common::{compare_with_reference, Verification, WorkloadRun};
 use crate::workload::{run_on, Analytic, Family, Params, WorkloadError};
 use gpu_sim::error::SimResult;
 use gpu_sim::{PooledString, SimError};
@@ -192,7 +192,7 @@ fn execute(platform: &Platform, config: &MiniBudeConfig) -> Result<Verification,
     // The kernel computes the same f32 expression sequence as the reference,
     // but the summation order over ligand atoms can differ in optimised
     // builds, so allow a small relative tolerance.
-    match compare_slices_f32(&actual, &expected, 2e-3) {
+    match compare_with_reference(&actual, &expected, f64::from(2e-3_f32)) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "fasten verification failed: {msg}"

@@ -761,17 +761,6 @@ impl<'a> Job<'a> {
         argv
     }
 
-    /// The workload name and base encoding a sweep manifest pins.
-    fn pinned(&self) -> (Option<String>, Option<String>) {
-        match self {
-            Job::Run(_) => (None, None),
-            Job::Sweep(spec) => (
-                Some(spec.workload.name().to_string()),
-                Some(spec.base.encode()),
-            ),
-        }
-    }
-
     /// Merges worker documents into the reports the single process renders.
     fn merge(&self, docs: &[ShardDocument]) -> Result<Vec<ExperimentReport>, String> {
         match self {
@@ -841,11 +830,11 @@ fn execute_report(command: &Command) -> i32 {
 
 /// Worker mode: compute only this shard of the job's work items and print
 /// a shard document (manifest + partial reports) on stdout. No files are
-/// written — the coordinator renders and writes the merged output. A sweep
-/// manifest pins the workload name and base parameter encoding, so the
-/// coordinator can verify every worker ran its configuration. Consults the
-/// chaos seam first, so the fault-injection harness can perturb exactly
-/// this path (DESIGN.md §12).
+/// written — the coordinator renders and writes the merged output. The
+/// manifest is [`ShardManifest::new`]'s, which the merge builds again to
+/// check it, so a sweep worker provably ran the coordinator's
+/// configuration. Consults the chaos seam first, so the fault-injection
+/// harness can perturb exactly this path (DESIGN.md §12).
 fn execute_shard_worker(job: &Job, spec: &ShardSpec) -> i32 {
     chaos::apply(spec.index);
     let items = job.items();
@@ -854,7 +843,7 @@ fn execute_shard_worker(job: &Job, spec: &ShardSpec) -> i32 {
     let reports = if range.is_empty() {
         Vec::new()
     } else {
-        match job.reports(range.clone()) {
+        match job.reports(range) {
             Ok(reports) => reports,
             Err(err) => {
                 eprintln!("{err}");
@@ -863,22 +852,13 @@ fn execute_shard_worker(job: &Job, spec: &ShardSpec) -> i32 {
         }
     };
     let pool = gpu_sim::pool::stats().since(&pool_before);
-    let (workload, params) = job.pinned();
-    let doc = ShardDocument {
-        manifest: ShardManifest {
-            command: job.command().to_string(),
-            shard: spec.index,
-            shards: spec.total,
-            start: range.start as u64,
-            count: range.len() as u64,
-            total: items.len() as u64,
-            items: items[range].to_vec(),
-            workload,
-            params,
-            pool: (pool.checkouts != 0).then_some(pool),
-        },
-        reports,
+    let sweep = match job {
+        Job::Run(_) => None,
+        Job::Sweep(sweep) => Some(sweep),
     };
+    let mut manifest = ShardManifest::new(*spec, &items, sweep);
+    manifest.pool = (pool.checkouts != 0).then_some(pool);
+    let doc = ShardDocument { manifest, reports };
     print!("{}", doc.to_json_pretty());
     0
 }

@@ -5,7 +5,7 @@
 //! shard document on stdout) and how documents merge byte-identically.
 //! This module owns *how workers run*: every shard gets one supervisor
 //! thread, all started at once, that runs the shard's attempts in order —
-//! spawn, wait, validate the document, back off, retry — so individual
+//! spawn, wait, parse the document, back off, retry — so individual
 //! worker failures never corrupt the merged result.
 //!
 //! The pieces:
@@ -28,9 +28,10 @@
 //! budget the whole dispatch fails with an error naming each failed shard,
 //! its attempt count and the tail of its captured stderr, plus the ranges
 //! that *did* complete — and the coordinator writes no output files. The
-//! merged result can never silently degrade, because the
-//! [`ShardDocument`] tiling invariants reject overlapping or missing
-//! ranges regardless of which attempt produced each document.
+//! merged result can never silently degrade, because the merge requires
+//! every [`ShardDocument`]'s manifest to equal the one its shard's worker
+//! builds, whichever attempt produced it. A document that parses but is
+//! wrong therefore fails the merge once instead of being retried.
 
 use crate::chaos;
 use crate::shard::ShardDocument;
@@ -48,7 +49,8 @@ pub const STDERR_TAIL_LINES: usize = 10;
 /// `shard` of `shards` (the `--shard I/N` flag is already part of `args`).
 #[derive(Debug, Clone)]
 pub struct WorkerTask {
-    /// The shard index this task computes (the document must match it).
+    /// The shard index this task computes; it names the shard in
+    /// diagnostics and keys its backoff jitter.
     pub shard: u64,
     /// Total shard count of the partition.
     pub shards: u64,
@@ -272,11 +274,10 @@ fn stderr_tail(bytes: &[u8]) -> Vec<String> {
     lines[skip..].iter().map(|l| l.to_string()).collect()
 }
 
-/// Runs one attempt of `task` through `cmd` to its end: the shard's
-/// document and the worker's stderr, or the failure record.
+/// Runs one attempt through `cmd` to its end: the shard's document and the
+/// worker's stderr, or the failure record.
 fn run_attempt(
     mut cmd: Command,
-    task: &WorkerTask,
     attempt: u32,
     timeout: Option<Duration>,
 ) -> Result<(ShardDocument, Vec<u8>), FailureRecord> {
@@ -307,7 +308,7 @@ fn run_attempt(
         )),
         Err(e) => Err(format!("failed to wait for worker: {e}")),
         Ok(status) if !status.success() => Err(format!("worker exited with {status}")),
-        Ok(_) => parse_document(&stdout, task),
+        Ok(_) => parse_document(&stdout),
     };
     match outcome {
         Ok(doc) => Ok((doc, stderr)),
@@ -320,17 +321,12 @@ fn run_attempt(
     }
 }
 
-/// The shard document a successful worker printed, checked to be `task`'s.
-fn parse_document(stdout: &[u8], task: &WorkerTask) -> Result<ShardDocument, String> {
+/// The shard document a successful worker printed. Output that does not
+/// parse fails the attempt, so it is retried; whether a parsed document is
+/// the right one is the merge's check (DESIGN.md §10).
+fn parse_document(stdout: &[u8]) -> Result<ShardDocument, String> {
     let text = std::str::from_utf8(stdout).map_err(|_| "worker stdout is not UTF-8".to_string())?;
-    let doc = ShardDocument::parse(text)?;
-    if doc.manifest.shard != task.shard {
-        return Err(format!(
-            "worker returned a document for shard {} (expected {})",
-            doc.manifest.shard, task.shard
-        ));
-    }
-    Ok(doc)
+    ShardDocument::parse(text)
 }
 
 /// Relays one failed attempt (and its stderr tail) live: a retried-and-
@@ -387,7 +383,7 @@ struct Supervised {
 }
 
 /// One shard's supervisor: runs its attempts in order — spawn, wait,
-/// validate, back off, retry — until one returns the shard's document, the
+/// parse, back off, retry — until one returns the shard's document, the
 /// budget is spent (raising `failing`), or another shard raised it.
 fn supervise(
     command: &(dyn Fn(&WorkerTask) -> Command + Sync),
@@ -398,7 +394,7 @@ fn supervise(
     let mut failures = Vec::new();
     let won = loop {
         let attempt = failures.len() as u32 + 1;
-        match run_attempt(command(task), task, attempt, policy.timeout) {
+        match run_attempt(command(task), attempt, policy.timeout) {
             Ok(won) => break Some(won),
             Err(failure) => {
                 relay(task, &failure);
@@ -603,6 +599,31 @@ mod tests {
         assert!(err.contains("2 attempt(s)"), "{err}");
         assert!(err.contains("failed to spawn"), "{err}");
         assert!(err.contains("completed before failure: none"), "{err}");
+    }
+
+    #[test]
+    fn a_parsed_document_for_the_wrong_shard_is_not_retried_but_fails_the_merge() {
+        // Both workers print shard 0's document. Each parses, so no attempt
+        // is retried; the merge refuses the set once, naming shard 1.
+        use crate::shard::{merge_run, ShardManifest, ShardSpec};
+        let items = ["table1".to_string()];
+        let doc = ShardDocument {
+            manifest: ShardManifest::new(ShardSpec { index: 0, total: 2 }, &items, None),
+            reports: vec![],
+        };
+        let tasks = [0, 1].map(|shard| WorkerTask {
+            shard,
+            shards: 2,
+            args: vec![doc.to_json_pretty()],
+        });
+        let (docs, summary) = dispatch(&local("/bin/echo"), &tasks, &DispatchPolicy::default())
+            .expect("both documents parse");
+        assert_eq!(summary.retries, 0);
+        let err = merge_run(&docs, &items).expect_err("shard 1 is missing");
+        assert!(
+            err.contains("shard 1/2: manifest shard is 0, expected 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub const SERVE_SLOW_MS_ENV: &str = "MOJO_HPC_SERVE_SLOW_MS";
 pub const DEFAULT_CACHE_ENTRIES: usize = 1024;
 
 /// Bound on the cache's estimated resident bytes (64 MiB).
-pub const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
+pub const CACHE_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Longest request line the server reads (1 MiB, not counting the
 /// newline). A longer line is answered with an error and its connection is
@@ -181,7 +181,7 @@ struct ServeState {
 impl ServeState {
     fn new(config: &ServeConfig, addr: SocketAddr) -> ServeState {
         ServeState {
-            cache: SingleFlight::new(config.cache_entries, DEFAULT_CACHE_BYTES, CachedValue::cost),
+            cache: SingleFlight::new(config.cache_entries, CACHE_BYTES, CachedValue::cost),
             addr,
             coalesced: AtomicU64::new(0),
             requests: AtomicU64::new(0),

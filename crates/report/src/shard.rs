@@ -9,13 +9,15 @@
 //! * [`ShardManifest`] — the metadata a worker emits next to its partial
 //!   report: shard index and total, the global item range covered, the item
 //!   labels, and (for sweeps) the workload name and pinned parameter
-//!   encoding;
+//!   encoding. [`ShardManifest::new`] derives it from the spec and the work
+//!   list, for the worker and for the merge alike;
 //! * [`ShardDocument`] — the single JSON object a shard worker prints to
 //!   stdout: `{"manifest": …, "reports": […]}`;
 //! * [`merge_run`] / [`merge_sweep`] — reassemble worker documents into
 //!   output **byte-identical** to a single-process `run` / `sweep`, after
-//!   validating that the manifests form a complete, non-overlapping tiling
-//!   of the work.
+//!   checking that each manifest equals the one its shard's worker builds
+//!   from the coordinator's own work list and configuration, and that the
+//!   reports fit it.
 //!
 //! Byte-identity holds because the report JSON schema carries only strings
 //! (every table cell is exactly the bytes the CSV lane prints), the JSON
@@ -24,7 +26,7 @@
 //! shard order reproduces the single-process traversal exactly.
 
 use crate::dispatch::WorkerTask;
-use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, ExperimentReport};
+use crate::report::{json_array, json_field, json_u64, ExperimentReport};
 use crate::sweep::{self, SweepSpec};
 use gpu_sim::PoolStats;
 use serde::value::Value;
@@ -89,9 +91,13 @@ impl fmt::Display for ShardSpec {
     }
 }
 
-/// The metadata a shard worker emits next to its partial reports.
-#[derive(Debug, Clone, PartialEq)]
+/// The metadata a shard worker emits next to its partial reports. Its JSON
+/// (DESIGN.md §10) is the derived one, so the field names are the wire
+/// schema; [`ShardManifest::new`] is the only way the program builds one.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardManifest {
+    /// The document schema, [`SHARD_SCHEMA`].
+    pub schema: u64,
     /// The sharded subcommand: `"run"` or `"sweep"`.
     pub command: String,
     /// This worker's zero-based shard index.
@@ -114,71 +120,31 @@ pub struct ShardManifest {
     pub params: Option<String>,
     /// The worker's buffer-pool activity, so the coordinator can report
     /// fleet-wide pool telemetry on stderr without touching the merged
-    /// output. Absent when the shard checked nothing out; the key is
-    /// optional, so [`SHARD_SCHEMA`] stays at 1.
+    /// output. `null` when the shard checked nothing out; a document
+    /// without the key parses too.
     pub pool: Option<PoolStats>,
 }
 
 impl ShardManifest {
-    /// The manifest as a JSON value tree (schema in DESIGN.md §10).
-    pub fn to_json_value(&self) -> Value {
-        let opt = |value: &Option<String>| match value {
-            Some(s) => Value::Str(s.clone()),
-            None => Value::Null,
-        };
-        let mut entries = vec![
-            ("schema".to_string(), Value::U64(SHARD_SCHEMA)),
-            ("command".to_string(), Value::Str(self.command.clone())),
-            ("shard".to_string(), Value::U64(self.shard)),
-            ("shards".to_string(), Value::U64(self.shards)),
-            ("start".to_string(), Value::U64(self.start)),
-            ("count".to_string(), Value::U64(self.count)),
-            ("total".to_string(), Value::U64(self.total)),
-            (
-                "items".to_string(),
-                Value::Array(self.items.iter().cloned().map(Value::Str).collect()),
-            ),
-            ("workload".to_string(), opt(&self.workload)),
-            ("params".to_string(), opt(&self.params)),
-        ];
-        if let Some(pool) = &self.pool {
-            entries.push(("pool".to_string(), pool.to_value()));
+    /// The manifest of `shard` over the work list `items` of `sweep` (or of
+    /// `run` when `None`): the covered range follows from
+    /// [`ShardSpec::range`], and a sweep pins its workload name and base
+    /// encoding. `pool` starts empty; the worker fills it in.
+    pub fn new(shard: ShardSpec, items: &[String], sweep: Option<&SweepSpec>) -> ShardManifest {
+        let range = shard.range(items.len());
+        ShardManifest {
+            schema: SHARD_SCHEMA,
+            command: if sweep.is_some() { "sweep" } else { "run" }.to_string(),
+            shard: shard.index,
+            shards: shard.total,
+            start: range.start as u64,
+            count: range.len() as u64,
+            total: items.len() as u64,
+            items: items[range].to_vec(),
+            workload: sweep.map(|spec| spec.workload.name().to_string()),
+            params: sweep.map(|spec| spec.base.encode()),
+            pool: None,
         }
-        Value::Object(entries)
-    }
-
-    /// Parses a manifest back from its JSON value tree.
-    pub fn from_json_value(value: &Value) -> Result<ShardManifest, String> {
-        let schema = json_u64(json_field(value, "schema")?)?;
-        if schema != SHARD_SCHEMA {
-            return Err(format!(
-                "unsupported shard schema {schema} (this binary speaks {SHARD_SCHEMA})"
-            ));
-        }
-        let opt = |key: &str| -> Result<Option<String>, String> {
-            match json_field(value, key)? {
-                Value::Null => Ok(None),
-                other => Ok(Some(json_str(other)?.to_string())),
-            }
-        };
-        Ok(ShardManifest {
-            command: json_str(json_field(value, "command")?)?.to_string(),
-            shard: json_u64(json_field(value, "shard")?)?,
-            shards: json_u64(json_field(value, "shards")?)?,
-            start: json_u64(json_field(value, "start")?)?,
-            count: json_u64(json_field(value, "count")?)?,
-            total: json_u64(json_field(value, "total")?)?,
-            items: json_array(json_field(value, "items")?)?
-                .iter()
-                .map(|item| Ok(json_str(item)?.to_string()))
-                .collect::<Result<_, String>>()?,
-            workload: opt("workload")?,
-            params: opt("params")?,
-            pool: match json_opt_field(value, "pool") {
-                None | Some(Value::Null) => None,
-                Some(other) => Some(PoolStats::from_value(other).map_err(|e| e.to_string())?),
-            },
-        })
     }
 }
 
@@ -197,7 +163,7 @@ impl ShardDocument {
     /// The document as pretty-printed JSON text (trailing newline included).
     pub fn to_json_pretty(&self) -> String {
         let value = Value::Object(vec![
-            ("manifest".to_string(), self.manifest.to_json_value()),
+            ("manifest".to_string(), self.manifest.to_value()),
             (
                 "reports".to_string(),
                 Value::Array(self.reports.iter().map(|r| r.to_json_value()).collect()),
@@ -208,11 +174,20 @@ impl ShardDocument {
         json
     }
 
-    /// Parses a worker's stdout back into a document.
+    /// Parses a worker's stdout back into a document, refusing any schema
+    /// but [`SHARD_SCHEMA`].
     pub fn parse(text: &str) -> Result<ShardDocument, String> {
         let value: Value = serde_json::from_str(text)
             .map_err(|e| format!("shard document is not valid JSON: {e}"))?;
-        let manifest = ShardManifest::from_json_value(json_field(&value, "manifest")?)?;
+        let manifest = json_field(&value, "manifest")?;
+        let schema = json_u64(json_field(manifest, "schema")?)?;
+        if schema != SHARD_SCHEMA {
+            return Err(format!(
+                "unsupported shard schema {schema} (this binary speaks {SHARD_SCHEMA})"
+            ));
+        }
+        let manifest =
+            ShardManifest::from_value(manifest).map_err(|e| format!("shard manifest: {e}"))?;
         let reports = json_array(json_field(&value, "reports")?)?
             .iter()
             .map(ExperimentReport::from_json_value)
@@ -221,118 +196,75 @@ impl ShardDocument {
     }
 }
 
-/// Validates that a set of shard documents forms a complete, consistent,
-/// non-overlapping tiling for `command`, and returns them sorted by shard
-/// index.
-fn validate_set<'a>(
-    docs: &'a [ShardDocument],
-    command: &str,
-) -> Result<Vec<&'a ShardDocument>, String> {
-    let Some(first) = docs.first() else {
+/// Sorts `docs` by shard and requires the manifest of shard `i` to equal
+/// `expected` of shard `i` of `docs.len()`, its `pool` set aside. Every
+/// field is compared, so this one check makes the set a complete,
+/// non-overlapping tiling of the coordinator's own work list and
+/// configuration. Returns each document with its shard.
+fn check_manifests(
+    docs: &[ShardDocument],
+    expected: impl Fn(ShardSpec) -> ShardManifest,
+) -> Result<Vec<(ShardSpec, &ShardDocument)>, String> {
+    if docs.is_empty() {
         return Err("no shard documents to merge".to_string());
-    };
-    let (shards, total) = (first.manifest.shards, first.manifest.total);
-    if docs.len() as u64 != shards {
-        return Err(format!(
-            "expected {shards} shard document(s), got {}",
-            docs.len()
-        ));
     }
     let mut sorted: Vec<&ShardDocument> = docs.iter().collect();
     sorted.sort_by_key(|doc| doc.manifest.shard);
-    let mut next_start = 0u64;
-    for (i, doc) in sorted.iter().enumerate() {
-        let m = &doc.manifest;
-        if m.command != command {
+    let total = docs.len() as u64;
+    let mut checked = Vec::with_capacity(docs.len());
+    for (index, doc) in (0..total).zip(sorted) {
+        let shard = ShardSpec { index, total };
+        let mut expected = expected(shard);
+        expected.pool = doc.manifest.pool;
+        if doc.manifest != expected {
             return Err(format!(
-                "shard {}/{}: command '{}' does not match the coordinator's '{command}'",
-                m.shard, m.shards, m.command
+                "shard {shard}: manifest {}",
+                differences(&doc.manifest, &expected)
             ));
         }
-        if m.shards != shards || m.total != total {
-            return Err(format!(
-                "shard {}/{}: inconsistent partition ({} shard(s) over {} item(s), \
-                 coordinator expects {shards} over {total})",
-                m.shard, m.shards, m.shards, m.total
-            ));
-        }
-        if m.shard != i as u64 {
-            return Err(format!(
-                "shard index {} is missing or duplicated in the document set",
-                i
-            ));
-        }
-        if m.start != next_start {
-            return Err(format!(
-                "shard {}/{shards}: range starts at item {} but the previous shard ended at {}",
-                m.shard, m.start, next_start
-            ));
-        }
-        if m.items.len() as u64 != m.count {
-            return Err(format!(
-                "shard {}/{shards}: manifest names {} item(s) but claims count {}",
-                m.shard,
-                m.items.len(),
-                m.count
-            ));
-        }
-        next_start += m.count;
+        checked.push((shard, doc));
     }
-    if next_start != total {
-        return Err(format!(
-            "shard ranges cover {next_start} of {total} item(s)"
-        ));
-    }
-    Ok(sorted)
+    Ok(checked)
+}
+
+/// The fields in which `got` differs from `want`, with both JSON values.
+fn differences(got: &ShardManifest, want: &ShardManifest) -> String {
+    let (Value::Object(got), Value::Object(want)) = (got.to_value(), want.to_value()) else {
+        unreachable!("a manifest serialises to an object");
+    };
+    let json = |value: &Value| serde_json::to_string(value).unwrap_or_default();
+    got.iter()
+        .zip(&want)
+        .filter(|(got, want)| got != want)
+        .map(|((key, got), (_, want))| format!("{key} is {}, expected {}", json(got), json(want)))
+        .collect::<Vec<_>>()
+        .join("; ")
 }
 
 /// Merges `run` shard documents into the full report list, in presentation
 /// order — exactly the list a single-process `run` over the same ids
 /// produces.
 ///
-/// `expected_items` is the coordinator's own id list; the merged manifests
-/// must cover it label-for-label.
+/// `expected_items` is the coordinator's own id list: each manifest must be
+/// the one a worker builds for its shard of it, and carry one report per
+/// covered item, with that item's id.
 pub fn merge_run(
     docs: &[ShardDocument],
     expected_items: &[String],
 ) -> Result<Vec<ExperimentReport>, String> {
-    let sorted = validate_set(docs, "run")?;
-    if sorted[0].manifest.total != expected_items.len() as u64 {
-        return Err(format!(
-            "shards partition {} item(s) but the coordinator requested {}",
-            sorted[0].manifest.total,
-            expected_items.len()
-        ));
-    }
+    let sorted = check_manifests(docs, |shard| {
+        ShardManifest::new(shard, expected_items, None)
+    })?;
     let mut reports = Vec::with_capacity(expected_items.len());
-    let mut cursor = 0usize;
-    for doc in sorted {
-        let m = &doc.manifest;
-        if doc.reports.len() as u64 != m.count {
+    for (shard, doc) in sorted {
+        let ids: Vec<&str> = doc.reports.iter().map(|r| r.id.as_str()).collect();
+        if ids != doc.manifest.items {
             return Err(format!(
-                "shard {}/{}: {} report(s) for {} item(s)",
-                m.shard,
-                m.shards,
-                doc.reports.len(),
-                m.count
+                "shard {shard}: report ids {ids:?} do not match its items {:?}",
+                doc.manifest.items
             ));
         }
-        for (item, report) in m.items.iter().zip(&doc.reports) {
-            if item != &expected_items[cursor] {
-                return Err(format!(
-                    "shard {}/{}: item {} is '{item}', coordinator expected '{}'",
-                    m.shard, m.shards, cursor, expected_items[cursor]
-                ));
-            }
-            if &report.id != item {
-                return Err(format!(
-                    "shard {}/{}: report id '{}' does not match its manifest item '{item}'",
-                    m.shard, m.shards, report.id
-                ));
-            }
-            cursor += 1;
-            reports.push(report.clone());
-        }
+        reports.extend(doc.reports.iter().cloned());
     }
     Ok(reports)
 }
@@ -340,70 +272,38 @@ pub fn merge_run(
 /// Merges `sweep` shard documents into the one report a single-process
 /// sweep over `spec` produces, byte for byte.
 ///
+/// Each manifest must be the one a worker builds for its shard of `spec`.
 /// The envelope (id, title, table header) is rebuilt from `spec`; the
 /// per-point console text and table rows are spliced from the partial
-/// reports in shard order. Empty shards contribute nothing.
+/// reports in shard order. An empty shard carries no report, any other
+/// exactly one, whose `sweep` table has the workload's header.
 pub fn merge_sweep(spec: &SweepSpec, docs: &[ShardDocument]) -> Result<ExperimentReport, String> {
-    let sorted = validate_set(docs, "sweep")?;
-    let expected_items: Vec<String> = spec.sizes.iter().map(|s| s.to_string()).collect();
-    let (workload, params) = (spec.workload.name(), spec.base.encode());
+    let items: Vec<String> = spec.sizes.iter().map(u64::to_string).collect();
+    let sorted = check_manifests(docs, |shard| ShardManifest::new(shard, &items, Some(spec)))?;
     let mut report = sweep::report_envelope(spec);
     let mut table = hpc_metrics::output::CsvTable {
         header: sweep::table_header(spec.workload),
         rows: Vec::new(),
     };
-    let mut cursor = 0usize;
-    for doc in sorted {
-        let m = &doc.manifest;
-        if m.total != expected_items.len() as u64 {
-            return Err(format!(
-                "shards partition {} point(s) but the coordinator swept {}",
-                m.total,
-                expected_items.len()
-            ));
-        }
-        if m.workload.as_deref() != Some(workload) || m.params.as_deref() != Some(&params) {
-            return Err(format!(
-                "shard {}/{}: workload/params ({:?}, {:?}) do not match the \
-                 coordinator's ({workload}, {params})",
-                m.shard, m.shards, m.workload, m.params
-            ));
-        }
-        for item in &m.items {
-            if item != &expected_items[cursor] {
-                return Err(format!(
-                    "shard {}/{}: point {} is '{item}', coordinator expected '{}'",
-                    m.shard, m.shards, cursor, expected_items[cursor]
-                ));
-            }
-            cursor += 1;
-        }
-        match (m.count, doc.reports.as_slice()) {
+    for (shard, doc) in sorted {
+        match (doc.manifest.count, doc.reports.as_slice()) {
             (0, []) => {}
-            (n, [partial]) if n > 0 => {
-                let Some((name, rows)) = partial.tables.first() else {
-                    return Err(format!(
-                        "shard {}/{}: partial sweep report has no table",
-                        m.shard, m.shards
-                    ));
-                };
-                if name != "sweep" || rows.header != table.header {
-                    return Err(format!(
-                        "shard {}/{}: partial table does not match the sweep schema",
-                        m.shard, m.shards
-                    ));
+            (1.., [partial]) => match partial.tables.first() {
+                Some((name, rows)) if name == "sweep" && rows.header == table.header => {
+                    report.text.push_str(&partial.text);
+                    table.rows.extend(rows.rows.iter().cloned());
                 }
-                report.text.push_str(&partial.text);
-                table.rows.extend(rows.rows.iter().cloned());
-            }
-            _ => {
+                _ => {
+                    return Err(format!(
+                        "shard {shard}: partial table does not match the sweep schema"
+                    ))
+                }
+            },
+            (count, reports) => {
                 return Err(format!(
-                    "shard {}/{}: expected one partial sweep report for {} point(s), got {}",
-                    m.shard,
-                    m.shards,
-                    m.count,
-                    doc.reports.len()
-                ));
+                    "shard {shard}: {} partial sweep report(s) for {count} point(s)",
+                    reports.len()
+                ))
             }
         }
     }
@@ -490,52 +390,46 @@ mod tests {
         .is_empty());
     }
 
-    fn run_doc(
-        shard: u64,
-        shards: u64,
-        ids: &[ExperimentId],
-        all: &[ExperimentId],
-    ) -> ShardDocument {
+    /// Shard `shard` of `shards` over the `run` work list `all`, as a
+    /// worker emits it.
+    fn run_doc(shard: u64, shards: u64, all: &[ExperimentId]) -> ShardDocument {
         let spec = ShardSpec {
             index: shard,
             total: shards,
         };
-        let range = spec.range(all.len());
+        let items: Vec<String> = all.iter().map(|id| id.as_str().to_string()).collect();
         ShardDocument {
-            manifest: ShardManifest {
-                command: "run".to_string(),
-                shard,
-                shards,
-                start: range.start as u64,
-                count: ids.len() as u64,
-                total: all.len() as u64,
-                items: ids.iter().map(|id| id.as_str().to_string()).collect(),
-                workload: None,
-                params: None,
-                pool: None,
-            },
-            reports: run_experiments(ids),
+            manifest: ShardManifest::new(spec, &items, None),
+            reports: run_experiments(&all[spec.range(all.len())]),
         }
     }
 
     #[test]
     fn shard_documents_round_trip_through_json() {
         let ids = [ExperimentId::Table1, ExperimentId::Fig5];
-        let doc = run_doc(0, 1, &ids, &ids);
-        let parsed = ShardDocument::parse(&doc.to_json_pretty()).unwrap();
+        let doc = run_doc(0, 1, &ids);
+        let text = doc.to_json_pretty();
+        let parsed = ShardDocument::parse(&text).unwrap();
         assert_eq!(parsed.manifest, doc.manifest);
         assert_eq!(parsed.reports.len(), doc.reports.len());
-        assert_eq!(parsed.to_json_pretty(), doc.to_json_pretty());
+        assert_eq!(parsed.to_json_pretty(), text);
+        // Another schema is refused, whatever the rest of the document says.
+        let schema_2 = text.replacen("\"schema\": 1", "\"schema\": 2", 1);
+        let err = ShardDocument::parse(&schema_2).expect_err("schema 2 is refused");
+        assert!(err.contains("unsupported shard schema 2"), "{err}");
+        // An empty pool is written as null, and a manifest without the key
+        // parses to the same document.
+        let pool = ",\n    \"pool\": null";
+        assert!(text.contains(pool), "{text}");
+        let without_pool = ShardDocument::parse(&text.replacen(pool, "", 1)).unwrap();
+        assert_eq!(without_pool.manifest, doc.manifest);
     }
 
     #[test]
     fn merged_run_shards_equal_the_single_process_reports() {
         let all = [ExperimentId::Table1, ExperimentId::Fig2, ExperimentId::Fig5];
         let expected = run_experiments(&all);
-        let docs = vec![
-            run_doc(0, 2, &all[..1], &all),
-            run_doc(1, 2, &all[1..], &all),
-        ];
+        let docs = vec![run_doc(0, 2, &all), run_doc(1, 2, &all)];
         let items: Vec<String> = all.iter().map(|id| id.as_str().to_string()).collect();
         let merged = merge_run(&docs, &items).unwrap();
         assert_eq!(
@@ -546,18 +440,54 @@ mod tests {
 
     #[test]
     fn merge_rejects_incomplete_or_overlapping_sets() {
-        let all = [ExperimentId::Table1, ExperimentId::Fig5];
+        let all = [ExperimentId::Table1, ExperimentId::Fig2, ExperimentId::Fig5];
         let items: Vec<String> = all.iter().map(|id| id.as_str().to_string()).collect();
-        let full = run_doc(0, 1, &all, &all);
+        let set = || vec![run_doc(0, 2, &all), run_doc(1, 2, &all)];
+        assert!(merge_run(&set(), &items).is_ok());
         // A missing shard.
-        let lone = run_doc(0, 2, &all[..1], &all);
+        let lone = run_doc(0, 2, &all);
         assert!(merge_run(std::slice::from_ref(&lone), &items).is_err());
         // A duplicated shard index.
         assert!(merge_run(&[lone.clone(), lone], &items).is_err());
         // Item labels that do not match the coordinator's request.
         let swapped: Vec<String> = items.iter().rev().cloned().collect();
-        assert!(merge_run(std::slice::from_ref(&full), &swapped).is_err());
-        assert!(merge_run(&[full], &items).is_ok());
+        assert!(merge_run(&set(), &swapped).is_err());
+        // A report that is not its item's.
+        let mut docs = set();
+        docs[1].reports[0] = docs[0].reports[0].clone();
+        let err = merge_run(&docs, &items).expect_err("a foreign report");
+        assert!(err.contains("shard 1/2: report ids"), "{err}");
+
+        // Any single-field change to either manifest is refused, naming
+        // the shard and the field.
+        type Edit = fn(&mut ShardManifest);
+        let edits: [(&str, Edit); 9] = [
+            ("command", |m| m.command = "sweep".to_string()),
+            ("shard", |m| m.shard = 1 - m.shard),
+            ("shards", |m| m.shards += 1),
+            ("start", |m| m.start += 1),
+            ("count", |m| m.count += 1),
+            ("total", |m| m.total += 1),
+            ("items", |m| m.items.push("table4".to_string())),
+            ("workload", |m| m.workload = Some("stencil".to_string())),
+            ("params", |m| m.params = Some("n=16".to_string())),
+        ];
+        for victim in 0..2 {
+            for (field, edit) in edits {
+                let mut docs = set();
+                edit(&mut docs[victim].manifest);
+                let err = match merge_run(&docs, &items) {
+                    Err(err) => err,
+                    Ok(_) => panic!("shard {victim}: a changed {field} must be refused"),
+                };
+                assert!(err.contains(&format!("shard {victim}/2: ")), "{err}");
+                assert!(err.contains(&format!("{field} is ")), "{err}");
+            }
+        }
+        // The pool is telemetry, not part of the check.
+        let mut docs = set();
+        docs[1].manifest.pool = Some(gpu_sim::pool::stats());
+        assert!(merge_run(&docs, &items).is_ok());
     }
 
     #[test]
@@ -565,26 +495,15 @@ mod tests {
         let engine = workload::find("stencil").unwrap();
         let spec = SweepSpec::new(engine, &[], vec![16, 20, 24]).unwrap();
         let expected = run_sweep(&spec).unwrap();
-        // Three shards over three points, the middle one via a sub-spec.
+        let items: Vec<String> = spec.sizes.iter().map(u64::to_string).collect();
+        // Three shards over three points, each via a sub-spec.
         let mut docs = Vec::new();
         for index in 0..3u64 {
             let shard = ShardSpec { index, total: 3 };
-            let range = shard.range(spec.sizes.len());
-            let sizes = spec.sizes[range.clone()].to_vec();
-            let sub = SweepSpec::new(engine, &[], sizes.clone()).unwrap();
+            let sizes = spec.sizes[shard.range(spec.sizes.len())].to_vec();
+            let sub = SweepSpec::new(engine, &[], sizes).unwrap();
             docs.push(ShardDocument {
-                manifest: ShardManifest {
-                    command: "sweep".to_string(),
-                    shard: index,
-                    shards: 3,
-                    start: range.start as u64,
-                    count: sizes.len() as u64,
-                    total: spec.sizes.len() as u64,
-                    items: sizes.iter().map(|s| s.to_string()).collect(),
-                    workload: Some(engine.name().to_string()),
-                    params: Some(spec.base.encode()),
-                    pool: None,
-                },
+                manifest: ShardManifest::new(shard, &items, Some(&spec)),
                 reports: vec![run_sweep(&sub).unwrap()],
             });
         }
@@ -598,25 +517,16 @@ mod tests {
         let engine = workload::find("stencil").unwrap();
         let spec = SweepSpec::new(engine, &[], vec![16]).unwrap();
         let expected = run_sweep(&spec).unwrap();
-        let manifest = |index: u64, start: u64, count: u64, items: Vec<String>| ShardManifest {
-            command: "sweep".to_string(),
-            shard: index,
-            shards: 2,
-            start,
-            count,
-            total: 1,
-            items,
-            workload: Some(engine.name().to_string()),
-            params: Some(spec.base.encode()),
-            pool: None,
-        };
+        let items = ["16".to_string()];
+        let manifest =
+            |index| ShardManifest::new(ShardSpec { index, total: 2 }, &items, Some(&spec));
         let docs = vec![
             ShardDocument {
-                manifest: manifest(0, 0, 0, vec![]),
+                manifest: manifest(0),
                 reports: vec![],
             },
             ShardDocument {
-                manifest: manifest(1, 0, 1, vec!["16".to_string()]),
+                manifest: manifest(1),
                 reports: vec![run_sweep(&spec).unwrap()],
             },
         ];
@@ -626,11 +536,11 @@ mod tests {
         // splicing it in would silently duplicate rows.
         let contradictory = vec![
             ShardDocument {
-                manifest: manifest(0, 0, 0, vec![]),
+                manifest: manifest(0),
                 reports: vec![run_sweep(&spec).unwrap()],
             },
             ShardDocument {
-                manifest: manifest(1, 0, 1, vec!["16".to_string()]),
+                manifest: manifest(1),
                 reports: vec![run_sweep(&spec).unwrap()],
             },
         ];

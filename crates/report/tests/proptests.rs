@@ -1,8 +1,8 @@
 //! Property-based tests for the shard protocol's parsing and merge
-//! invariants: `--shard` specs, shard manifests, and the tiling validation
+//! invariants: `--shard` specs, shard manifests, and the manifest check
 //! that keeps a dispatcher retry from ever corrupting a merged report.
 
-use experiment_report::shard::{merge_run, ShardDocument, ShardManifest, ShardSpec};
+use experiment_report::shard::{merge_run, ShardDocument, ShardManifest, ShardSpec, SHARD_SCHEMA};
 use experiment_report::ExperimentReport;
 use gpu_sim::PoolStats;
 use proptest::prelude::*;
@@ -20,24 +20,36 @@ fn report_for(item: &str) -> ExperimentReport {
     report
 }
 
-/// One shard document covering `range` of `total` synthetic items.
-fn doc(shard: u64, shards: u64, start: u64, count: u64, total: u64) -> ShardDocument {
-    let items: Vec<String> = (start..start + count).map(label).collect();
-    ShardDocument {
-        manifest: ShardManifest {
-            command: "run".to_string(),
-            shard,
-            shards,
-            start,
-            count,
-            total,
-            items: items.clone(),
-            workload: None,
-            params: None,
-            pool: None,
-        },
-        reports: items.iter().map(|item| report_for(item)).collect(),
-    }
+/// The synthetic work list of `total` items.
+fn labels(total: u64) -> Vec<String> {
+    (0..total).map(label).collect()
+}
+
+/// Shard `shard` of `shards` over `total` synthetic items, as a worker
+/// emits it.
+fn doc(shard: u64, shards: u64, total: u64) -> ShardDocument {
+    let spec = ShardSpec {
+        index: shard,
+        total: shards,
+    };
+    let manifest = ShardManifest::new(spec, &labels(total), None);
+    let reports = manifest.items.iter().map(|item| report_for(item)).collect();
+    ShardDocument { manifest, reports }
+}
+
+/// `doc` moved to cover `start..start + count`, with labels and reports
+/// that follow the move, so only the range itself is wrong.
+fn moved(mut doc: ShardDocument, start: u64, count: u64) -> ShardDocument {
+    doc.manifest.start = start;
+    doc.manifest.count = count;
+    doc.manifest.items = (start..start + count).map(label).collect();
+    doc.reports = doc
+        .manifest
+        .items
+        .iter()
+        .map(|item| report_for(item))
+        .collect();
+    doc
 }
 
 proptest! {
@@ -103,6 +115,7 @@ proptest! {
         checkouts in 0u64..1_000_000, hits in 0u64..1_000_000,
     ) {
         let manifest = ShardManifest {
+            schema: SHARD_SCHEMA,
             command: if with_sweep == 1 { "sweep" } else { "run" }.to_string(),
             shard,
             shards: shard + 1 + extra_shards,
@@ -122,54 +135,57 @@ proptest! {
                 high_water_bytes: checkouts * 64,
             }),
         };
-        let value = manifest.to_json_value();
-        let parsed = ShardManifest::from_json_value(&value).unwrap();
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
+        let parsed: ShardManifest = serde_json::from_str(&text).unwrap();
         prop_assert_eq!(&parsed, &manifest);
-        prop_assert_eq!(
-            serde_json::to_string_pretty(&parsed.to_json_value()).unwrap(),
-            serde_json::to_string_pretty(&value).unwrap()
-        );
+        prop_assert_eq!(serde_json::to_string_pretty(&parsed).unwrap(), text);
     }
 
-    /// A clean two-shard tiling merges to exactly the expected labels; the
-    /// same set with shard 1's range shifted (gap or overlap) is rejected.
+    /// The workers' own two-shard tiling merges to exactly the expected
+    /// labels. Any other cut is refused although it tiles the list, and so
+    /// is the clean set with shard 1's range shifted (gap or overlap), even
+    /// when its labels and reports move with it.
     fn merge_rejects_gap_and_overlap_tilings(
         total in 2u64..24, cut in 1u64..24, shift in 1i64..6, gap in 0u32..2,
     ) {
-        let cut = cut.min(total - 1);
-        let expected: Vec<String> = (0..total).map(label).collect();
-        let clean = vec![
-            doc(0, 2, 0, cut, total),
-            doc(1, 2, cut, total - cut, total),
-        ];
+        let expected = labels(total);
+        let clean = vec![doc(0, 2, total), doc(1, 2, total)];
         let merged = merge_run(&clean, &expected).unwrap();
         prop_assert_eq!(merged.len() as u64, total);
 
+        let cut = cut.min(total - 1);
+        let recut = vec![
+            moved(doc(0, 2, total), 0, cut),
+            moved(doc(1, 2, total), cut, total - cut),
+        ];
+        prop_assert_eq!(merge_run(&recut, &expected).is_ok(), cut == total / 2);
+
         // Shift shard 1's start: + opens a gap, - overlaps shard 0.
         let shift = if gap == 1 { shift } else { -shift };
-        let shifted_start = cut as i64 + shift;
+        let shifted_start = (total / 2) as i64 + shift;
         if shifted_start >= 0 && (shifted_start as u64) <= total {
             let shifted_start = shifted_start as u64;
             let broken = vec![
-                doc(0, 2, 0, cut, total),
-                doc(1, 2, shifted_start, total - shifted_start, total),
+                doc(0, 2, total),
+                moved(doc(1, 2, total), shifted_start, total - shifted_start),
             ];
-            prop_assert!(merge_run(&broken, &expected).is_err());
+            let err = merge_run(&broken, &expected).unwrap_err();
+            prop_assert!(err.contains("shard 1/2"), "{}", err);
         }
     }
 
     /// A shard that duplicates one of its neighbour's labels (a retry gone
     /// wrong) is rejected even when the counts line up.
-    fn merge_rejects_duplicated_labels(total in 2u64..24, cut in 1u64..24, dup in 0u64..24) {
-        let cut = cut.min(total - 1);
-        let expected: Vec<String> = (0..total).map(label).collect();
-        let mut second = doc(1, 2, cut, total - cut, total);
+    fn merge_rejects_duplicated_labels(total in 2u64..24, dup in 0u64..24) {
+        let expected = labels(total);
+        let cut = total / 2;
+        let mut second = doc(1, 2, total);
         // Overwrite one of shard 1's labels with a label shard 0 owns.
         let victim = (dup % (total - cut)) as usize;
         let stolen = label(dup % cut);
         second.manifest.items[victim] = stolen.clone();
         second.reports[victim] = report_for(&stolen);
-        let docs = vec![doc(0, 2, 0, cut, total), second];
+        let docs = vec![doc(0, 2, total), second];
         prop_assert!(merge_run(&docs, &expected).is_err());
     }
 }

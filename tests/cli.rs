@@ -455,6 +455,7 @@ fn documented_flags_match_the_usage_text() {
     ];
     let removed_range_check = concat!("check_int", "_range");
     let removed_dispatcher = [concat!("Local", "Launcher"), concat!("POLL_", "INTERVAL")];
+    let renamed_cache_bound = concat!("DEFAULT_", "CACHE_BYTES");
     for (doc, text) in [
         ("README.md", readme.as_str()),
         ("DESIGN.md", design.as_str()),
@@ -466,6 +467,7 @@ fn documented_flags_match_the_usage_text() {
             removed_command,
             removed_run_form,
             removed_range_check,
+            renamed_cache_bound,
         ]
         .into_iter()
         .chain(removed_subcommands)
@@ -532,6 +534,17 @@ fn documented_flags_match_the_usage_text() {
             "memo tier {tier} does not report the cache counters"
         );
     }
+    // A live shard manifest has exactly the keys of DESIGN.md §10's schema
+    // block. The keys are derived from the struct's fields, so a renamed
+    // field changes the wire schema and fails here.
+    let worker = mojo_hpc(&["run", "table1", "fig5", "--shard", "0/1"]);
+    assert!(worker.status.success(), "{}", stderr(&worker));
+    let doc: Value = serde_json::from_str(&stdout(&worker)).expect("a shard document");
+    assert_eq!(
+        section_keys(&doc, "manifest"),
+        documented_manifest_keys(&design),
+        "DESIGN.md §10 and a live manifest disagree on the manifest keys"
+    );
     let output = mojo_hpc(&["run", "--all", removed_flag, "simd"]);
     assert_eq!(output.status.code(), Some(2));
     assert!(
@@ -563,6 +576,23 @@ fn documented_stats_keys(design: &str, section: &str) -> Vec<String> {
         + 2;
     let close = open + text[open..].find(')').expect("closing parenthesis");
     text[open..close].split('/').map(str::to_string).collect()
+}
+
+/// The manifest keys of DESIGN.md §10's shard document schema block, one
+/// `"key": …` line each inside `"manifest": { … }`.
+fn documented_manifest_keys(design: &str) -> Vec<String> {
+    let start = design
+        .find("### Shard document schema")
+        .expect("DESIGN.md §10 has the schema block");
+    design[start..]
+        .lines()
+        .skip_while(|line| !line.contains("\"manifest\": {"))
+        .skip(1)
+        .map(str::trim)
+        .take_while(|line| !line.starts_with('}'))
+        .filter_map(|line| line.strip_prefix('"')?.split_once('"'))
+        .map(|(key, _)| key.to_string())
+        .collect()
 }
 
 /// The field names of the `name` object of a `stats` object.
