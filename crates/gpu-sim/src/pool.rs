@@ -565,29 +565,6 @@ impl<'a, T> IntoIterator for &'a PooledVec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for PooledVec<T> {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for PooledVec<T> {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::Error> {
-        match v {
-            serde::value::Value::Array(items) => {
-                let mut out = PooledVec::with_capacity(items.len());
-                for item in items {
-                    out.push(T::from_value(item)?);
-                }
-                Ok(out)
-            }
-            other => Err(serde::value::Error::new(format!(
-                "expected array, found {other:?}"
-            ))),
-        }
-    }
-}
-
 /// UTF-8 text over pooled storage: the `String` of rendered run text (skip
 /// reasons, verification tokens). Its bytes go back to the pool's bounded
 /// shelves when it drops, so text that differs on every run costs a shelf

@@ -5,13 +5,20 @@
 //! writes under `target/experiments/` next to the human-readable console
 //! output.
 
+use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// A simple in-memory CSV table: a header row plus data rows.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A named in-memory CSV table: a header row plus data rows. Its derived
+/// JSON (`{name, header, rows}`) is the table object of the report schema,
+/// so the field names are the wire schema; cells stay the exact strings
+/// the CSV rendering carries.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CsvTable {
+    /// Table name, set when a report attaches the table (the `<name>` of
+    /// its `<id>_<name>.csv` file).
+    pub name: String,
     /// Column names.
     pub header: Vec<String>,
     /// Data rows; each row must have `header.len()` cells.
@@ -22,6 +29,7 @@ impl CsvTable {
     /// Creates a table with the given column names.
     pub fn new<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Self {
         CsvTable {
+            name: String::new(),
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }

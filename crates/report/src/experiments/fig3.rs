@@ -118,6 +118,6 @@ mod tests {
         assert!(report.text.contains("CUDA"));
         assert!(report.text.contains("HIP"));
         // 2 devices × 2 backends × 4 configs × 100 runs of scatter rows.
-        assert_eq!(report.tables[0].1.rows.len(), 2 * 2 * 4 * RUNS_PER_CONFIG);
+        assert_eq!(report.tables[0].rows.len(), 2 * 2 * 4 * RUNS_PER_CONFIG);
     }
 }

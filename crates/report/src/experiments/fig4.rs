@@ -106,6 +106,6 @@ mod tests {
         for op in ["Copy", "Mul", "Add", "Triad", "Dot"] {
             assert!(report.text.contains(op));
         }
-        assert_eq!(report.tables[0].1.rows.len(), 2 * 2 * 5);
+        assert_eq!(report.tables[0].rows.len(), 2 * 2 * 5);
     }
 }

@@ -106,6 +106,6 @@ mod tests {
             .text
             .contains("more integer adds in the main loop: true"));
         assert!(report.text.contains("identical: true"));
-        assert_eq!(report.tables[0].1.rows.len(), 2);
+        assert_eq!(report.tables[0].rows.len(), 2);
     }
 }

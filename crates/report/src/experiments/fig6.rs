@@ -120,6 +120,6 @@ mod tests {
         assert!(report.text.contains("Figure 6 (wg = 8)"));
         assert!(report.text.contains("Figure 6 (wg = 64)"));
         // 3 backends × 8 PPWI values × 2 work-group sizes.
-        assert_eq!(report.tables[0].1.rows.len(), 48);
+        assert_eq!(report.tables[0].rows.len(), 48);
     }
 }

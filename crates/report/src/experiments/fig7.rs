@@ -65,6 +65,6 @@ mod tests {
         assert!(report.text.contains("Figure 7 (wg = 8)"));
         assert!(report.text.contains("Figure 7 (wg = 64)"));
         assert!(report.text.contains("HIP fast-math"));
-        assert_eq!(report.tables[0].1.rows.len(), 48);
+        assert_eq!(report.tables[0].rows.len(), 48);
     }
 }

@@ -47,6 +47,6 @@ mod tests {
         assert!(report.text.contains("5300"));
         assert!(report.text.contains("122.6"));
         assert_eq!(report.tables.len(), 1);
-        assert_eq!(report.tables[0].1.rows.len(), 2);
+        assert_eq!(report.tables[0].rows.len(), 2);
     }
 }

@@ -122,6 +122,6 @@ mod tests {
         assert!(text.contains("Single Precision L=1024"));
         // The rendered header links the calibration provenance.
         assert!(text.contains("EXPERIMENTS.md"));
-        assert_eq!(report.tables[0].1.rows.len(), 4);
+        assert_eq!(report.tables[0].rows.len(), 4);
     }
 }

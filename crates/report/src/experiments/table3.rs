@@ -102,7 +102,7 @@ mod tests {
         assert!(reg_line.contains("26"));
         assert!(reg_line.contains("20"));
         // 4 ops × 2 backends rows of CSV.
-        assert_eq!(report.tables[0].1.rows.len(), 8);
+        assert_eq!(report.tables[0].rows.len(), 8);
     }
 
     #[test]

@@ -146,6 +146,6 @@ mod tests {
         ] {
             assert!(report.text.contains(case), "missing {case}");
         }
-        assert_eq!(report.tables[0].1.rows.len(), 4);
+        assert_eq!(report.tables[0].rows.len(), 4);
     }
 }

@@ -1,58 +1,32 @@
 //! The output type every experiment produces.
 
 use hpc_metrics::output::{self, CsvTable};
-use serde::value::Value;
+use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::path::PathBuf;
 
-/// Looks up a field of a JSON object value.
-pub(crate) fn json_field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
-    match value {
-        Value::Object(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field '{key}'")),
-        _ => Err(format!("expected an object carrying field '{key}'")),
-    }
-}
-
-/// Looks up an optional field of a JSON object value: `None` when the key
-/// is absent (or the value is not an object), so schema extensions stay
-/// backward compatible with documents written before the field existed.
-pub(crate) fn json_opt_field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Extracts a JSON string value.
-pub(crate) fn json_str(value: &Value) -> Result<&str, String> {
-    match value {
-        Value::Str(s) => Ok(s),
-        other => Err(format!("expected a string, got {other:?}")),
-    }
-}
-
-/// Extracts a non-negative JSON integer value.
-pub(crate) fn json_u64(value: &Value) -> Result<u64, String> {
-    match value {
-        Value::U64(n) => Ok(*n),
-        other => Err(format!("expected a non-negative integer, got {other:?}")),
-    }
-}
-
-/// Extracts a JSON array value.
-pub(crate) fn json_array(value: &Value) -> Result<&[Value], String> {
-    match value {
-        Value::Array(items) => Ok(items),
-        other => Err(format!("expected an array, got {other:?}")),
-    }
-}
-
 /// The result of regenerating one table or figure.
-#[derive(Debug, Clone)]
+///
+/// Its JSON is derived, so the field names are the wire schema
+/// (DESIGN.md §9):
+///
+/// ```json
+/// {
+///   "id": "fig4",
+///   "title": "…",
+///   "text": "…console rendering…",
+///   "tables": [
+///     { "name": "bandwidth", "header": ["device", …],
+///       "rows": [["NVIDIA H100 NVL - 94 GB", …], …] }
+///   ]
+/// }
+/// ```
+///
+/// The schema carries only strings — table cells are exactly the bytes the
+/// CSV rendering carries — so parsing and re-serialising a report
+/// reproduces its JSON byte for byte. The shard merge lane
+/// (`crate::shard`) relies on this.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentReport {
     /// Stable identifier ("table2", "fig4", …).
     pub id: String,
@@ -61,7 +35,7 @@ pub struct ExperimentReport {
     /// Console rendering (the rows/series the paper reports).
     pub text: String,
     /// Named CSV tables with the underlying data.
-    pub tables: Vec<(String, CsvTable)>,
+    pub tables: Vec<CsvTable>,
 }
 
 impl ExperimentReport {
@@ -81,9 +55,12 @@ impl ExperimentReport {
         self.text.push('\n');
     }
 
-    /// Attaches a CSV table.
+    /// Attaches a CSV table under `name`.
     pub fn push_table(&mut self, name: impl Into<String>, table: CsvTable) {
-        self.tables.push((name.into(), table));
+        self.tables.push(CsvTable {
+            name: name.into(),
+            ..table
+        });
     }
 
     /// Writes every attached CSV under `target/experiments/<id>_<name>.csv`
@@ -96,8 +73,8 @@ impl ExperimentReport {
     /// as needed) and returns the written paths.
     pub fn write_csv_files_to(&self, dir: &std::path::Path) -> std::io::Result<Vec<PathBuf>> {
         let mut paths = Vec::new();
-        for (name, table) in &self.tables {
-            let path = dir.join(format!("{}_{}.csv", self.id, name));
+        for table in &self.tables {
+            let path = dir.join(format!("{}_{}.csv", self.id, table.name));
             table.write_to(&path)?;
             paths.push(path);
         }
@@ -109,89 +86,10 @@ impl ExperimentReport {
         format!("=== {} — {} ===\n{}", self.id, self.title, self.text)
     }
 
-    /// The report as a JSON value tree. The schema is stable:
-    ///
-    /// ```json
-    /// {
-    ///   "id": "fig4",
-    ///   "title": "…",
-    ///   "text": "…console rendering…",
-    ///   "tables": [
-    ///     { "name": "bandwidth", "header": ["device", …],
-    ///       "rows": [["NVIDIA H100 NVL - 94 GB", …], …] }
-    ///   ]
-    /// }
-    /// ```
-    ///
-    /// Table cells stay strings — exactly the bytes the CSV rendering carries
-    /// — so the JSON output is byte-identical wherever the CSV output is.
-    pub fn to_json_value(&self) -> Value {
-        let tables = self
-            .tables
-            .iter()
-            .map(|(name, table)| {
-                let header = table.header.iter().cloned().map(Value::Str).collect();
-                let rows = table
-                    .rows
-                    .iter()
-                    .map(|row| Value::Array(row.iter().cloned().map(Value::Str).collect()))
-                    .collect();
-                Value::Object(vec![
-                    ("name".to_string(), Value::Str(name.clone())),
-                    ("header".to_string(), Value::Array(header)),
-                    ("rows".to_string(), Value::Array(rows)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("id".to_string(), Value::Str(self.id.clone())),
-            ("title".to_string(), Value::Str(self.title.clone())),
-            ("text".to_string(), Value::Str(self.text.clone())),
-            ("tables".to_string(), Value::Array(tables)),
-        ])
-    }
-
-    /// Parses a report back from its [`ExperimentReport::to_json_value`]
-    /// schema.
-    ///
-    /// The schema carries only strings, so the round trip is lossless:
-    /// re-serialising the parsed report reproduces the original JSON byte
-    /// for byte. The shard merge lane (`crate::shard`) relies on this to
-    /// reassemble worker output into single-process-identical reports.
-    pub fn from_json_value(value: &Value) -> Result<ExperimentReport, String> {
-        let cell_strings = |value: &Value| -> Result<Vec<String>, String> {
-            json_array(value)?
-                .iter()
-                .map(|cell| Ok(json_str(cell)?.to_string()))
-                .collect()
-        };
-        let tables = json_array(json_field(value, "tables")?)?
-            .iter()
-            .map(|table| {
-                let name = json_str(json_field(table, "name")?)?.to_string();
-                let header = cell_strings(json_field(table, "header")?)?;
-                let rows = json_array(json_field(table, "rows")?)?
-                    .iter()
-                    .map(cell_strings)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((name, CsvTable { header, rows }))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ExperimentReport {
-            id: json_str(json_field(value, "id")?)?.to_string(),
-            title: json_str(json_field(value, "title")?)?.to_string(),
-            text: json_str(json_field(value, "text")?)?.to_string(),
-            tables,
-        })
-    }
-
     /// The report as pretty-printed JSON text (with a trailing newline, so
     /// the emitted files and stdout stream are valid line-terminated text).
     pub fn to_json_pretty(&self) -> String {
-        let mut json =
-            serde_json::to_string_pretty(&self.to_json_value()).expect("report serialises");
-        json.push('\n');
-        json
+        serde_json::to_string_pretty(self).expect("report serialises") + "\n"
     }
 
     /// Writes the whole report as `<dir>/<id>.json` (creating `dir` as
@@ -206,10 +104,8 @@ impl ExperimentReport {
     /// Renders a set of reports as one pretty-printed JSON array (the
     /// `run --all --format json` stdout payload).
     pub fn render_json_array<R: Borrow<ExperimentReport>>(reports: &[R]) -> String {
-        let array = Value::Array(reports.iter().map(|r| r.borrow().to_json_value()).collect());
-        let mut json = serde_json::to_string_pretty(&array).expect("reports serialise");
-        json.push('\n');
-        json
+        let reports: Vec<&ExperimentReport> = reports.iter().map(Borrow::borrow).collect();
+        serde_json::to_string_pretty(&reports).expect("reports serialise") + "\n"
     }
 }
 
@@ -258,18 +154,17 @@ mod tests {
         csv.push_row(["1", "x,y"]);
         csv.push_row(["2", "say \"hi\""]);
         r.push_table("data", csv);
-        let parsed = ExperimentReport::from_json_value(&r.to_json_value()).unwrap();
+        // Through the JSON text itself, the path shard merging takes.
+        let parsed: ExperimentReport = serde_json::from_str(&r.to_json_pretty()).unwrap();
         assert_eq!(parsed.id, r.id);
         assert_eq!(parsed.title, r.title);
         assert_eq!(parsed.text, r.text);
         assert_eq!(parsed.tables, r.tables);
         assert_eq!(parsed.to_json_pretty(), r.to_json_pretty());
-        // And through the JSON text itself, the path shard merging takes.
-        let reparsed: Value = serde_json::from_str(&r.to_json_pretty()).unwrap();
-        let back = ExperimentReport::from_json_value(&reparsed).unwrap();
-        assert_eq!(back.to_json_pretty(), r.to_json_pretty());
-        // Malformed trees are rejected with a named field.
-        let err = ExperimentReport::from_json_value(&Value::Object(vec![])).unwrap_err();
+        // Malformed documents are rejected with a named field.
+        let err = serde_json::from_str::<ExperimentReport>(r#"{"id":"x","title":"t","text":""}"#)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("tables"), "{err}");
     }
 

@@ -68,13 +68,13 @@
 
 use crate::cli::OutputFormat;
 use crate::registry::{run_experiment, ExperimentId};
-use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, ExperimentReport};
+use crate::report::ExperimentReport;
 use crate::sweep::{render_sweep, SweepSpec};
 use rayon::prelude::*;
 use science_kernels::cache::{self, Claim, SingleFlight};
 use science_kernels::workload::{self, WorkloadOutput};
 use serde::value::Value;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -144,8 +144,8 @@ impl CachedValue {
                 let tables: usize = report
                     .tables
                     .iter()
-                    .map(|(name, t)| {
-                        name.len()
+                    .map(|t| {
+                        t.name.len()
                             + t.header.iter().map(String::len).sum::<usize>()
                             + t.rows
                                 .iter()
@@ -279,24 +279,25 @@ enum Request {
     Shutdown,
 }
 
-/// Parses the optional `format` field (`json` when absent — a wire protocol
-/// defaults to the machine-readable rendering). The payload bytes match the
-/// CLI's stdout in the same format exactly.
-fn parse_format(value: &Value) -> Result<OutputFormat, String> {
-    match json_opt_field(value, "format") {
-        Some(v) => OutputFormat::parse(json_str(v)?, "format"),
-        None => Ok(OutputFormat::Json),
-    }
+/// One request line as it arrives. Its JSON is derived, so the field
+/// names are the wire protocol; every field but `cmd` is optional.
+#[derive(Deserialize)]
+struct RequestLine {
+    cmd: String,
+    experiments: Option<Vec<String>>,
+    workload: Option<String>,
+    sizes: Option<Vec<u64>>,
+    params: Option<Value>,
+    format: Option<String>,
 }
 
 /// Renders a `params` object's entries as the `key=value` override strings
 /// [`SweepSpec::new`] consumes.
-fn parse_param_overrides(value: &Value) -> Result<Vec<String>, String> {
-    let Some(params) = json_opt_field(value, "params") else {
-        return Ok(Vec::new());
-    };
-    let Value::Object(fields) = params else {
-        return Err("params: expected an object of key/value pairs".to_string());
+fn param_overrides(params: Option<Value>) -> Result<Vec<String>, String> {
+    let fields = match params {
+        None => return Ok(Vec::new()),
+        Some(Value::Object(fields)) => fields,
+        Some(_) => return Err("params: expected an object of key/value pairs".to_string()),
     };
     fields
         .iter()
@@ -311,44 +312,39 @@ fn parse_param_overrides(value: &Value) -> Result<Vec<String>, String> {
         .collect()
 }
 
-/// Parses one request line.
+/// Parses one request line. `format` defaults to `json` — a wire protocol
+/// defaults to the machine-readable rendering — and the payload bytes match
+/// the CLI's stdout in the same format exactly.
 fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
-    let cmd = json_str(json_field(&value, "cmd")?)?;
-    match cmd {
+    let request: RequestLine =
+        serde_json::from_str(line).map_err(|e| format!("invalid request: {e}"))?;
+    let format = || match &request.format {
+        Some(format) => OutputFormat::parse(format, "format"),
+        None => Ok(OutputFormat::Json),
+    };
+    match request.cmd.as_str() {
         "run" => {
-            let ids = match json_opt_field(&value, "experiments") {
+            let ids = match request.experiments {
                 None => ExperimentId::ALL.to_vec(),
-                Some(list) => {
-                    let names = json_array(list)?;
-                    if names.is_empty() {
-                        return Err("experiments: expected at least one id".to_string());
-                    }
-                    names
-                        .iter()
-                        .map(|v| ExperimentId::from_str(json_str(v)?))
-                        .collect::<Result<Vec<_>, _>>()?
+                Some(names) if names.is_empty() => {
+                    return Err("experiments: expected at least one id".to_string())
                 }
+                Some(names) => names
+                    .iter()
+                    .map(|name| ExperimentId::from_str(name))
+                    .collect::<Result<Vec<_>, _>>()?,
             };
             Ok(Request::Run {
                 ids,
-                format: parse_format(&value)?,
+                format: format()?,
             })
         }
-        "sweep" => {
-            let workload = json_str(json_field(&value, "workload")?)?.to_string();
-            let sizes = json_array(json_field(&value, "sizes")?)?
-                .iter()
-                .map(json_u64)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Request::Sweep {
-                workload,
-                sizes,
-                params: parse_param_overrides(&value)?,
-                format: parse_format(&value)?,
-            })
-        }
+        "sweep" => Ok(Request::Sweep {
+            workload: request.workload.ok_or("sweep: missing field 'workload'")?,
+            sizes: request.sizes.ok_or("sweep: missing field 'sizes'")?,
+            params: param_overrides(request.params)?,
+            format: format()?,
+        }),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!(
@@ -460,45 +456,46 @@ fn sweep_body(
     Ok(Reply::payload(all_cached, format.render(&[report], false)))
 }
 
-/// Builds the `stats` verb's counter tree.
-fn stats_value(state: &ServeState) -> Value {
+/// The `stats` verb's counters (DESIGN.md §13). Derived, so the field
+/// names are the wire schema; `memo` maps each memo tier's name to its
+/// counters.
+#[derive(Serialize)]
+struct Stats {
+    requests: u64,
+    errors: u64,
+    cache: cache::CacheCounters,
+    memo: Value,
+    compute: ComputeStats,
+    pool: gpu_sim::PoolStats,
+}
+
+/// The single-flight half of [`Stats`].
+#[derive(Serialize)]
+struct ComputeStats {
+    /// Cache misses, each of which led one computation.
+    computed: u64,
+    /// Requests that waited on another request's computation.
+    coalesced: u64,
+}
+
+/// Reads the `stats` verb's counters.
+fn stats(state: &ServeState) -> Stats {
     let memo = cache::memo_counters()
         .into_iter()
         .map(|(tier, counters)| (tier.to_string(), counters.to_value()))
         .collect();
     let cache = state.cache.counters();
-    let compute = Value::Object(vec![
-        ("computed".to_string(), Value::U64(cache.misses)),
-        (
-            "coalesced".to_string(),
-            Value::U64(state.coalesced.load(Ordering::SeqCst)),
-        ),
-    ]);
-    Value::Object(vec![
-        ("status".to_string(), Value::Str("ok".to_string())),
-        (
-            "stats".to_string(),
-            Value::Object(vec![
-                (
-                    "requests".to_string(),
-                    Value::U64(state.requests.load(Ordering::SeqCst)),
-                ),
-                (
-                    "errors".to_string(),
-                    Value::U64(state.errors.load(Ordering::SeqCst)),
-                ),
-                ("cache".to_string(), cache.to_value()),
-                ("memo".to_string(), Value::Object(memo)),
-                ("compute".to_string(), compute),
-                (
-                    "pool".to_string(),
-                    gpu_sim::pool::stats()
-                        .since(&state.pool_baseline)
-                        .to_value(),
-                ),
-            ]),
-        ),
-    ])
+    Stats {
+        requests: state.requests.load(Ordering::SeqCst),
+        errors: state.errors.load(Ordering::SeqCst),
+        memo: Value::Object(memo),
+        compute: ComputeStats {
+            computed: cache.misses,
+            coalesced: state.coalesced.load(Ordering::SeqCst),
+        },
+        cache,
+        pool: gpu_sim::pool::stats().since(&state.pool_baseline),
+    }
 }
 
 /// Dispatches one parsed request.
@@ -512,7 +509,10 @@ fn respond(state: &ServeState, request: Request) -> Result<Reply, String> {
             format,
         } => sweep_body(state, &workload, &sizes, &params, format),
         Request::Stats => Ok(Reply {
-            header: stats_value(state),
+            header: Value::Object(vec![
+                ("status".to_string(), Value::Str("ok".to_string())),
+                ("stats".to_string(), stats(state).to_value()),
+            ]),
             payload: None,
             shutdown: false,
         }),

@@ -26,9 +26,10 @@
 //! shard order reproduces the single-process traversal exactly.
 
 use crate::dispatch::WorkerTask;
-use crate::report::{json_array, json_field, json_u64, ExperimentReport};
+use crate::report::ExperimentReport;
 use crate::sweep::{self, SweepSpec};
 use gpu_sim::PoolStats;
+use hpc_metrics::output::CsvTable;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -150,8 +151,9 @@ impl ShardManifest {
 
 /// Everything a shard worker prints to stdout: its manifest plus the partial
 /// reports of the work items it covered (one report per experiment for
-/// `run`; zero or one sweep report for `sweep`).
-#[derive(Debug, Clone)]
+/// `run`; zero or one sweep report for `sweep`). Its JSON is derived, like
+/// the manifest's and the reports'.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardDocument {
     /// The shard's metadata.
     pub manifest: ShardManifest,
@@ -162,37 +164,21 @@ pub struct ShardDocument {
 impl ShardDocument {
     /// The document as pretty-printed JSON text (trailing newline included).
     pub fn to_json_pretty(&self) -> String {
-        let value = Value::Object(vec![
-            ("manifest".to_string(), self.manifest.to_value()),
-            (
-                "reports".to_string(),
-                Value::Array(self.reports.iter().map(|r| r.to_json_value()).collect()),
-            ),
-        ]);
-        let mut json = serde_json::to_string_pretty(&value).expect("shard document serialises");
-        json.push('\n');
-        json
+        serde_json::to_string_pretty(self).expect("shard document serialises") + "\n"
     }
 
-    /// Parses a worker's stdout back into a document, refusing any schema
-    /// but [`SHARD_SCHEMA`].
+    /// Parses a worker's stdout back into a document, then refuses any
+    /// schema but [`SHARD_SCHEMA`].
     pub fn parse(text: &str) -> Result<ShardDocument, String> {
-        let value: Value = serde_json::from_str(text)
-            .map_err(|e| format!("shard document is not valid JSON: {e}"))?;
-        let manifest = json_field(&value, "manifest")?;
-        let schema = json_u64(json_field(manifest, "schema")?)?;
-        if schema != SHARD_SCHEMA {
+        let doc: ShardDocument =
+            serde_json::from_str(text).map_err(|e| format!("not a shard document: {e}"))?;
+        if doc.manifest.schema != SHARD_SCHEMA {
             return Err(format!(
-                "unsupported shard schema {schema} (this binary speaks {SHARD_SCHEMA})"
+                "unsupported shard schema {} (this binary speaks {SHARD_SCHEMA})",
+                doc.manifest.schema
             ));
         }
-        let manifest =
-            ShardManifest::from_value(manifest).map_err(|e| format!("shard manifest: {e}"))?;
-        let reports = json_array(json_field(&value, "reports")?)?
-            .iter()
-            .map(ExperimentReport::from_json_value)
-            .collect::<Result<_, _>>()?;
-        Ok(ShardDocument { manifest, reports })
+        Ok(doc)
     }
 }
 
@@ -276,29 +262,21 @@ pub fn merge_run(
 /// The envelope (id, title, table header) is rebuilt from `spec`; the
 /// per-point console text and table rows are spliced from the partial
 /// reports in shard order. An empty shard carries no report, any other
-/// exactly one, whose `sweep` table has the workload's header.
+/// exactly one, whose rows `partial_rows` checks against its points.
 pub fn merge_sweep(spec: &SweepSpec, docs: &[ShardDocument]) -> Result<ExperimentReport, String> {
     let items: Vec<String> = spec.sizes.iter().map(u64::to_string).collect();
     let sorted = check_manifests(docs, |shard| ShardManifest::new(shard, &items, Some(spec)))?;
     let mut report = sweep::report_envelope(spec);
-    let mut table = hpc_metrics::output::CsvTable {
-        header: sweep::table_header(spec.workload),
-        rows: Vec::new(),
-    };
+    let mut table = CsvTable::new(sweep::table_header(spec.workload));
     for (shard, doc) in sorted {
         match (doc.manifest.count, doc.reports.as_slice()) {
             (0, []) => {}
-            (1.., [partial]) => match partial.tables.first() {
-                Some((name, rows)) if name == "sweep" && rows.header == table.header => {
-                    report.text.push_str(&partial.text);
-                    table.rows.extend(rows.rows.iter().cloned());
-                }
-                _ => {
-                    return Err(format!(
-                        "shard {shard}: partial table does not match the sweep schema"
-                    ))
-                }
-            },
+            (1.., [partial]) => {
+                let rows = partial_rows(partial, &table.header, &doc.manifest.items)
+                    .map_err(|e| format!("shard {shard}: {e}"))?;
+                report.text.push_str(&partial.text);
+                table.rows.extend_from_slice(rows);
+            }
             (count, reports) => {
                 return Err(format!(
                     "shard {shard}: {} partial sweep report(s) for {count} point(s)",
@@ -309,6 +287,46 @@ pub fn merge_sweep(spec: &SweepSpec, docs: &[ShardDocument]) -> Result<Experimen
     }
     report.push_table("sweep", table);
     Ok(report)
+}
+
+/// The rows of a partial sweep report over the points `items` (at least
+/// one): its first table must be the `sweep` table with `header`, hold the
+/// same number `k ≥ 1` of rows for every point, and give row `r` the size
+/// cell `items[r / k]` and `header.len()` cells.
+fn partial_rows<'a>(
+    partial: &'a ExperimentReport,
+    header: &[String],
+    items: &[String],
+) -> Result<&'a [Vec<String>], String> {
+    let rows = match partial.tables.first() {
+        Some(table) if table.name == "sweep" && table.header == header => &table.rows,
+        _ => return Err("partial table does not match the sweep schema".to_string()),
+    };
+    let per_point = rows.len() / items.len();
+    if per_point == 0 || rows.len() % items.len() != 0 {
+        return Err(format!(
+            "{} partial row(s) for {} point(s)",
+            rows.len(),
+            items.len()
+        ));
+    }
+    for (r, row) in rows.iter().enumerate() {
+        if row.len() != header.len() {
+            return Err(format!(
+                "partial row {r} has {} cell(s), the header {}",
+                row.len(),
+                header.len()
+            ));
+        }
+        let point = &items[r / per_point];
+        if &row[1] != point {
+            return Err(format!(
+                "partial row {r} is for {} {}, expected {point}",
+                header[1], row[1]
+            ));
+        }
+    }
+    Ok(rows)
 }
 
 /// Builds the [`WorkerTask`] list for a fan-out: worker `i` of the argument
@@ -510,6 +528,57 @@ mod tests {
         let merged = merge_sweep(&spec, &docs).unwrap();
         assert_eq!(merged.render(), expected.render());
         assert_eq!(merged.to_json_pretty(), expected.to_json_pretty());
+    }
+
+    #[test]
+    fn merge_sweep_refuses_partial_tables_that_do_not_cover_their_points() {
+        let engine = workload::find("stencil").unwrap();
+        let spec = SweepSpec::new(engine, &[], vec![16, 20, 24]).unwrap();
+        let items: Vec<String> = spec.sizes.iter().map(u64::to_string).collect();
+        // Shard 0 covers 16; shard 1 covers 20 and 24, four rows each.
+        let set = || -> Vec<ShardDocument> {
+            (0..2)
+                .map(|index| {
+                    let shard = ShardSpec { index, total: 2 };
+                    let sizes = spec.sizes[shard.range(spec.sizes.len())].to_vec();
+                    let sub = SweepSpec::new(engine, &[], sizes).unwrap();
+                    ShardDocument {
+                        manifest: ShardManifest::new(shard, &items, Some(&spec)),
+                        reports: vec![run_sweep(&sub).unwrap()],
+                    }
+                })
+                .collect()
+        };
+        assert!(merge_sweep(&spec, &set()).is_ok());
+        type Edit = fn(&mut Vec<Vec<String>>);
+        let edits: [(&str, Edit, &str); 3] = [
+            (
+                "a dropped point",
+                |rows| rows.truncate(4),
+                "row 2 is for l 20, expected 24",
+            ),
+            (
+                "a repeated point",
+                |rows| rows.extend(rows[..4].to_vec()),
+                "row 4 is for l 24, expected 20",
+            ),
+            (
+                "a short row",
+                |rows| drop(rows[5].pop()),
+                "row 5 has 8 cell(s)",
+            ),
+        ];
+        for (case, edit, wanted) in edits {
+            let mut docs = set();
+            assert_eq!(docs[1].reports[0].tables[0].rows.len(), 8);
+            edit(&mut docs[1].reports[0].tables[0].rows);
+            let err = match merge_sweep(&spec, &docs) {
+                Err(err) => err,
+                Ok(_) => panic!("{case} must be refused"),
+            };
+            assert!(err.starts_with("shard 1/2: "), "{case}: {err}");
+            assert!(err.contains(wanted), "{case}: {err}");
+        }
     }
 
     #[test]

@@ -174,8 +174,8 @@ mod tests {
         let report = run_sweep(&spec).unwrap();
         assert_eq!(report.id, "sweep_stencil");
         assert_eq!(report.tables.len(), 1);
-        let (name, table) = &report.tables[0];
-        assert_eq!(name, "sweep");
+        let table = &report.tables[0];
+        assert_eq!(table.name, "sweep");
         assert_eq!(table.header[1], "l");
         assert_eq!(table.rows.len(), 2 * 4, "2 sizes x 4 platforms");
         assert!(table.rows.iter().all(|r| r[2].contains("precision=fp32")));
@@ -206,7 +206,7 @@ mod tests {
         .unwrap();
         let report = run_sweep(&spec).unwrap();
         assert_eq!(report.id, "sweep_hartree_fock_sampled");
-        let (_, table) = &report.tables[0];
+        let table = &report.tables[0];
         assert_eq!(table.rows.len(), 1);
         assert!(table.rows[0][8].contains("exact_survivors="));
     }

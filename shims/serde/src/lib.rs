@@ -49,7 +49,6 @@ macro_rules! impl_int {
                         .map_err(|_| Error::new(format!("integer {n} out of range"))),
                     Value::I64(n) => <$t>::try_from(*n)
                         .map_err(|_| Error::new(format!("integer {n} out of range"))),
-                    Value::F64(f) if f.fract() == 0.0 => Ok(*f as $t),
                     other => Err(Error::new(format!("expected integer, found {other:?}"))),
                 }
             }
@@ -183,11 +182,14 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 pub mod __private {
     use super::{Deserialize, Error, Value};
 
-    /// Looks up and deserialises one named field of an object value.
+    /// Looks up and deserialises one named field of an object value. A
+    /// value of the wrong type is refused with an error naming the field.
     pub fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
         match v {
             Value::Object(entries) => match entries.iter().find(|(k, _)| k == name) {
-                Some((_, inner)) => T::from_value(inner),
+                Some((_, inner)) => {
+                    T::from_value(inner).map_err(|e| Error::new(format!("{name}: {e}")))
+                }
                 None => T::from_value(&Value::Null)
                     .map_err(|_| Error::new(format!("missing field `{name}`"))),
             },
@@ -205,5 +207,25 @@ pub mod __private {
             }
             other => Err(Error::new(format!("expected enum value, found {other:?}"))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn integers_refuse_floats_and_out_of_range_values() {
+        assert_eq!(u64::from_value(&Value::U64(8)).unwrap(), 8);
+        assert_eq!(i32::from_value(&Value::I64(-1)).unwrap(), -1);
+        // A float is refused even when it is integral, as real serde does:
+        // a cast would saturate 1e30 to u64::MAX and -1.0 to 0.
+        for float in [8.0, 1e30, -1.0] {
+            assert!(u64::from_value(&Value::F64(float)).is_err(), "{float}");
+        }
+        assert!(u64::from_value(&Value::I64(-1)).is_err());
+        assert!(u8::from_value(&Value::U64(256)).is_err());
+        let err = Vec::<u64>::from_value(&Value::Array(vec![Value::F64(8.0)])).unwrap_err();
+        assert!(err.to_string().contains("expected integer"), "{err}");
     }
 }

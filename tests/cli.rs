@@ -545,6 +545,32 @@ fn documented_flags_match_the_usage_text() {
         documented_manifest_keys(&design),
         "DESIGN.md §10 and a live manifest disagree on the manifest keys"
     );
+    // A live report has exactly the keys of DESIGN.md §9's schema line,
+    // and so does its first table; both are derived from struct fields.
+    let out = scratch("report-keys");
+    let run = mojo_hpc(&[
+        "run",
+        "table1",
+        "--format",
+        "json",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    std::fs::remove_dir_all(&out).ok();
+    assert!(run.status.success(), "{}", stderr(&run));
+    let reports: Value = serde_json::from_str(&stdout(&run)).expect("a report array");
+    let Value::Array(reports) = reports else {
+        panic!("expected a report array")
+    };
+    let report = &reports[0];
+    let Value::Array(tables) = field(report, "tables") else {
+        panic!("expected a table array")
+    };
+    assert_eq!(
+        (keys(report), keys(&tables[0])),
+        documented_report_keys(&design),
+        "DESIGN.md §9 and a live report disagree on the report or table keys"
+    );
     let output = mojo_hpc(&["run", "--all", removed_flag, "simd"]);
     assert_eq!(output.status.code(), Some(2));
     assert!(
@@ -595,10 +621,31 @@ fn documented_manifest_keys(design: &str) -> Vec<String> {
         .collect()
 }
 
+/// The report and table keys of DESIGN.md §9's JSON schema line,
+/// written there as `{a, b, tables: [{c, d}]}`.
+fn documented_report_keys(design: &str) -> (Vec<String>, Vec<String>) {
+    let start = design
+        .find("**JSON emission**")
+        .expect("DESIGN.md §9 documents JSON emission");
+    let text = &design[start..];
+    let open = text.find("`{").expect("the schema line") + 2;
+    let close = open + text[open..].find("}`").expect("its closing brace");
+    let (report, table) = text[open..close]
+        .split_once(": [{")
+        .expect("a nested table schema");
+    let list = |keys: &str| keys.split(',').map(|k| k.trim().to_string()).collect();
+    (list(report), list(table.trim_end_matches("}]")))
+}
+
 /// The field names of the `name` object of a `stats` object.
 fn section_keys(stats: &Value, name: &str) -> Vec<String> {
-    match field(stats, name) {
+    keys(field(stats, name))
+}
+
+/// The field names of an object.
+fn keys(object: &Value) -> Vec<String> {
+    match object {
         Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
-        other => panic!("expected '{name}' to be an object, got {other:?}"),
+        other => panic!("expected an object, got {other:?}"),
     }
 }

@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 fn experiment_fingerprint(id: ExperimentId) -> String {
     let report = run_experiment(id);
     let mut out = report.render();
-    for (name, table) in &report.tables {
-        out.push_str(name);
+    for table in &report.tables {
+        out.push_str(&table.name);
         out.push('\n');
         out.push_str(&table.to_csv_string());
     }

@@ -11,7 +11,7 @@ fn every_registered_experiment_produces_output() {
         assert_eq!(report.id, id.as_str());
         assert!(!report.text.trim().is_empty(), "{id} produced no text");
         assert!(!report.tables.is_empty(), "{id} produced no CSV tables");
-        for (_, table) in &report.tables {
+        for table in &report.tables {
             assert!(!table.rows.is_empty(), "{id} CSV has no rows");
         }
     }

@@ -295,6 +295,13 @@ fn protocol_errors_answer_without_dropping_the_connection() {
         r#"{"cmd":"sweep","workload":"hartree-fock-sampled","sizes":[1024],"params":{"shards":4294967296}}"#,
         r#"{"cmd":"sweep","workload":"minibude","sizes":[8],"params":{"poses":11184811}}"#,
         r#"{"cmd":"sweep","workload":"minibude","sizes":[8],"params":{"natlig":65536,"natpro":1048576}}"#,
+        r#"{"cmd":5}"#,
+        r#"{"cmd":"sweep","workload":"stencil","sizes":"8"}"#,
+        r#"{"cmd":"sweep","workload":"stencil","sizes":[-1]}"#,
+        r#"{"cmd":"sweep","workload":"stencil","sizes":[8.0]}"#,
+        r#"{"cmd":"run","experiments":[]}"#,
+        r#"{"cmd":"sweep","workload":"stencil","sizes":[8],"params":[1]}"#,
+        r#"{"cmd":"sweep","workload":"stencil","sizes":[8],"params":{"precision":true}}"#,
     ] {
         let (header, payload) = client.request(bad);
         assert_eq!(str_field(&header, "status"), "error", "request: {bad}");
@@ -305,7 +312,7 @@ fn protocol_errors_answer_without_dropping_the_connection() {
     let (header, _) = client.request(r#"{"cmd":"run","experiments":["table1"],"format":"json"}"#);
     assert_eq!(str_field(&header, "status"), "ok");
     let stats = client.stats();
-    assert_eq!(as_u64(field(&stats, "errors")), 9);
+    assert_eq!(as_u64(field(&stats, "errors")), 16);
     server.shutdown();
 }
 
